@@ -1,6 +1,13 @@
 """FIG9 — wearout vs accelerated recovery over a periodic schedule."""
 
+import time
+
+from repro.core.knobs import OperatingPoint, RecoveryKnobs
+from repro.core.planner import CircadianPlanner
 from repro.experiments import fig9
+from repro.fpga.chip import FpgaChip
+from repro.obs import Tracer
+from repro.units import hours
 
 
 def test_bench_fig9_circadian_cycles(once):
@@ -15,3 +22,27 @@ def test_bench_fig9_circadian_cycles(once):
     )
     assert result.envelope_bounded
     assert result.healed_stays_below_baseline
+
+
+def test_bench_cycle_compression(once):
+    """Report the closed-form compression on a constant-condition loop."""
+    knobs = RecoveryKnobs(alpha=4.0, sleep_voltage=-0.3, sleep_temperature_c=110.0)
+    planner = CircadianPlanner(knobs, OperatingPoint(temperature_c=110.0),
+                               period=hours(30.0))
+    n_cycles = 5000  # ~17 years of schedule
+
+    def measure():
+        tracer = Tracer()
+        chip = FpgaChip("bench-compress", seed=0, tracer=tracer)
+        start = time.perf_counter()
+        trough = planner.fast_forward(chip, n_cycles)
+        wall = time.perf_counter() - start
+        return wall, trough, tracer
+
+    wall, trough, tracer = once(measure)
+    compressed = tracer.metrics.value("bti.cycles_compressed")
+    print(f"fast-forward {n_cycles} cycles: {wall * 1e3:.1f} ms "
+          f"({compressed:.0f} population-cycles compressed), "
+          f"trough dTd {trough * 1e12:.1f} ps")
+    assert trough > 0.0
+    assert compressed >= n_cycles

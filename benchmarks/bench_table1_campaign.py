@@ -2,6 +2,7 @@
 
 from repro.experiments import table1
 from repro.lab.campaign import run_table1_campaign
+from repro.obs import Tracer
 
 
 def test_bench_table1_campaign(once):
@@ -14,3 +15,21 @@ def test_bench_table1_campaign(once):
                      "R20Z6", "AR20N6", "AR110Z6", "AR110N6", "AR110N12"):
         assert expected in cases
     assert len(result.log) > 500
+
+
+def test_bench_table1_rate_cache_reuse(once):
+    """The duty-averaged rate bases must be reused across the campaign."""
+    tracer = Tracer()
+    result = once(run_table1_campaign, seed=0, tracer=tracer)
+    metrics = tracer.metrics
+    hits = metrics.value("bti.rate_cache.hits")
+    partial = metrics.value("bti.rate_cache.partial_hits")
+    misses = metrics.value("bti.rate_cache.misses")
+    lookups = hits + partial + misses
+    reuse = (hits + partial) / lookups if lookups else 0.0
+    print(f"rate cache: {int(hits)} full + {int(partial)} partial hits / "
+          f"{int(lookups)} lookups ({100.0 * reuse:.1f} % reuse)")
+    assert len(result.log) > 500
+    # Even under instrument jitter the bases are reused heavily; a cold
+    # cache would make every lookup a miss.
+    assert reuse > 0.3

@@ -15,34 +15,17 @@ from dataclasses import replace
 from typing import Sequence
 
 from repro.analysis.flow.callgraph import CallGraph
-from repro.analysis.flow.merge import MergeRegistry
 from repro.analysis.flow.project import Project
 from repro.analysis.flow.rng_pass import run_rng_pass
-from repro.analysis.flow.shared_state import run_shared_state_pass
 from repro.analysis.lint.engine import LintResult, _is_suppressed
 
-#: Every rule id the flow passes can emit, for docs and tests.
-DEEP_RULE_IDS = (
-    "RPR201",
-    "RPR202",
-    "RPR203",
-    "RPR301",
-    "RPR302",
-    "RPR303",
-    "RPR304",
-    "RPR305",
-)
+#: Every rule id the flow pass can emit, for docs and tests.
+DEEP_RULE_IDS = ("RPR201", "RPR202", "RPR203")
 
 
-def analyze_project(
-    project: Project, merges: MergeRegistry | None = None
-) -> LintResult:
-    """Run both flow passes over an already-loaded project."""
-    graph = CallGraph.build(project)
-    raw = [
-        *run_rng_pass(project, graph),
-        *run_shared_state_pass(project, graph, merges),
-    ]
+def analyze_project(project: Project) -> LintResult:
+    """Run the flow pass over an already-loaded project."""
+    raw = run_rng_pass(project, CallGraph.build(project))
     lines_by_path = {
         info.path: info.source_lines for info in project.modules.values()
     }
@@ -58,9 +41,7 @@ def analyze_project(
 
 
 def analyze_paths(
-    paths: Sequence[str | Path],
-    root: str | Path | None = None,
-    merges: MergeRegistry | None = None,
+    paths: Sequence[str | Path], root: str | Path | None = None
 ) -> LintResult:
     """Deep-analyze files/directories, reporting paths relative to ``root``."""
-    return analyze_project(Project.load(paths, root=root), merges=merges)
+    return analyze_project(Project.load(paths, root=root))

@@ -1,9 +1,8 @@
 """Approximate call graph over a :class:`~repro.analysis.flow.project.Project`.
 
 "Approximate" is deliberate: Python call targets are not statically
-decidable, so the graph over-approximates in the directions that keep
-the downstream passes *sound for their purpose* (reachability from
-thread-pool workers):
+decidable, so the graph over-approximates — more reachability than
+reality, never less:
 
 * bare names resolve through the module binding tables (local defs,
   ``from m import f`` symbols, ``m.f`` attribute calls on imported
@@ -11,15 +10,15 @@ thread-pool workers):
 * ``self.method(...)`` resolves to the enclosing class's method when it
   defines one, else falls back to by-name matching;
 * ``obj.method(...)`` on an unknown receiver matches *every* project
-  method of that name — more reachability than reality, never less;
+  method of that name;
 * calling a class reaches its ``__init__``;
-* a function-valued argument (``pool.submit(worker, ...)``,
+* a function-valued argument (``executor.map(fn, ...)``,
   ``sorted(key=score)``) adds an edge to the passed function;
 * a nested ``def`` gets an implicit edge from its enclosing function.
 
-The passes that consume the graph only *flag* narrow syntactic patterns
-(global writes, shared-object mutation), so extra reachable functions
-cost nothing unless they actually contain one.
+The RNG pass uses the function index and the by-name method table;
+the edges back :meth:`CallGraph.reachable` and
+:meth:`CallGraph.callers_of`.
 """
 
 from __future__ import annotations

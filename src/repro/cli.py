@@ -18,7 +18,7 @@ Usage::
     python -m repro sweep report --dir sweep/ --out sweep.html
     python -m repro calibration             # print the acceptance bands
     python -m repro lint [paths...]         # domain lint (RPR rules + baseline)
-    python -m repro lint --deep             # + cross-module flow passes
+    python -m repro lint --deep             # + cross-module RNG flow pass
     python -m repro lint --prune-baseline   # drop stale baseline entries
     python -m repro lint --experiments      # static experiment validation
     python -m repro campaign --sanitize     # hash chip state per phase
@@ -251,7 +251,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     print(f"running the Table 1 campaign on {args.chips} chips...")
     result = run_table1_campaign(seed=args.seed, n_chips=args.chips,
                                  tracer=tracer, progress=progress,
-                                 workers=args.workers,
                                  **_resilience_kwargs(args))
     print(f"done: {len(result.log)} measurements over {len(result.chips)} chips")
     _print_quarantine(result)
@@ -279,7 +278,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"running the Table 1 campaign on {args.chips} chips (instrumented)...")
     result = run_table1_campaign(seed=args.seed, n_chips=args.chips,
                                  tracer=tracer, progress=progress,
-                                 workers=args.workers,
                                  **_resilience_kwargs(args))
     print(f"done: {len(result.log)} measurements over {len(result.chips)} chips")
     _print_quarantine(result)
@@ -391,7 +389,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(f"running the Table 1 campaign on {args.chips} chips (instrumented)...")
     result = run_table1_campaign(seed=args.seed, n_chips=args.chips,
                                  tracer=tracer, progress=progress,
-                                 workers=args.workers,
                                  **_resilience_kwargs(args))
     print(f"done: {len(result.log)} measurements over {len(result.chips)} chips")
     _print_quarantine(result)
@@ -600,13 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--chips", type=int, default=5, help="number of chips on the bench"
         )
-        parser.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="worker threads running chips concurrently (bit-identical "
-            "to sequential for the same seed)",
-        )
         parser.add_argument("--trace", help="write a JSONL span trace to this file")
         parser.add_argument(
             "--checkpoint",
@@ -801,8 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--deep",
         action="store_true",
-        help="additionally run the cross-module flow passes (RNG stream "
-        "ownership RPR2xx, thread-shared state RPR3xx)",
+        help="additionally run the cross-module flow pass (RNG stream "
+        "ownership RPR2xx)",
     )
     lint.add_argument(
         "--prune-baseline",

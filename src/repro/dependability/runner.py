@@ -175,7 +175,7 @@ def _lifetime_stats(cell: SweepCell) -> dict:
     }
 
 
-def _campaign_stats(cell: SweepCell, retries: int, backoff_s: float, workers: int) -> dict:
+def _campaign_stats(cell: SweepCell, retries: int, backoff_s: float) -> dict:
     """Run the cell's campaign and fold it into a deterministic stats dict."""
     from repro.guard.contracts import GuardConfig
     from repro.lab.campaign import run_table1_campaign, table1_horizon
@@ -213,7 +213,6 @@ def _campaign_stats(cell: SweepCell, retries: int, backoff_s: float, workers: in
             seed=cell.seed,
             n_chips=cell.n_chips,
             include_baseline=cell.include_baseline,
-            workers=workers,
             faults=faults,
             retry=RetryPolicy(max_attempts=retries, backoff_seconds=backoff_s)
             if faults is not None
@@ -256,7 +255,7 @@ def _campaign_stats(cell: SweepCell, retries: int, backoff_s: float, workers: in
 
 
 def _execute_cell(
-    cell: SweepCell, retries: int, backoff_s: float, workers: int, inject: str | None
+    cell: SweepCell, retries: int, backoff_s: float, inject: str | None
 ) -> dict:
     """One attempt at one cell, with optional failure injection."""
     if inject in ("crash", "crash-once"):
@@ -270,13 +269,13 @@ def _execute_cell(
                 "time out; use process isolation)"
             )
         time.sleep(hours(1.0))
-    return _campaign_stats(cell, retries, backoff_s, workers)
+    return _campaign_stats(cell, retries, backoff_s)
 
 
-def _child_main(connection, cell, retries, backoff_s, workers, inject) -> None:
+def _child_main(connection, cell, retries, backoff_s, inject) -> None:
     """Entry point of the forked per-cell worker."""
     try:
-        stats = _execute_cell(cell, retries, backoff_s, workers, inject)
+        stats = _execute_cell(cell, retries, backoff_s, inject)
         connection.send(("ok", stats))
     except BaseException as exc:  # report, never propagate: the pipe is the result
         connection.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -345,9 +344,7 @@ class SweepRunner:
 
     def _attempt_inline(self, cell: SweepCell, inject: str | None) -> tuple[str, object]:
         try:
-            stats = _execute_cell(
-                cell, self.spec.retries, self.spec.retry_backoff_s, self.spec.workers, inject
-            )
+            stats = _execute_cell(cell, self.spec.retries, self.spec.retry_backoff_s, inject)
         except Exception as exc:
             return "error", f"{type(exc).__name__}: {exc}"
         return "ok", stats
@@ -362,7 +359,6 @@ class SweepRunner:
                 cell,
                 self.spec.retries,
                 self.spec.retry_backoff_s,
-                self.spec.workers,
                 inject,
             ),
             daemon=True,

@@ -136,7 +136,6 @@ class SweepSpec:
     engine: str = "table1"
     n_chips: int = 2
     include_baseline: bool = False
-    workers: int = 1
     retries: int = 3
     retry_backoff_s: float = 5.0
     guard_budget: int = 2
@@ -271,17 +270,20 @@ def validate_sweep_spec(spec: SweepSpec) -> list[Finding]:
         )
     if spec.n_chips < 1:
         findings.append(_finding("RPR105", f"n_chips must be >= 1, got {spec.n_chips}"))
-    if spec.workers < 1:
-        findings.append(_finding("RPR105", f"workers must be >= 1, got {spec.workers}"))
     if spec.retries < 1:
         findings.append(_finding("RPR105", f"retries must be >= 1, got {spec.retries}"))
     if spec.retry_backoff_s < 0.0:
         findings.append(
             _finding("RPR105", f"retry_backoff_s must be >= 0, got {spec.retry_backoff_s}")
         )
-    if spec.guard_budget < 0:
+    budget_valid = isinstance(spec.guard_budget, int) and spec.guard_budget >= 0
+    if not budget_valid:
         findings.append(
-            _finding("RPR105", f"guard_budget must be >= 0, got {spec.guard_budget}")
+            _finding(
+                "RPR105",
+                f"guard_budget must be an integer >= 0, got {spec.guard_budget!r}",
+                "0 disables the per-chip violation budget",
+            )
         )
 
     for axis_field, _ in SweepSpec._AXES:
@@ -409,7 +411,7 @@ def validate_sweep_spec(spec: SweepSpec) -> list[Finding]:
                     "set dropout_probs to (0.0,) or use engine 'table1'",
                 )
             )
-        if spec.guard_budget > 0:
+        if budget_valid and spec.guard_budget > 0:
             findings.append(
                 _finding(
                     "RPR106",

@@ -1,16 +1,17 @@
 """Multi-chip campaign runner reproducing the paper's Table 1 schedule.
 
 Chips on the bench are fully independent — each owns its chip, testbench
-and RNG child streams — so the campaign can run them sequentially (the
-default) or fan them out to worker threads with ``workers=N``.  The
-parallel path is bit-identical to the sequential one for the same seed:
-seed derivation, per-chip execution order and the merged log order do not
-depend on how workers are scheduled.
+and RNG child streams — so the campaign runs them one after another, in
+chip order, through a single per-chip schedule runner.  Every option
+(guard, faults, retries, checkpoint/resume, sanitizer) is a parameter of
+that one runner, so all configurations share one code path.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
+# Importable for the benchmark's traced run (perfbench/tracing.py
+# replaces them by name); nothing in this module calls them.
+from concurrent.futures import ThreadPoolExecutor, as_completed  # noqa: F401
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,7 @@ from repro.lab.schedule import (
     baseline_phase,
     standard_case,
 )
-from repro.obs import NULL_PROGRESS, NULL_TRACER, ProgressReporter, Tracer, get_tracer
+from repro.obs import NULL_PROGRESS, ProgressReporter, get_tracer
 from repro.obs.profile import CaseThroughputSampler
 from repro.units import hours
 
@@ -51,13 +52,57 @@ from repro.units import hours
 def _chip_guard(config, tracer, chip_id: str) -> Guard | None:
     """A per-chip :class:`Guard` for ``config``, or ``None`` (ambient).
 
-    One guard per chip keeps violation counts and budgets chip-local —
-    the quarantine decision must not depend on what other chips did —
-    and makes the checks thread-safe in parallel campaigns.
+    One guard per chip keeps violation counts and budgets chip-local:
+    the quarantine decision must not depend on what other chips did.
     """
     if config is None:
         return None
     return Guard(config, tracer=tracer, owner=chip_id)
+
+
+def _chip_on_bench(
+    chip_no: int,
+    master: np.random.Generator,
+    tracer,
+    variation: ProcessVariation,
+    tech: TechnologyParameters = TECH_40NM,
+    guard: GuardConfig | None = None,
+    faults: FaultPlan | None = None,
+    retry: RetryPolicy | None = None,
+    store: CheckpointStore | None = None,
+) -> tuple[VirtualTestbench, np.random.Generator, tuple | None]:
+    """Build chip ``chip_no`` and its testbench from ``master``'s next streams.
+
+    The one place the campaign's seed derivation lives: each chip takes
+    ``master.spawn(2)`` in chip order, draws its own seed from the first
+    child, and its bench noise runs off the second.  With a ``store`` the
+    chip's trap state and the bench stream are rewound from its
+    checkpoint before the bench is built, so a fault injector starts at
+    the restored clock.  ``faults`` selects a
+    :class:`~repro.lab.resilience.ResilientTestbench`.
+
+    Returns ``(bench, bench_stream, checkpoint)``; ``checkpoint`` is what
+    :meth:`CheckpointStore.load_chip` restored, or ``None``.
+    """
+    chip_stream, bench_stream = master.spawn(2)
+    chip_id = f"chip-{chip_no}"
+    chip = FpgaChip(
+        chip_id,
+        tech=tech,
+        variation=variation,
+        seed=int(chip_stream.integers(2**31)),
+        tracer=tracer,
+        guard=_chip_guard(guard, tracer, chip_id),
+    )
+    checkpoint = store.load_chip(chip, bench_stream) if store is not None else None
+    if faults is None:
+        bench = VirtualTestbench(chip, rng=bench_stream, tracer=tracer)
+    else:
+        injector = FaultInjector(faults, chip_id, start_time=chip.elapsed, tracer=tracer)
+        bench = ResilientTestbench(
+            chip, injector=injector, retry=retry, rng=bench_stream, tracer=tracer
+        )
+    return bench, bench_stream, checkpoint
 
 
 def _run_case_phases(
@@ -72,7 +117,7 @@ def _run_case_phases(
     """Execute one case's phases on a bench inside a ``case`` span.
 
     The single definition of the case-span discipline, shared by the
-    sequential :class:`Campaign` methods and the parallel chip workers.
+    :class:`Campaign` methods and the per-chip schedule runner.
     The throughput sampler turns the case's counter deltas into per-case
     derived gauges (measurements/s, trap updates/s) — a no-op on the
     null tracer.  With a live ``sanitizer`` every finished phase is
@@ -102,8 +147,7 @@ class CampaignResult:
     dropout, retries exhausted) — their measurements up to the failure are
     kept in ``log``, and the campaign completes on the survivors.
     ``state_hashes`` is populated only under ``sanitize=True``: one
-    digest per ``chip/seq`` phase boundary, identical across sequential
-    and parallel runs of the same seed.
+    digest per ``chip/seq`` phase boundary.
     """
 
     log: DataLog
@@ -209,21 +253,12 @@ class Campaign:
             "campaign.cases", "test cases executed across campaigns"
         )
         variation = variation if variation is not None else ProcessVariation()
-        for index in range(n_chips):
-            chip_seed, bench_seed = master.spawn(2)
-            chip_id = f"chip-{index + 1}"
-            chip = FpgaChip(
-                chip_id,
-                tech=tech,
-                variation=variation,
-                seed=int(chip_seed.integers(2**31)),
-                tracer=self.tracer,
-                guard=_chip_guard(guard, self.tracer, chip_id),
+        for chip_no in range(1, n_chips + 1):
+            bench, _, _ = _chip_on_bench(
+                chip_no, master, self.tracer, variation, tech=tech, guard=guard
             )
-            self.chips[chip_id] = chip
-            self.benches[chip_id] = VirtualTestbench(
-                chip, rng=bench_seed, tracer=self.tracer
-            )
+            self.chips[bench.chip.chip_id] = bench.chip
+            self.benches[bench.chip.chip_id] = bench
         self.fresh_delays = {cid: chip.fresh_path_delay for cid, chip in self.chips.items()}
 
     def chip_id(self, chip_no: int) -> str:
@@ -270,201 +305,83 @@ class Campaign:
         )
 
 
+class _Progress:
+    """Running campaign totals behind the per-case progress lines."""
+
+    def __init__(self, reporter: ProgressReporter, cases_total: int, chips_total: int) -> None:
+        self.reporter = reporter
+        self.cases_total = cases_total
+        self.chips_total = chips_total
+        self.cases_done = 0
+        self.chips_done = 0
+        self.retries = 0
+        self.quarantined = 0
+
+    def case_done(self, chip_id: str, case: str, chip_retries: int) -> None:
+        """Report one finished Table-1 case (``chip_retries`` so far on its chip)."""
+        self.cases_done += 1
+        self.reporter.case_done(
+            chip_id,
+            case,
+            self.cases_done,
+            self.cases_total,
+            self.chips_done,
+            self.chips_total,
+            retries=self.retries + chip_retries,
+            quarantined=self.quarantined,
+        )
+
+    def chip_finished(self, chip_retries: int, quarantine: QuarantineReport | None) -> None:
+        """Fold one chip's retry and quarantine tallies into the totals."""
+        self.chips_done += 1
+        self.retries += chip_retries
+        if quarantine is not None:
+            self.quarantined += 1
+            self.reporter.line(
+                f"{quarantine.chip_id:<8} QUARANTINED during {quarantine.case}: "
+                f"{quarantine.reason}"
+            )
+
+
 def _run_chip_schedule(
     chip_no: int,
     case_names: tuple[str, ...],
     include_baseline: bool,
+    master: np.random.Generator,
     variation: ProcessVariation,
-    chip_stream: np.random.Generator,
-    bench_stream: np.random.Generator,
-    instrument: bool,
-    guard_config: GuardConfig | None = None,
-    sanitize: bool = False,
-) -> tuple[FpgaChip, DataLog, DataLog, "Tracer | None", dict[str, str]]:
-    """One chip's full Table 1 schedule, self-contained for a worker.
-
-    Seed handling mirrors :class:`Campaign.__init__` exactly — the chip
-    seed is drawn from ``chip_stream`` and the bench noise runs off
-    ``bench_stream`` — so the records produced here are bit-identical to
-    the sequential path.  Baseline and case records are returned as
-    separate shards because the sequential log interleaves them
-    (all baselines first, then the case sequences).  The worker owns its
-    sanitizer the same way it owns its tracer; the digests it returns
-    cover only this chip, so merging them is collision-free.
-    """
-    worker_tracer = Tracer() if instrument else NULL_TRACER
-    sanitizer = DeterminismSanitizer() if sanitize else NULL_SANITIZER
-    chip = FpgaChip(
-        f"chip-{chip_no}",
-        tech=TECH_40NM,
-        variation=variation,
-        seed=int(chip_stream.integers(2**31)),
-        tracer=worker_tracer,
-        guard=_chip_guard(guard_config, worker_tracer, f"chip-{chip_no}"),
-    )
-    bench = VirtualTestbench(chip, rng=bench_stream, tracer=worker_tracer)
-    cases_counter = worker_tracer.counter(
-        "campaign.cases", "test cases executed across campaigns"
-    )
-    baseline_log = DataLog()
-    case_log = DataLog()
-    if include_baseline:
-        _run_case_phases(
-            worker_tracer,
-            cases_counter,
-            bench,
-            f"BASELINE-{chip.chip_id}",
-            [baseline_phase()],
-            baseline_log,
-            sanitizer,
-        )
-    for name in case_names:
-        case = standard_case(name, chip_no)
-        _run_case_phases(
-            worker_tracer,
-            cases_counter,
-            bench,
-            case.name,
-            case.phases,
-            case_log,
-            sanitizer,
-        )
-    return (
-        chip,
-        baseline_log,
-        case_log,
-        worker_tracer if instrument else None,
-        dict(sanitizer.hashes) if sanitize else {},
-    )
-
-
-def _parallel_table1(
-    seed: int | None,
-    n_chips: int,
-    include_baseline: bool,
     tracer,
-    progress: ProgressReporter,
-    workers: int,
-    sequences: dict[int, tuple[str, ...]],
-    guard_config: GuardConfig | None = None,
-    sanitize: bool = False,
-) -> CampaignResult:
-    """Fan the chips out to worker threads and merge deterministically.
-
-    Threads (not processes): the trap updates are numpy array ops that
-    release the GIL, and threads avoid pickling chips back.  Workers are
-    merged in chip order after all complete — log order, span ids and
-    counter sums never depend on scheduling.
-    """
-    master = np.random.default_rng(seed)
-    variation = ProcessVariation()
-    streams = [master.spawn(2) for _ in range(n_chips)]
-    results: list = [None] * n_chips
-    with ThreadPoolExecutor(max_workers=min(workers, n_chips)) as pool:
-        future_to_index = {
-            pool.submit(
-                _run_chip_schedule,
-                index + 1,
-                sequences.get(index + 1, ()),
-                include_baseline,
-                variation,
-                streams[index][0],
-                streams[index][1],
-                tracer.enabled,
-                guard_config,
-                sanitize,
-            ): index
-            for index in range(n_chips)
-        }
-        chips_done = 0
-        for future in as_completed(future_to_index):
-            index = future_to_index[future]
-            results[index] = future.result()
-            chips_done += 1
-            progress.chip_done(f"chip-{index + 1}", chips_done, n_chips)
-    chips: dict[str, FpgaChip] = {}
-    fresh_delays: dict[str, float] = {}
-    state_hashes: dict[str, str] = {}
-    for chip, _, _, worker_tracer, worker_hashes in results:
-        chips[chip.chip_id] = chip
-        fresh_delays[chip.chip_id] = chip.fresh_path_delay
-        if worker_tracer is not None:
-            tracer.absorb(worker_tracer)
-        state_hashes.update(worker_hashes)
-    log = DataLog.merge(
-        [baseline_log for _, baseline_log, _, _, _ in results]
-        + [case_log for _, _, case_log, _, _ in results]
-    )
-    return CampaignResult(
-        log=log, chips=chips, fresh_delays=fresh_delays, state_hashes=state_hashes
-    )
-
-
-def _resilient_chip_schedule(
-    chip_no: int,
-    case_names: tuple[str, ...],
-    include_baseline: bool,
-    variation: ProcessVariation,
-    chip_stream: np.random.Generator,
-    bench_stream: np.random.Generator,
-    instrument: bool,
-    plan: FaultPlan | None,
+    sanitizer,
+    progress: _Progress,
+    guard: GuardConfig | None,
+    faults: FaultPlan | None,
     retry: RetryPolicy | None,
     store: CheckpointStore | None,
-    guard_config: GuardConfig | None = None,
-    sanitize: bool = False,
-) -> tuple[
-    FpgaChip,
-    DataLog,
-    DataLog,
-    QuarantineReport | None,
-    int,
-    "Tracer | None",
-    dict[str, str],
-]:
-    """One chip's schedule with faults, retries and checkpointing.
+) -> tuple[FpgaChip, DataLog, DataLog, QuarantineReport | None]:
+    """One chip's Table 1 schedule, with every campaign option applied.
 
-    Seed handling is identical to :func:`_run_chip_schedule`, so with no
-    faults installed the records are bit-identical to the plain paths.
-    On resume the chip is rebuilt from its seed (cheap, deterministic),
-    its trap state and the bench RNG are rewound from the checkpoint, and
-    only the unfinished tail of the schedule runs.
+    Baseline and case records go to separate logs because the merged
+    campaign log lists all baselines first, then the case sequences.  On
+    resume the chip is rebuilt from its seed (cheap, deterministic), its
+    trap state and bench RNG are rewound from the checkpoint, and only the
+    unfinished tail of the schedule runs.
 
-    A clamp-mode guard whose violation budget runs out raises
-    :class:`~repro.errors.ChipDropoutError` from inside the model stack;
-    it is caught below exactly like an instrument dropout, so the chip
-    lands in quarantine and the campaign completes on the survivors.
+    A chip dropout, exhausted retries, or a clamp-mode guard whose
+    violation budget runs out (raised as
+    :class:`~repro.errors.ChipDropoutError` from inside the model stack)
+    quarantines the chip: its records so far are kept and the campaign
+    carries on with the next chip.
     """
-    worker_tracer = Tracer() if instrument else NULL_TRACER
-    sanitizer = DeterminismSanitizer() if sanitize else NULL_SANITIZER
-    chip = FpgaChip(
-        f"chip-{chip_no}",
-        tech=TECH_40NM,
-        variation=variation,
-        seed=int(chip_stream.integers(2**31)),
-        tracer=worker_tracer,
-        guard=_chip_guard(guard_config, worker_tracer, f"chip-{chip_no}"),
+    bench, bench_stream, checkpoint = _chip_on_bench(
+        chip_no, master, tracer, variation, guard=guard, faults=faults, retry=retry, store=store
     )
+    chip = bench.chip
     baseline_log, case_log = DataLog(), DataLog()
     completed: list[str] = []
     quarantine: QuarantineReport | None = None
-    if store is not None:
-        loaded = store.load_chip(chip, bench_stream)
-        if loaded is not None:
-            baseline_log, case_log, completed, quarantine = loaded
-    if plan is not None:
-        injector = FaultInjector(
-            plan, chip.chip_id, start_time=chip.elapsed, tracer=worker_tracer
-        )
-        bench: VirtualTestbench = ResilientTestbench(
-            chip, injector=injector, retry=retry, rng=bench_stream, tracer=worker_tracer
-        )
-    else:
-        bench = VirtualTestbench(chip, rng=bench_stream, tracer=worker_tracer)
-    cases_counter = worker_tracer.counter(
-        "campaign.cases", "test cases executed across campaigns"
-    )
-    quarantines_counter = worker_tracer.counter(
+    if checkpoint is not None:
+        baseline_log, case_log, completed, quarantine = checkpoint
+    cases_counter = tracer.counter("campaign.cases", "test cases executed across campaigns")
+    quarantines_counter = tracer.counter(
         "campaign.quarantines", "chips pulled from the bench mid-campaign"
     )
     schedule: list[tuple[str, tuple[TestPhase, ...], DataLog]] = []
@@ -483,9 +400,7 @@ def _resilient_chip_schedule(
                 )
             continue
         try:
-            _run_case_phases(
-                worker_tracer, cases_counter, bench, case_name, phases, log, sanitizer
-            )
+            _run_case_phases(tracer, cases_counter, bench, case_name, phases, log, sanitizer)
         except (ChipDropoutError, RetryExhaustedError) as error:
             # Graceful degradation: keep the records taken so far, flag
             # the chip, and let the rest of the campaign finish.
@@ -504,106 +419,12 @@ def _resilient_chip_schedule(
         completed.append(case_name)
         if store is not None:
             store.save_chip(chip, bench_stream, baseline_log, case_log, completed)
-    retries_taken = getattr(bench, "retries_taken", 0)
-    return (
-        chip,
-        baseline_log,
-        case_log,
-        quarantine,
-        retries_taken,
-        worker_tracer if instrument else None,
-        dict(sanitizer.hashes) if sanitize else {},
-    )
-
-
-def _resilient_table1(
-    seed: int | None,
-    n_chips: int,
-    include_baseline: bool,
-    tracer,
-    progress: ProgressReporter,
-    workers: int,
-    sequences: dict[int, tuple[str, ...]],
-    plan: FaultPlan | None,
-    retry: RetryPolicy | None,
-    store: CheckpointStore | None,
-    guard_config: GuardConfig | None = None,
-    sanitize: bool = False,
-) -> CampaignResult:
-    """Fan chips out with fault/retry/checkpoint support and merge.
-
-    The same deterministic merge discipline as :func:`_parallel_table1`:
-    chip order decides log order, worker scheduling never does.
-    """
-    master = np.random.default_rng(seed)
-    variation = ProcessVariation()
-    streams = [master.spawn(2) for _ in range(n_chips)]
-    results: list = [None] * n_chips
-    with ThreadPoolExecutor(max_workers=min(max(workers, 1), n_chips)) as pool:
-        future_to_index = {
-            pool.submit(
-                _resilient_chip_schedule,
-                index + 1,
-                sequences.get(index + 1, ()),
-                include_baseline,
-                variation,
-                streams[index][0],
-                streams[index][1],
-                tracer.enabled,
-                plan,
-                retry,
-                store,
-                guard_config,
-                sanitize,
-            ): index
-            for index in range(n_chips)
-        }
-        chips_done = 0
-        retries_so_far = 0
-        quarantined_so_far = 0
-        for future in as_completed(future_to_index):
-            index = future_to_index[future]
-            results[index] = future.result()
-            chips_done += 1
-            quarantine = results[index][3]
-            retries_so_far += results[index][4]
-            if quarantine is not None:
-                quarantined_so_far += 1
-            progress.chip_done(
-                f"chip-{index + 1}",
-                chips_done,
-                n_chips,
-                retries=retries_so_far,
-                quarantined=quarantined_so_far,
-                quarantine_reason=(
-                    f"during {quarantine.case}: {quarantine.reason}"
-                    if quarantine is not None
-                    else None
-                ),
-            )
-    chips: dict[str, FpgaChip] = {}
-    fresh_delays: dict[str, float] = {}
-    quarantined: dict[str, QuarantineReport] = {}
-    state_hashes: dict[str, str] = {}
-    for chip, _, _, quarantine, _, worker_tracer, worker_hashes in results:
-        chips[chip.chip_id] = chip
-        fresh_delays[chip.chip_id] = chip.fresh_path_delay
-        if quarantine is not None:
-            quarantined[chip.chip_id] = quarantine
-        if worker_tracer is not None:
-            tracer.absorb(worker_tracer)
-        state_hashes.update(worker_hashes)
-    log = DataLog.merge(
-        [baseline_log for _, baseline_log, _, _, _, _, _ in results]
-        + [case_log for _, _, case_log, _, _, _, _ in results]
-    )
-    return CampaignResult(
-        log=log,
-        chips=chips,
-        fresh_delays=fresh_delays,
-        quarantined=quarantined,
-        state_hashes=state_hashes,
-    )
+        if log is baseline_log:
+            progress.reporter.line(f"{chip.chip_id:<8} baseline burn-in done")
+        else:
+            progress.case_done(chip.chip_id, case_name, getattr(bench, "retries_taken", 0))
+    progress.chip_finished(getattr(bench, "retries_taken", 0), quarantine)
+    return chip, baseline_log, case_log, quarantine
 
 
 def table1_horizon(n_chips: int = 5, include_baseline: bool = True) -> float:
@@ -628,7 +449,6 @@ def run_table1_campaign(
     include_baseline: bool = True,
     tracer=None,
     progress: ProgressReporter | None = None,
-    workers: int = 1,
     faults: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
     checkpoint: "str | None" = None,
@@ -640,14 +460,12 @@ def run_table1_campaign(
 
     Chip execution order follows the paper: each chip runs its stress case
     then its recovery case; chip 5 additionally re-stresses for 48 h and
-    runs the 12 h recovery (``AR110N12``).
-
-    ``workers`` above 1 runs each chip's schedule in a worker thread; the
-    merged result is bit-identical to the sequential run for the same
-    seed.  ``tracer`` wraps the run in a ``campaign`` span (cases and
-    phases nest under it, whichever worker ran them) and records the
-    simulated-seconds-per-wall-second throughput; ``progress`` gets one
-    line per completed case (sequential) or chip (parallel).
+    runs the 12 h recovery (``AR110N12``).  Chips run one after another,
+    each through its whole schedule; the merged log lists every baseline
+    first, then the case sequences, in chip order.  ``tracer`` wraps the
+    run in a ``campaign`` span (cases and phases nest under it) and
+    records the simulated-seconds-per-wall-second throughput;
+    ``progress`` gets one line per completed case.
 
     Resilience: ``faults`` installs a :class:`FaultPlan` (chips it never
     names stay bit-identical to a fault-free run); ``retry`` bounds the
@@ -661,7 +479,7 @@ def run_table1_campaign(
 
     ``guard`` installs a physics-contract :class:`~repro.guard.GuardConfig`
     on every chip (each chip gets its own :class:`~repro.guard.Guard`
-    instance, so worker threads never share violation state).  In clamp
+    instance, so violation counts and budgets stay per chip).  In clamp
     mode a chip that exhausts its violation budget is quarantined exactly
     like a dropout; in raise mode the first violation aborts the campaign
     with a replayable repro bundle.
@@ -670,13 +488,12 @@ def run_table1_campaign(
     (records, trap occupancy, bench RNG) is hashed at each phase
     boundary into ``CampaignResult.state_hashes`` and, when a tracer is
     live, into ``state_hash`` spans that ``repro trace diff`` compares —
-    sequential and ``workers=N`` runs of one seed must produce identical
-    digests.
+    two runs of one seed, with or without a checkpoint, must produce
+    identical digests.
     """
     tracer = tracer if tracer is not None else get_tracer()
-    progress = progress if progress is not None else NULL_PROGRESS
-    if workers < 1:
-        raise ScheduleError(f"workers must be at least 1, got {workers}")
+    if n_chips <= 0:
+        raise ScheduleError(f"n_chips must be positive, got {n_chips}")
     store = None
     if checkpoint is not None:
         store = CheckpointStore(checkpoint)
@@ -688,69 +505,43 @@ def run_table1_campaign(
         store.init_manifest(seed, n_chips, include_baseline)
     elif resume:
         raise ConfigurationError("resume requires a checkpoint directory")
-    resilient = (
-        faults is not None
-        or retry is not None
-        or store is not None
-        or guard is not None
-    )
     sequences = {
-        chip_no: names for chip_no, names in CHIP_SEQUENCES.items() if chip_no <= n_chips
+        chip_no: CHIP_SEQUENCES.get(chip_no, ()) for chip_no in range(1, n_chips + 1)
     }
-    with tracer.span("campaign", seed=seed, n_chips=n_chips, workers=workers) as span:
-        if resilient:
-            result = _resilient_table1(
-                seed,
-                n_chips,
+    tally = _Progress(
+        progress if progress is not None else NULL_PROGRESS,
+        cases_total=sum(len(names) for names in sequences.values()),
+        chips_total=n_chips,
+    )
+    sanitizer = DeterminismSanitizer() if sanitize else NULL_SANITIZER
+    master = np.random.default_rng(seed)
+    variation = ProcessVariation()
+    with tracer.span("campaign", seed=seed, n_chips=n_chips) as span:
+        runs = [
+            _run_chip_schedule(
+                chip_no,
+                case_names,
                 include_baseline,
+                master,
+                variation,
                 tracer,
-                progress,
-                workers,
-                sequences,
+                sanitizer,
+                tally,
+                guard,
                 faults,
                 retry,
                 store,
-                guard,
-                sanitize=sanitize,
             )
-        elif workers > 1:
-            result = _parallel_table1(
-                seed,
-                n_chips,
-                include_baseline,
-                tracer,
-                progress,
-                workers,
-                sequences,
-                sanitize=sanitize,
-            )
-        else:
-            campaign = Campaign(
-                n_chips=n_chips,
-                seed=seed,
-                tracer=tracer,
-                sanitizer=DeterminismSanitizer() if sanitize else None,
-            )
-            total_cases = sum(len(names) for names in sequences.values())
-            if include_baseline:
-                campaign.run_baseline()
-                progress.line(f"baseline burn-in done on {n_chips} chips")
-            cases_done = 0
-            chips_done = 0
-            for chip_no, case_names in sequences.items():
-                for name in case_names:
-                    campaign.run_case(standard_case(name, chip_no))
-                    cases_done += 1
-                    progress.case_done(
-                        campaign.chip_id(chip_no),
-                        name,
-                        cases_done,
-                        total_cases,
-                        chips_done,
-                        len(sequences),
-                    )
-                chips_done += 1
-            result = campaign.result()
+            for chip_no, case_names in sequences.items()
+        ]
+        chips, baseline_logs, case_logs, quarantines = zip(*runs)
+        result = CampaignResult(
+            log=DataLog.merge([*baseline_logs, *case_logs]),
+            chips={chip.chip_id: chip for chip in chips},
+            fresh_delays={chip.chip_id: chip.fresh_path_delay for chip in chips},
+            quarantined={q.chip_id: q for q in quarantines if q is not None},
+            state_hashes=dict(sanitizer.hashes),
+        )
         sim_total = float(sum(chip.elapsed for chip in result.chips.values()))
         span.set("sim_advanced", sim_total)
     if span.duration > 0.0:

@@ -60,9 +60,9 @@ class DataLog:
         Ordering guarantee: the result is the *stable* concatenation of
         the shards — records keep their within-shard order, and every
         record of shard ``i`` precedes every record of shard ``i + 1``.
-        Callers pick a canonical shard order (the parallel campaign uses
-        chip order) so merged logs are deterministic regardless of which
-        worker finished first.
+        Callers pick a canonical shard order (the Table-1 campaign merges
+        every chip's baseline shard, then every chip's case shard, in chip
+        order) so merged logs never depend on how the shards were produced.
         """
         merged = cls()
         for log in logs:

@@ -112,8 +112,8 @@ class FaultPlan:
     """An immutable, ordered set of fault events for a campaign.
 
     Build one explicitly from events, or draw one with :meth:`generate`
-    — both are fully deterministic.  The plan is shared read-only across
-    worker threads; per-chip mutable state lives in :class:`FaultInjector`.
+    — both are fully deterministic.  The plan is shared read-only by every
+    chip; per-chip mutable state lives in :class:`FaultInjector`.
     """
 
     def __init__(self, events: tuple[FaultEvent, ...] | list[FaultEvent] = ()) -> None:

@@ -1,22 +1,18 @@
 """Runtime determinism sanitizer: per-chip state hashes at phase ends.
 
-The static flow passes (:mod:`repro.analysis.flow`) prove the *shape* of
-the campaign is race-free; this module checks the *numbers*.  With
-``repro campaign --sanitize`` every chip carries a
+With ``repro campaign --sanitize`` every chip carries a
 :class:`_ChipHasher` that folds, at each phase boundary, the records the
 phase appended, the chip's trap-occupancy state and the bench RNG state
 into a rolling SHA-256.  The digests land both in
 ``CampaignResult.state_hashes`` (for direct equality asserts) and in
-``state_hash`` spans on the trace, so two runs — sequential vs
-``--workers N``, or today vs last week — can be compared span-by-span
+``state_hash`` spans on the trace, so two runs — a plain run vs a
+checkpointed one, or today vs last week — can be compared span-by-span
 and ``repro trace diff`` pinpoints the first phase where chip state
 diverged.
 
-Hashes depend only on per-chip simulated history, never on wall clock or
-worker scheduling, so sequential and parallel runs of the same seed must
-produce identical digests.  A mismatch is a determinism bug by
-definition — exactly what a registered-but-wrong merge claim
-(:mod:`repro.analysis.flow.merge`) would produce.
+Hashes depend only on per-chip simulated history, never on wall clock,
+so two runs of the same seed must produce identical digests.  A
+mismatch is a determinism bug by definition.
 """
 
 from __future__ import annotations
@@ -61,12 +57,7 @@ class _ChipHasher:
 
 
 class DeterminismSanitizer:
-    """Collects per-chip phase-boundary digests for one campaign run.
-
-    One instance per sequential campaign; one per worker in parallel
-    campaigns (chips are worker-disjoint, so merging the per-worker
-    ``hashes`` dicts in chip order is deterministic).
-    """
+    """Collects per-chip phase-boundary digests for one campaign run."""
 
     enabled = True
 
@@ -78,8 +69,7 @@ class DeterminismSanitizer:
         """Hash one finished phase and emit its ``state_hash`` span.
 
         ``start`` is ``len(log)`` before the phase ran; the slice from
-        there is exactly the records this phase appended — pure per-chip
-        data in both the sequential log and the parallel shard logs.
+        there is exactly the records this phase appended.
         """
         chip_id = bench.chip.chip_id
         hasher = self._hashers.setdefault(chip_id, _ChipHasher(chip_id))
@@ -99,10 +89,6 @@ class DeterminismSanitizer:
             pass
         return state
 
-    def absorb(self, other: "DeterminismSanitizer") -> None:
-        """Fold a worker sanitizer's digests in (call in chip order)."""
-        self.hashes.update(other.hashes)
-
 
 class _NullSanitizer:
     """The do-nothing default: campaigns run unhashed."""
@@ -114,9 +100,6 @@ class _NullSanitizer:
     def record_phase(self, tracer, bench, case_name, phase, log, start) -> str:
         """No-op; returns an empty digest."""
         return ""
-
-    def absorb(self, other) -> None:
-        """No-op."""
 
 
 #: Shared inert instance — the default wherever a sanitizer is accepted.

@@ -86,26 +86,6 @@ class ProgressReporter:
             f"{self._resilience_suffix(retries, quarantined)})"
         )
 
-    def chip_done(
-        self,
-        chip_id: str,
-        chips_done: int,
-        chips_total: int,
-        retries: int = 0,
-        quarantined: int = 0,
-        quarantine_reason: str | None = None,
-    ) -> None:
-        """Report one chip finishing (or being pulled from) its schedule."""
-        status = (
-            f"QUARANTINED: {quarantine_reason}"
-            if quarantine_reason is not None
-            else "schedule complete"
-        )
-        self.line(
-            f"{chip_id:<8} {status}  ({chips_done}/{chips_total} chips"
-            f"{self._resilience_suffix(retries, quarantined)})"
-        )
-
 
 #: A reporter that discards everything — the default for library calls.
 NULL_PROGRESS = ProgressReporter(enabled=False)

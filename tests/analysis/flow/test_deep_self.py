@@ -53,7 +53,7 @@ class TestSharedSuppressionMachinery:
         )
 
     def test_baseline_round_trip_absorbs_deep_findings(self, tmp_path):
-        for name in ("leaky_rng.py", "worker_state.py"):
+        for name in ("leaky_rng.py", "mini_campaign.py", "mini_faults.py", "rig.py"):
             shutil.copy(FIXTURES / name, tmp_path / name)
         findings = analyze_paths([tmp_path], root=tmp_path).findings
         assert findings

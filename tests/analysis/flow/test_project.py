@@ -19,11 +19,11 @@ def fixture_project():
 class TestProjectLoad:
     def test_loads_every_fixture_module(self, fixture_project):
         assert {
+            "call_shapes",
             "leaky_rng",
             "mini_campaign",
             "mini_faults",
             "rig",
-            "worker_state",
         } <= set(fixture_project.modules)
 
     def test_paths_are_repo_relative(self, fixture_project):
@@ -52,7 +52,7 @@ class TestBindings:
         assert binding.target == "mini_faults.plan_faults"
 
     def test_module_level_object_records_constructor(self, fixture_project):
-        binding = fixture_project.modules["worker_state"].bindings["SHARED_LOG"]
+        binding = fixture_project.modules["call_shapes"].bindings["SHARED_LOG"]
         assert binding.kind == "object"
         assert binding.target == "DataLog"
 

@@ -1,5 +1,7 @@
 """Sweep spec: deterministic expansion and RPR105/RPR106 validation."""
 
+import json
+
 import pytest
 
 from repro.dependability import (
@@ -75,6 +77,12 @@ class TestSerialisation:
         with pytest.raises(ConfigurationError, match="unknown sweep spec keys"):
             SweepSpec.from_dict({"name": "x", "bogus": 1})
 
+    def test_pre_removal_workers_key_rejected(self):
+        """A sweep.json written while specs still had ``workers`` fails typed."""
+        payload = {**demo_spec().to_dict(), "workers": 1}
+        with pytest.raises(ConfigurationError, match="unknown sweep spec keys: workers"):
+            SweepSpec.from_json(json.dumps(payload))
+
     def test_unknown_lifetime_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown lifetime keys"):
             SweepSpec.from_dict({"lifetime": {"budget": 0.1}})
@@ -100,7 +108,7 @@ class TestValidation:
             (dict(name="no spaces"), "non-empty slug"),
             (dict(engine="gpu"), "unknown engine"),
             (dict(n_chips=0), "n_chips"),
-            (dict(workers=0), "workers"),
+            (dict(guard_budget=None), "guard_budget"),
             (dict(retries=0), "retries"),
             (dict(retry_backoff_s=-1.0), "retry_backoff_s"),
             (dict(guard_budget=-1), "guard_budget"),
@@ -121,6 +129,18 @@ class TestValidation:
         assert findings, f"expected a finding for {overrides}"
         assert any(fragment in f.message for f in findings)
         assert all(f.rule_id in ("RPR105", "RPR106") for f in findings)
+
+    def test_null_guard_budget_is_a_finding_not_a_crash(self):
+        payload = {**small_spec().to_dict(), "guard_budget": None}
+        payload["lifetime"] = {"enabled": False}
+        spec = SweepSpec.from_json(json.dumps(payload))
+        findings = validate_sweep_spec(spec)
+        assert [f.rule_id for f in findings] == ["RPR105"]
+        assert "guard_budget" in findings[0].message
+        with pytest.raises(ConfigurationError, match="guard_budget"):
+            spec.expand()
+        fleet = validate_sweep_spec(small_spec(engine="fleet", guard_budget=None))
+        assert any("guard_budget" in f.message for f in fleet)
 
     def test_grid_bound(self):
         spec = small_spec(seeds=tuple(range(MAX_CELLS // 8 + 1)))

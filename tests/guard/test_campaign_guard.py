@@ -31,17 +31,6 @@ class TestBitIdentityAcrossModes:
             assert _records(guarded) == _records(reference), mode
             assert guarded.fresh_delays == reference.fresh_delays
 
-    def test_parallel_matches_sequential_under_guard(self):
-        for mode in ("raise", "clamp", "off"):
-            config = GuardConfig(mode=mode, dump_dir=None)
-            sequential = run_table1_campaign(
-                seed=SEED, n_chips=N_CHIPS, guard=config
-            )
-            parallel = run_table1_campaign(
-                seed=SEED, n_chips=N_CHIPS, workers=2, guard=config
-            )
-            assert _records(parallel) == _records(sequential), mode
-
 
 class TestFaultedCampaign:
     UPSET = FaultPlan(

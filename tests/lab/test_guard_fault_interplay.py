@@ -3,8 +3,8 @@
 Satellite of the dependability sweep.  A chip can leave the bench for two
 independent reasons — exhausting its guard violation budget or a
 ``CHIP_DROPOUT`` fault — and a chip hit by *both* must still be
-quarantined exactly once, with deterministic counters, whether the
-campaign runs sequentially or with worker threads.
+quarantined exactly once, with deterministic counters, whether or not
+the campaign checkpoints.
 """
 
 from repro.guard import GuardConfig
@@ -47,11 +47,11 @@ def interplay_plan(dropout_first=False):
     )
 
 
-def run(plan, tracer=None, workers=1):
+def run(plan, tracer=None, checkpoint=None):
     return run_table1_campaign(
         seed=SEED,
         n_chips=N_CHIPS,
-        workers=workers,
+        checkpoint=checkpoint,
         faults=plan,
         guard=GuardConfig(mode="clamp", violation_budget=1, dump_dir=None),
         tracer=tracer,
@@ -109,15 +109,14 @@ class TestDeterministicCounters:
         assert snapshot["campaign.quarantines"] == 2.0
         assert any(name.startswith("guard.violations.") for name in snapshot)
 
-    def test_sequential_matches_workers(self):
-        sequential_tracer, parallel_tracer = Tracer(), Tracer()
-        sequential = run(interplay_plan(), tracer=sequential_tracer)
-        parallel = run(interplay_plan(), tracer=parallel_tracer, workers=2)
-        assert list(sequential.log) == list(parallel.log)
-        assert set(sequential.quarantined) == set(parallel.quarantined)
-        assert {
-            chip: report.case for chip, report in sequential.quarantined.items()
-        } == {chip: report.case for chip, report in parallel.quarantined.items()}
-        assert counter_snapshot(sequential_tracer) == counter_snapshot(
-            parallel_tracer
+    def test_checkpointed_run_matches_plain(self, tmp_path):
+        plain_tracer, checkpointed_tracer = Tracer(), Tracer()
+        plain = run(interplay_plan(), tracer=plain_tracer)
+        checkpointed = run(
+            interplay_plan(), tracer=checkpointed_tracer, checkpoint=str(tmp_path / "ck")
         )
+        assert list(plain.log) == list(checkpointed.log)
+        assert {
+            chip: report.case for chip, report in plain.quarantined.items()
+        } == {chip: report.case for chip, report in checkpointed.quarantined.items()}
+        assert counter_snapshot(plain_tracer) == counter_snapshot(checkpointed_tracer)

@@ -1,119 +1,125 @@
-"""Parallel campaign engine — bit-identity with the sequential path.
+"""Chip independence: execution order never changes a campaign's results.
 
-The acceptance bar for ``workers > 1`` is not "statistically equivalent"
-but *bit-identical*: same seed, same records in the same order, same
-fresh delays, same physics counters.  Workers only change wall-clock
-scheduling; per-chip RNG streams are derived identically and results are
-merged in chip order.
+``run_table1_campaign`` runs each chip through its whole schedule before
+the next one starts; the compose-your-own :class:`Campaign` API runs
+every chip's baseline first and then the case sequences.  Because each
+chip owns its RNG child streams, both orders must be *bit-identical*:
+same records in the same merged order, same fresh delays, same physics
+counters.  That independence is what would let chips run in parallel.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import ScheduleError
-from repro.lab.campaign import run_table1_campaign
+from repro.lab.campaign import Campaign, run_table1_campaign
+from repro.lab.schedule import CHIP_SEQUENCES, standard_case
 from repro.obs import Tracer
 
-#: Gauges derived from wall-clock timing legitimately differ between
-#: runs; everything else in the registry must match exactly.
-WALL_CLOCK_METRICS = {"campaign.sim_seconds_per_wall_second"}
+#: Metrics only the runner records: a wall-clock gauge of the
+#: ``campaign`` span and the quarantine tally of its resilience path.
+RUNNER_ONLY_METRICS = {"campaign.sim_seconds_per_wall_second", "campaign.quarantines"}
+
+
+def composed_campaign(seed, n_chips, tracer=None):
+    """The Table 1 schedule driven through the Campaign class, phase-major."""
+    campaign = Campaign(n_chips=n_chips, seed=seed, tracer=tracer)
+    campaign.run_baseline()
+    for chip_no, names in CHIP_SEQUENCES.items():
+        if chip_no <= n_chips:
+            for name in names:
+                campaign.run_case(standard_case(name, chip_no))
+    return campaign.result()
+
+
+def snapshot_without_runner_metrics(tracer):
+    return {
+        name: value
+        for name, value in tracer.metrics.snapshot().items()
+        if name not in RUNNER_ONLY_METRICS
+    }
 
 
 @pytest.fixture(scope="module")
-def sequential_result():
-    return run_table1_campaign(seed=123, n_chips=3, workers=1)
+def composed_result():
+    return composed_campaign(seed=123, n_chips=3)
 
 
 @pytest.fixture(scope="module")
-def parallel_result():
-    return run_table1_campaign(seed=123, n_chips=3, workers=4)
+def runner_result():
+    return run_table1_campaign(seed=123, n_chips=3)
 
 
 class TestBitIdentity:
-    def test_records_identical(self, sequential_result, parallel_result):
-        seq = list(sequential_result.log)
-        par = list(parallel_result.log)
-        assert len(seq) == len(par)
-        assert seq == par  # frozen dataclasses: field-by-field equality
+    def test_records_identical(self, composed_result, runner_result):
+        composed = list(composed_result.log)
+        runner = list(runner_result.log)
+        assert len(composed) == len(runner)
+        assert composed == runner  # frozen dataclasses: field-by-field equality
 
-    def test_fresh_delays_identical(self, sequential_result, parallel_result):
-        assert sequential_result.fresh_delays == parallel_result.fresh_delays
+    def test_fresh_delays_identical(self, composed_result, runner_result):
+        assert composed_result.fresh_delays == runner_result.fresh_delays
 
-    def test_chip_state_identical(self, sequential_result, parallel_result):
-        for chip_id, chip in sequential_result.chips.items():
-            other = parallel_result.chips[chip_id]
+    def test_chip_state_identical(self, composed_result, runner_result):
+        for chip_id, chip in composed_result.chips.items():
+            other = runner_result.chips[chip_id]
             assert chip.delta_path_delay() == other.delta_path_delay()
             assert chip.elapsed == other.elapsed
-
-    def test_more_workers_than_chips(self):
-        seq = run_table1_campaign(seed=5, n_chips=2, workers=1)
-        par = run_table1_campaign(seed=5, n_chips=2, workers=16)
-        assert list(seq.log) == list(par.log)
 
 
 class TestInstrumentedParallelRun:
     def test_counters_match_sequential(self):
-        seq_tracer, par_tracer = Tracer(), Tracer()
-        run_table1_campaign(seed=7, n_chips=2, tracer=seq_tracer, workers=1)
-        run_table1_campaign(seed=7, n_chips=2, tracer=par_tracer, workers=2)
-        seq = {k: v for k, v in seq_tracer.metrics.snapshot().items()
-               if k not in WALL_CLOCK_METRICS}
-        par = {k: v for k, v in par_tracer.metrics.snapshot().items()
-               if k not in WALL_CLOCK_METRICS}
-        assert seq == par
+        composed_tracer, runner_tracer = Tracer(), Tracer()
+        composed_campaign(seed=7, n_chips=2, tracer=composed_tracer)
+        run_table1_campaign(seed=7, n_chips=2, tracer=runner_tracer)
+        assert snapshot_without_runner_metrics(
+            composed_tracer
+        ) == snapshot_without_runner_metrics(runner_tracer)
 
     def test_span_tree_is_consistent(self):
-        tracer = Tracer()
-        run_table1_campaign(seed=7, n_chips=2, tracer=tracer, workers=2)
+        composed_tracer, tracer = Tracer(), Tracer()
+        composed_campaign(seed=7, n_chips=2, tracer=composed_tracer)
+        run_table1_campaign(seed=7, n_chips=2, tracer=tracer)
         campaign_spans = tracer.spans("campaign")
         assert len(campaign_spans) == 1
         root = campaign_spans[0]
-        assert root.attributes["workers"] == 2
+        assert root.parent_id is None
         ids = {span.span_id for span in tracer.finished}
-        assert len(ids) == len(tracer.finished)  # absorb renumbered uniquely
+        assert len(ids) == len(tracer.finished)
         for span in tracer.finished:
-            if span is root:
-                continue
-            assert span.parent_id is None or span.parent_id in ids
-
-    def test_case_spans_absorbed_from_workers(self):
-        seq_tracer, par_tracer = Tracer(), Tracer()
-        run_table1_campaign(seed=7, n_chips=2, tracer=seq_tracer, workers=1)
-        run_table1_campaign(seed=7, n_chips=2, tracer=par_tracer, workers=2)
-        assert len(par_tracer.spans("case")) == len(seq_tracer.spans("case"))
-        assert len(par_tracer.finished) == len(seq_tracer.finished)
+            if span is not root:
+                assert span.parent_id in ids
+        # One extra span: the runner's campaign root.
+        assert len(tracer.spans("case")) == len(composed_tracer.spans("case"))
+        assert len(tracer.finished) == len(composed_tracer.finished) + 1
+        assert {span.parent_id for span in tracer.spans("case")} == {root.span_id}
 
 
 class TestValidation:
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(ScheduleError):
-            run_table1_campaign(seed=0, n_chips=1, workers=0)
-
-    def test_delay_change_series_usable(self, parallel_result):
-        times, shifts = parallel_result.delay_change_series("AS110DC24", chip_no=2)
+    def test_delay_change_series_usable(self, runner_result):
+        times, shifts = runner_result.delay_change_series("AS110DC24", chip_no=2)
         assert times.size > 0
         assert np.all(np.isfinite(shifts))
 
 
 class TestMergedHistogramsAndDerived:
-    """The new metric kinds must survive worker merges bit-identically."""
+    """Per-case histograms and derived gauges are order-independent too."""
 
     def test_histogram_payloads_match_sequential(self):
-        seq_tracer, par_tracer = Tracer(), Tracer()
-        run_table1_campaign(seed=7, n_chips=2, tracer=seq_tracer, workers=1)
-        run_table1_campaign(seed=7, n_chips=2, tracer=par_tracer, workers=2)
+        composed_tracer, runner_tracer = Tracer(), Tracer()
+        composed_campaign(seed=7, n_chips=2, tracer=composed_tracer)
+        run_table1_campaign(seed=7, n_chips=2, tracer=runner_tracer)
         for name in ("profile.case.meas_per_s", "profile.case.trap_updates_per_s"):
-            seq_hist = seq_tracer.metrics.get(name)
-            par_hist = par_tracer.metrics.get(name)
+            composed_hist = composed_tracer.metrics.get(name)
+            runner_hist = runner_tracer.metrics.get(name)
             # observation counts and bucket shape are deterministic;
             # the observed rates themselves are wall-clock quantities
-            assert par_hist.count == seq_hist.count
-            assert len(par_hist.bucket_counts) == len(seq_hist.bucket_counts)
-            assert par_hist.count == sum(par_hist.bucket_counts)
+            assert runner_hist.count == composed_hist.count
+            assert len(runner_hist.bucket_counts) == len(composed_hist.bucket_counts)
+            assert runner_hist.count == sum(runner_hist.bucket_counts)
 
     def test_derived_gauge_reads_merged_counters(self):
         tracer = Tracer()
-        run_table1_campaign(seed=7, n_chips=2, tracer=tracer, workers=2)
+        run_table1_campaign(seed=7, n_chips=2, tracer=tracer)
         registry = tracer.metrics
         lookups = (
             registry.value("bti.rate_cache.hits")
@@ -124,19 +130,3 @@ class TestMergedHistogramsAndDerived:
             registry.value("bti.rate_cache.hits") / lookups if lookups else 0.0
         )
         assert registry.value("bti.rate_cache.hit_rate") == expected
-
-    def test_absorb_merges_new_kinds_into_parent(self):
-        parent, child = Tracer(), Tracer()
-        parent.histogram("profile.case.meas_per_s").observe(10.0)
-        child.histogram("profile.case.meas_per_s").observe(30.0)
-        child.counter("bti.rate_cache.hits").inc(3.0)
-        child.counter("bti.rate_cache.misses").inc(1.0)
-        child.derived_gauge(
-            "bti.rate_cache.hit_rate", "", "bti.rate_cache.hits",
-            ("bti.rate_cache.hits", "bti.rate_cache.misses"),
-        )
-        parent.absorb(child)
-        hist = parent.metrics.get("profile.case.meas_per_s")
-        assert hist.count == 2
-        assert hist.sum == 40.0
-        assert parent.metrics.value("bti.rate_cache.hit_rate") == 0.75

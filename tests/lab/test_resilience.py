@@ -215,15 +215,18 @@ class TestCampaignQuarantine:
         )
         assert faulted.fresh_delays == clean.fresh_delays
 
-    def test_faulted_parallel_matches_faulted_sequential(self):
+    def test_faulted_checkpointed_run_matches_faulted_plain(self, tmp_path):
         plan = FaultPlan([
             FaultEvent(FaultKind.DROPPED_READOUT, "chip-1", start=hours(3.0)),
             FaultEvent(FaultKind.CHIP_DROPOUT, "chip-2", start=hours(20.0)),
         ])
-        sequential = run_table1_campaign(seed=32, n_chips=2, faults=plan, workers=1)
-        parallel = run_table1_campaign(seed=32, n_chips=2, faults=plan, workers=2)
-        assert list(sequential.log) == list(parallel.log)
-        assert sequential.quarantined == parallel.quarantined
+        plain = run_table1_campaign(seed=32, n_chips=2, faults=plan)
+        checkpointed = run_table1_campaign(
+            seed=32, n_chips=2, faults=plan, checkpoint=str(tmp_path / "ck")
+        )
+        assert list(plain.log) == list(checkpointed.log)
+        assert plain.quarantined == checkpointed.quarantined
+        assert set(plain.quarantined) == {"chip-2"}
 
 
 class TestCheckpointResume:
@@ -268,14 +271,14 @@ class TestCheckpointResume:
             original(self, chip, *args, **kwargs)
             if state["armed"]:
                 state["saves"] += 1
-                # Saves with workers=1: chip-1 baseline, chip-1 case,
+                # Saves run in chip order: chip-1 baseline, chip-1 case,
                 # chip-2 baseline, chip-2 first case — die after that one.
                 if state["saves"] == 4:
                     raise RuntimeError("simulated power loss")
 
         monkeypatch.setattr(CheckpointStore, "save_chip", save_then_die)
         with pytest.raises(RuntimeError, match="power loss"):
-            run_table1_campaign(seed=43, n_chips=2, checkpoint=directory, workers=1)
+            run_table1_campaign(seed=43, n_chips=2, checkpoint=directory)
         state["armed"] = False
         resumed = run_table1_campaign(
             seed=43, n_chips=2, checkpoint=directory, resume=True

@@ -1,7 +1,7 @@
 """Determinism sanitizer: phase-boundary state hashes prove bit-identity.
 
 Two claims are tested here.  First, the positive one: with ``--sanitize``
-the sequential, parallel and resilient campaign paths produce *identical*
+plain, resilient and checkpointed runs of one seed produce *identical*
 per-phase digests, so the hashes are evidence rather than noise.  Second,
 the diagnostic one: when a divergence is injected, ``diff_traces``
 localizes it to the first divergent (chip, phase) span instead of just
@@ -13,24 +13,19 @@ import pytest
 from repro.lab.campaign import run_table1_campaign
 from repro.lab.measurement import VirtualTestbench
 from repro.lab.resilience import RetryPolicy
-from repro.lab.sanitizer import NULL_SANITIZER, DeterminismSanitizer
+from repro.lab.sanitizer import NULL_SANITIZER
 from repro.obs import Tracer
 from repro.obs.query import TraceModel, diff_traces
 
 
 @pytest.fixture(scope="module")
-def sanitized_sequential():
-    return run_table1_campaign(seed=123, n_chips=2, workers=1, sanitize=True)
-
-
-@pytest.fixture(scope="module")
-def sanitized_parallel():
-    return run_table1_campaign(seed=123, n_chips=2, workers=2, sanitize=True)
+def sanitized_run():
+    return run_table1_campaign(seed=123, n_chips=2, sanitize=True)
 
 
 class TestPhaseHashes:
-    def test_sequential_run_emits_phase_hashes(self, sanitized_sequential):
-        hashes = sanitized_sequential.state_hashes
+    def test_sequential_run_emits_phase_hashes(self, sanitized_run):
+        hashes = sanitized_run.state_hashes
         assert len(hashes) == 5  # 2 baselines + 2 stress/recovery + re-stress
         for key, digest in hashes.items():
             chip_id, _, seq = key.partition("/")
@@ -39,33 +34,33 @@ class TestPhaseHashes:
             assert len(digest) == 16
             int(digest, 16)  # hex
 
-    def test_parallel_hashes_bit_identical(
-        self, sanitized_sequential, sanitized_parallel
-    ):
-        assert sanitized_sequential.state_hashes == sanitized_parallel.state_hashes
-        assert sanitized_parallel.state_hashes
-
-    def test_resilient_path_hashes_bit_identical(self, sanitized_sequential):
-        resilient = run_table1_campaign(
-            seed=123, n_chips=2, workers=2, retry=RetryPolicy(), sanitize=True
+    def test_checkpointed_hashes_bit_identical(self, sanitized_run, tmp_path):
+        checkpointed = run_table1_campaign(
+            seed=123, n_chips=2, checkpoint=str(tmp_path / "ck"), sanitize=True
         )
-        assert resilient.state_hashes == sanitized_sequential.state_hashes
+        assert checkpointed.state_hashes == sanitized_run.state_hashes
+        assert checkpointed.state_hashes
+
+    def test_resilient_path_hashes_bit_identical(self, sanitized_run):
+        resilient = run_table1_campaign(
+            seed=123, n_chips=2, retry=RetryPolicy(), sanitize=True
+        )
+        assert resilient.state_hashes == sanitized_run.state_hashes
 
     def test_unsanitized_runs_carry_no_hashes(self):
-        result = run_table1_campaign(seed=123, n_chips=2, workers=1)
+        result = run_table1_campaign(seed=123, n_chips=2)
         assert result.state_hashes == {}
 
     def test_null_sanitizer_is_inert(self):
         assert NULL_SANITIZER.enabled is False
         assert NULL_SANITIZER.hashes == {}
         assert NULL_SANITIZER.record_phase(None, None, "c", "p", [], 0) == ""
-        NULL_SANITIZER.absorb(DeterminismSanitizer())
         assert NULL_SANITIZER.hashes == {}
 
-    def test_hashes_depend_on_seed(self, sanitized_sequential):
-        other = run_table1_campaign(seed=124, n_chips=2, workers=1, sanitize=True)
-        assert other.state_hashes != sanitized_sequential.state_hashes
-        assert other.state_hashes.keys() == sanitized_sequential.state_hashes.keys()
+    def test_hashes_depend_on_seed(self, sanitized_run):
+        other = run_table1_campaign(seed=124, n_chips=2, sanitize=True)
+        assert other.state_hashes != sanitized_run.state_hashes
+        assert other.state_hashes.keys() == sanitized_run.state_hashes.keys()
 
 
 def _traced_run(monkeypatch=None, diverge=False) -> TraceModel:
@@ -88,7 +83,7 @@ def _traced_run(monkeypatch=None, diverge=False) -> TraceModel:
 
         monkeypatch.setattr(VirtualTestbench, "_delivered_voltage", skewed)
     tracer = Tracer()
-    run_table1_campaign(seed=123, n_chips=2, workers=1, tracer=tracer, sanitize=True)
+    run_table1_campaign(seed=123, n_chips=2, tracer=tracer, sanitize=True)
     if monkeypatch is not None:
         monkeypatch.undo()
     return TraceModel.from_tracer(tracer)
@@ -126,13 +121,5 @@ class TestDivergenceLocalization:
 
 class TestSanitizerUnit:
     def test_hash_keys_are_sequenced_per_chip(self):
-        result = run_table1_campaign(seed=7, n_chips=1, workers=1, sanitize=True)
+        result = run_table1_campaign(seed=7, n_chips=1, sanitize=True)
         assert list(result.state_hashes) == ["chip-1/000", "chip-1/001"]
-
-    def test_absorb_merges_worker_hashes(self):
-        a = DeterminismSanitizer()
-        a.hashes["chip-1/000"] = "aa"
-        b = DeterminismSanitizer()
-        b.hashes["chip-2/000"] = "bb"
-        a.absorb(b)
-        assert a.hashes == {"chip-1/000": "aa", "chip-2/000": "bb"}

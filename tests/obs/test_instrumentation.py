@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments.registry import run_experiment
 from repro.lab.campaign import run_table1_campaign
+from repro.lab.faults import FaultEvent, FaultKind, FaultPlan
 from repro.multicore import (
     CircadianScheduler,
     ConstantWorkload,
@@ -16,6 +17,7 @@ from repro.multicore import (
     MulticoreSystem,
 )
 from repro.obs import JsonlExporter, ProgressReporter, Tracer, load_trace, span_tree
+from repro.units import hours
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +105,22 @@ class TestCampaignSpans:
         assert "baseline burn-in done" in out
         assert "AS110AC24" in out
         assert "(1/1 cases" in out
+
+    def test_progress_reports_retries_and_quarantine(self):
+        import io
+
+        plan = FaultPlan([
+            FaultEvent(FaultKind.DROPPED_READOUT, "chip-1", start=hours(3.0)),
+            FaultEvent(FaultKind.CHIP_DROPOUT, "chip-2", start=hours(20.0)),
+        ])
+        buffer = io.StringIO()
+        run_table1_campaign(
+            seed=32, n_chips=2, faults=plan, progress=ProgressReporter(stream=buffer)
+        )
+        out = buffer.getvalue()
+        assert "chip-1   AS110AC24  done  (1/3 cases, 0/2 chips, 1 retries, 0 quarantined)" in out
+        assert "chip-2   QUARANTINED during " in out
+        assert "stopped responding" in out
 
 
 class TestMulticoreTelemetry:

@@ -57,23 +57,3 @@ class TestResilienceSuffix:
         reporter = ProgressReporter(stream=buffer, clock=FakeClock())
         reporter.case_done("chip-1", "X", 1, 11, 0, 5, retries=0, quarantined=0)
         assert "retries" not in buffer.getvalue()
-
-    def test_chip_done_schedule_complete(self):
-        buffer = io.StringIO()
-        reporter = ProgressReporter(stream=buffer, clock=FakeClock())
-        reporter.chip_done("chip-2", 2, 5)
-        out = buffer.getvalue()
-        assert "chip-2" in out
-        assert "schedule complete" in out
-        assert "(2/5 chips)" in out
-
-    def test_chip_done_quarantined_shows_reason(self):
-        buffer = io.StringIO()
-        reporter = ProgressReporter(stream=buffer, clock=FakeClock())
-        reporter.chip_done(
-            "chip-3", 3, 5, retries=4, quarantined=1,
-            quarantine_reason="during R20Z6: chip dropout",
-        )
-        out = buffer.getvalue()
-        assert "QUARANTINED: during R20Z6: chip dropout" in out
-        assert "4 retries, 1 quarantined" in out

@@ -140,3 +140,41 @@ class TestActiveTracer:
             with use_tracer(Tracer()):
                 raise RuntimeError("boom")
         assert get_tracer() is NULL_TRACER
+
+
+class TestAbsorb:
+    """Folding a finished child tracer into a parent, as one span tree."""
+
+    def test_absorb_renumbers_and_reparents_spans(self):
+        parent, child = Tracer(), Tracer()
+        with child.span("case"):
+            with child.span("phase"):
+                pass
+        with parent.span("campaign") as root:
+            with parent.span("setup"):
+                pass
+            parent.absorb(child)
+        ids = [span.span_id for span in parent.finished]
+        assert len(ids) == len(set(ids))
+        case = parent.spans("case")[0]
+        phase = parent.spans("phase")[0]
+        assert case.parent_id == root.span_id
+        assert phase.parent_id == case.span_id
+        assert phase.depth == case.depth + 1 == root.depth + 2
+        assert child.finished == []
+
+    def test_absorb_merges_new_kinds_into_parent(self):
+        parent, child = Tracer(), Tracer()
+        parent.histogram("profile.case.meas_per_s").observe(10.0)
+        child.histogram("profile.case.meas_per_s").observe(30.0)
+        child.counter("bti.rate_cache.hits").inc(3.0)
+        child.counter("bti.rate_cache.misses").inc(1.0)
+        child.derived_gauge(
+            "bti.rate_cache.hit_rate", "", "bti.rate_cache.hits",
+            ("bti.rate_cache.hits", "bti.rate_cache.misses"),
+        )
+        parent.absorb(child)
+        hist = parent.metrics.get("profile.case.meas_per_s")
+        assert hist.count == 2
+        assert hist.sum == 40.0
+        assert parent.metrics.value("bti.rate_cache.hit_rate") == 0.75

@@ -344,7 +344,7 @@ class TestDeepLintCli:
         out = capsys.readouterr().out
         assert "RPR201" in out
         assert "RPR202" in out
-        assert "RPR305" in out
+        assert "RPR203" in out
 
     def test_shallow_run_misses_cross_module_findings(self, capsys):
         # The same tree without --deep: the violations are invisible to
@@ -425,14 +425,15 @@ class TestSanitizerCli:
         out = capsys.readouterr().out
         assert "all 5 phase digests match" in out
 
-    def test_parallel_sanitized_trace_matches_sequential(self, tmp_path, capsys):
-        seq, par = tmp_path / "seq.jsonl", tmp_path / "par.jsonl"
+    def test_checkpointed_sanitized_trace_matches_plain(self, tmp_path, capsys):
+        plain, checkpointed = tmp_path / "plain.jsonl", tmp_path / "ckpt.jsonl"
         assert main(["campaign", "--chips", "2", "--quiet",
-                     "--sanitize", "--trace", str(seq)]) == 0
-        assert main(["campaign", "--chips", "2", "--quiet", "--workers", "2",
-                     "--sanitize", "--trace", str(par)]) == 0
+                     "--sanitize", "--trace", str(plain)]) == 0
+        assert main(["campaign", "--chips", "2", "--quiet",
+                     "--checkpoint", str(tmp_path / "ck"),
+                     "--sanitize", "--trace", str(checkpointed)]) == 0
         capsys.readouterr()
-        assert main(["trace", "diff", str(seq), str(par)]) == 0
+        assert main(["trace", "diff", str(plain), str(checkpointed), "--strict"]) == 0
         assert "all 5 phase digests match" in capsys.readouterr().out
 
 
