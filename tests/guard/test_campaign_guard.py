@@ -31,6 +31,18 @@ class TestBitIdentityAcrossModes:
             assert _records(guarded) == _records(reference), mode
             assert guarded.fresh_delays == reference.fresh_delays
 
+    def test_checkpointed_matches_plain_guarded(self, tmp_path):
+        for mode in ("raise", "clamp", "off"):
+            config = GuardConfig(mode=mode, dump_dir=None)
+            plain = run_table1_campaign(seed=SEED, n_chips=N_CHIPS, guard=config)
+            checkpointed = run_table1_campaign(
+                seed=SEED,
+                n_chips=N_CHIPS,
+                guard=config,
+                checkpoint=str(tmp_path / mode),
+            )
+            assert _records(checkpointed) == _records(plain), mode
+
 
 class TestFaultedCampaign:
     UPSET = FaultPlan(
