@@ -18,18 +18,18 @@ def test_bench_table1_campaign(once):
 
 
 def test_bench_table1_rate_cache_reuse(once):
-    """The duty-averaged rate bases must be reused across the campaign."""
+    """The duty-averaged rate memo must be reused across the campaign."""
     tracer = Tracer()
     result = once(run_table1_campaign, seed=0, tracer=tracer)
     metrics = tracer.metrics
     hits = metrics.value("bti.rate_cache.hits")
-    partial = metrics.value("bti.rate_cache.partial_hits")
     misses = metrics.value("bti.rate_cache.misses")
-    lookups = hits + partial + misses
-    reuse = (hits + partial) / lookups if lookups else 0.0
-    print(f"rate cache: {int(hits)} full + {int(partial)} partial hits / "
-          f"{int(lookups)} lookups ({100.0 * reuse:.1f} % reuse)")
+    lookups = hits + misses
+    reuse = hits / lookups if lookups else 0.0
+    print(f"rate cache: {int(hits)} hits / {int(lookups)} lookups "
+          f"({100.0 * reuse:.1f} % reuse)")
     assert len(result.log) > 500
-    # Even under instrument jitter the bases are reused heavily; a cold
+    assert metrics.value("bti.rate_cache.hit_rate") == reuse
+    # Even under instrument jitter the memo is reused heavily; a cold
     # cache would make every lookup a miss.
     assert reuse > 0.3

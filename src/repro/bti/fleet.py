@@ -12,7 +12,7 @@ chunk.  This module batches the same physics across chips:
   elementwise kernels are value-identical across slicing/concatenation,
   the exact engine is bit-identical to evolving each chip's
   :class:`TrapPopulation` on its own — the fleet facade-equivalence
-  contract (see ``tests/fleet``).
+  contract (see ``tests/fpga/test_fleet_facade.py``).
 
 * :class:`BinnedFleetTraps` — the *population-scale* engine.  Each chip's
   traps are quantised onto a shared log-log (tau_c, tau_e) grid per
@@ -25,90 +25,54 @@ chunk.  This module batches the same physics across chips:
   distributions but *not* bit-identical to the exact engine — use it for
   10k-chip fleets, never for bit-identity checks.
 
-Both engines share the Arrhenius/field-acceleration rate model of
-:class:`TrapPopulation` verbatim.  The exact engine computes the scalar
-Arrhenius factors with ``safe_exp`` (``math.exp``) per chip, exactly as
-the scalar path does — ``np.exp`` differs from ``math.exp`` by one ULP on
-~4 % of inputs, which would silently break bit-identity.
+Both engines call the trap-physics kernel of :mod:`repro.bti.traps`
+(voltage factors, occupancy update; the exact engine also the scalar
+Arrhenius factors, duty mix and cycle closed form), so there is one
+rate model.  The binned engine keeps its own float32 duty mix and
+vectorised Arrhenius factors: it never claims bit-identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.bti.traps import TrapParameters, _log_uniform
+from repro.bti.traps import (
+    CyclePhase,
+    TrapDraws,
+    TrapParameters,
+    _affine_step,
+    _arrhenius,
+    _check_cycles,
+    _check_phase,
+    _combined_rates,
+    _compose_cycles,
+    _draw_population,
+    _voltage_factors,
+)
 from repro.errors import ConfigurationError
-from repro.guard import get_guard, safe_exp, safe_exp_array
+from repro.guard import get_guard
 from repro.units import BOLTZMANN_EV
-
-
-@dataclass(frozen=True)
-class TrapDraws:
-    """One chip-population's frozen random draws (no mutable state).
-
-    Drawn by :func:`draw_population` in exactly the order
-    ``TrapPopulation.__init__`` consumes its generator, so a fleet built
-    from the same child streams holds bit-identical trap constants.
-    """
-
-    owner: np.ndarray
-    tau_c0: np.ndarray
-    tau_e0: np.ndarray
-    impact: np.ndarray
-
-    @property
-    def n_traps(self) -> int:
-        return self.owner.size
-
 
 def draw_population(
     params: TrapParameters, n_owners: int, rng: np.random.Generator
 ) -> TrapDraws:
-    """Draw one population's constants, stream-identical to ``TrapPopulation``."""
-    counts = rng.poisson(params.mean_trap_count, size=n_owners)
-    owner = np.repeat(np.arange(n_owners), counts)
-    n_traps = int(counts.sum())
-    tau_c0 = _log_uniform(rng, params.tau_capture_bounds, n_traps)
-    tau_e0 = _log_uniform(rng, params.tau_emission_bounds, n_traps)
-    impact = rng.exponential(params.impact_mean_volts, size=n_traps)
-    return TrapDraws(owner=owner, tau_c0=tau_c0, tau_e0=tau_e0, impact=impact)
+    """Draw one population's constants, stream-identical to ``TrapPopulation``.
 
-
-def _arrhenius_factors(
-    params: TrapParameters, temperatures: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-chip scalar Arrhenius factors, one ``safe_exp`` pair per chip.
-
-    Scalar ``math.exp`` on purpose: the single-chip path uses it, and
-    bit-identity of the exact engine hinges on matching it exactly.
+    A function of its own rather than an alias of the kernel's draw:
+    ``perfbench/tracing.py`` times this name as fleet lot setup, which
+    must not also catch ``TrapPopulation``'s draws.
     """
-    arr_c = np.empty(temperatures.size)
-    arr_e = np.empty(temperatures.size)
-    inv_kt_ref = 1.0 / (BOLTZMANN_EV * params.reference_temperature)
-    for index, temperature in enumerate(temperatures):
-        inv_kt = 1.0 / (BOLTZMANN_EV * float(temperature))
-        arr_c[index] = safe_exp(-params.ea_capture_ev * (inv_kt - inv_kt_ref))
-        arr_e[index] = safe_exp(-params.ea_emission_ev * (inv_kt - inv_kt_ref))
-    return arr_c, arr_e
+    return _draw_population(params, n_owners, rng)
 
 
-@dataclass(frozen=True)
-class FleetCyclePhase:
-    """One leg of a repeating fleet schedule (``evolve_cycles`` terms).
-
-    Voltages are per-chip-per-owner matrices of the sub-fleet the cycles
-    run on; the phase is piecewise constant, so the batched update is the
-    same exact affine map as the single-chip closed form.
-    """
-
-    duration: float
-    v_stress: np.ndarray
-    temperatures: np.ndarray
-    duty: float = 1.0
-    v_relax: np.ndarray | None = None
+def contiguous_chips(chips: slice, n_chips: int) -> tuple[int, int]:
+    """``(lo, hi)`` of a chip slice; strided or empty slices are refused."""
+    lo, hi, step = chips.indices(n_chips)
+    if step != 1 or hi <= lo:
+        raise ConfigurationError("fleet chip slices must be contiguous and non-empty")
+    return lo, hi
 
 
 class FleetTraps:
@@ -176,9 +140,7 @@ class FleetTraps:
 
     def _span(self, chips: slice) -> tuple[slice, int, int]:
         """(trap span, first chip, chip count) of a contiguous chip slice."""
-        lo, hi, step = chips.indices(self.n_chips)
-        if step != 1 or hi <= lo:
-            raise ConfigurationError("fleet chip slices must be contiguous and non-empty")
+        lo, hi = contiguous_chips(chips, self.n_chips)
         return slice(int(self.trap_offsets[lo]), int(self.trap_offsets[hi])), lo, hi - lo
 
     def _gather_index(self, trap_span: slice, lo: int) -> np.ndarray:
@@ -191,57 +153,56 @@ class FleetTraps:
     # physics
     # ------------------------------------------------------------------ #
 
-    def _base_rates(
-        self, v_owner_flat: np.ndarray, trap_span: slice, lo: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Temperature-free rate bases, op-for-op the scalar ``_base_rates``.
+    def _owner_block(self, voltage, k: int) -> np.ndarray:
+        """A scalar, per-owner or ``(k, n_owners)`` bias as one flat block."""
+        try:
+            block = np.broadcast_to(np.asarray(voltage, dtype=float), (k, self.n_owners))
+        except ValueError:
+            raise ConfigurationError(
+                f"voltages must broadcast to ({k}, {self.n_owners}), "
+                f"got shape {np.shape(voltage)}"
+            ) from None
+        return block.ravel()
 
-        ``v_owner_flat`` is the raveled ``(k, n_owners)`` voltage block of
-        the span.  The voltage factor is computed at owner resolution and
-        expanded by gather, exactly like the single-chip path (which is
-        what makes the result bit-identical to per-chip evaluation).
-        """
-        p = self.params
-        vfac_c = safe_exp_array(
-            p.gamma_capture_per_volt * (v_owner_flat - p.reference_stress_voltage)
-        )
-        vfac_e = safe_exp_array(
-            -p.gamma_emission_per_volt * (v_owner_flat - p.reference_recovery_voltage)
-        )
-        gather = self._gather_index(trap_span, lo)
-        base_c = self._inv_tau_c0[trap_span] * vfac_c[gather]
-        base_e = self._inv_tau_e0[trap_span] * vfac_e[gather]
-        return base_c, base_e
-
-    def _effective_rates(
+    def _rates(
         self,
-        v_stress: np.ndarray,
-        temperatures: np.ndarray,
+        v_stress,
+        temperatures,
         duty: float,
-        v_relax: np.ndarray | None,
+        v_relax,
         trap_span: slice,
         lo: int,
+        k: int,
         guard,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Duty-averaged per-trap rates for a contiguous chip span."""
-        base_c, base_e = self._base_rates(np.ravel(v_stress), trap_span, lo)
-        if duty >= 1.0:
-            comb_c, comb_e = base_c, base_e
-        else:
-            relax = (
-                np.zeros_like(v_stress) if v_relax is None else np.asarray(v_relax)
+        """Duty-averaged per-trap rates for a contiguous chip span.
+
+        Temperatures are per chip (a scalar applies to the whole span);
+        each chip's scalar Arrhenius factors scale its trap block.
+        """
+        temperatures = np.asarray(temperatures, dtype=float)
+        if temperatures.ndim == 0:
+            temperatures = np.full(k, float(temperatures))
+        if temperatures.shape != (k,):
+            raise ConfigurationError(
+                f"temperatures must have shape ({k},), got {temperatures.shape}"
             )
-            relax_c, relax_e = self._base_rates(np.ravel(relax), trap_span, lo)
-            suppression = self.params.ac_capture_suppression ** (1.0 - duty)
-            comb_c = duty * suppression * base_c + (1.0 - duty) * relax_c
-            comb_e = duty * base_e + (1.0 - duty) * relax_e
-        arr_c, arr_e = _arrhenius_factors(self.params, temperatures)
-        counts = self.trap_counts[lo : lo + temperatures.size]
-        capture = comb_c * np.repeat(arr_c, counts)
-        emission = comb_e * np.repeat(arr_e, counts)
+        comb_c, comb_e = _combined_rates(
+            self.params,
+            self._owner_block(v_stress, k),
+            duty,
+            None if duty >= 1.0 else self._owner_block(0.0 if v_relax is None else v_relax, k),
+            self._inv_tau_c0[trap_span],
+            self._inv_tau_e0[trap_span],
+            self._gather_index(trap_span, lo),
+        )
+        factors = np.array([_arrhenius(self.params, float(t)) for t in temperatures])
+        counts = self.trap_counts[lo : lo + k]
+        capture = comb_c * np.repeat(factors[:, 0], counts)
+        emission = comb_e * np.repeat(factors[:, 1], counts)
         if guard.checking:
             rate_cap = guard.config.rate_cap
-            inputs = {"duty": float(duty), "fleet_chips": int(temperatures.size)}
+            inputs = {"duty": float(duty), "fleet_chips": int(k)}
             capture = guard.check_array("bti.rate", capture, 0.0, rate_cap, inputs=inputs)
             emission = guard.check_array("bti.rate", emission, 0.0, rate_cap, inputs=inputs)
         return capture, emission
@@ -260,35 +221,23 @@ class FleetTraps:
 
         ``v_stress`` / ``v_relax`` are ``(k, n_owners)`` per-chip voltage
         patterns and ``temperatures`` the per-chip delivered kelvin.  The
-        update sequence mirrors ``TrapPopulation.evolve`` operation for
-        operation (scratch buffers included), so each chip's occupancy
-        row is bit-identical to evolving it alone.
+        rates and the in-place update are the kernel ``TrapPopulation``
+        uses, so each chip's occupancy row is bit-identical to evolving
+        it alone.
         """
-        if duration < 0.0:
-            raise ConfigurationError(f"duration must be non-negative, got {duration}")
-        if not 0.0 <= duty <= 1.0:
-            raise ConfigurationError(f"duty must be within [0, 1], got {duty}")
+        _check_phase(duration, duty)
         if duration <= 0.0:
             return
         guard = guard if guard is not None else self._guard
         trap_span, lo, k = self._span(chips)
-        temperatures = np.asarray(temperatures, dtype=float)
-        if temperatures.shape != (k,):
-            raise ConfigurationError(
-                f"temperatures must have shape ({k},), got {temperatures.shape}"
-            )
-        capture, emission = self._effective_rates(
-            v_stress, temperatures, duty, v_relax, trap_span, lo, guard
+        capture, emission = self._rates(
+            v_stress, temperatures, duty, v_relax, trap_span, lo, k, guard
         )
-        total = np.add(capture, emission, out=self._scratch_total[trap_span])
-        p_inf = np.divide(capture, total, out=self._scratch_pinf[trap_span])
-        np.multiply(total, -duration, out=total)
-        # total = -(capture+emission)*duration <= 0: underflow-only, safe.
-        decay = np.exp(total, out=total)  # repro: noqa[RPR006]
         occupancy = self.occupancy[trap_span]
-        np.subtract(occupancy, p_inf, out=occupancy)
-        np.multiply(occupancy, decay, out=occupancy)
-        np.add(occupancy, p_inf, out=occupancy)
+        _affine_step(
+            occupancy, capture, emission, duration,
+            self._scratch_total[trap_span], self._scratch_pinf[trap_span],
+        )
         self.elapsed[lo : lo + k] += duration
         if guard.checking:
             guard.check_array(
@@ -304,58 +253,32 @@ class FleetTraps:
                 },
                 arrays=lambda: {
                     "occupancy": occupancy,
-                    "temperatures": temperatures,
+                    "temperatures": np.asarray(temperatures, dtype=float),
                 },
             )
 
     def evolve_cycles(
-        self, phases: Sequence[FleetCyclePhase], n: int, chips: slice = slice(None), guard=None
+        self, phases: Sequence[CyclePhase], n: int, chips: slice = slice(None), guard=None
     ) -> None:
         """``n`` repetitions of a fixed phase sequence, O(1) in ``n``.
 
-        Same affine-composition closed form as
-        ``TrapPopulation.evolve_cycles``, evaluated on the batched
-        arrays; per-chip rows are bit-identical to the single-chip path.
+        Phases carry ``(k, n_owners)`` voltages and ``(k,)`` temperatures
+        for the span; the closed form is ``TrapPopulation.evolve_cycles``'
+        kernel, so per-chip rows are bit-identical to the single-chip path.
         """
-        if n < 0:
-            raise ConfigurationError(f"cycle count must be non-negative, got {n}")
-        if not phases:
-            raise ConfigurationError("evolve_cycles needs at least one phase")
+        _check_cycles(phases, n)
         if n == 0:
             return
         guard = guard if guard is not None else self._guard
         trap_span, lo, k = self._span(chips)
-        n_span = trap_span.stop - trap_span.start
-        exponent = np.zeros(n_span)
-        offset = np.zeros(n_span)
-        period = 0.0
-        for phase in phases:
-            period += phase.duration
-            if phase.duration <= 0.0:
-                continue
-            capture, emission = self._effective_rates(
-                phase.v_stress,
-                np.asarray(phase.temperatures, dtype=float),
-                phase.duty,
-                phase.v_relax,
-                trap_span,
-                lo,
-                guard,
-            )
-            total = capture + emission
-            x = total * phase.duration
-            # x >= 0, so exp(-x) <= 1: underflow-only, safe.
-            offset = offset * np.exp(-x) + (capture / total) * -np.expm1(-x)  # repro: noqa[RPR006]
-            exponent = exponent + x
-        one_minus_ac = -np.expm1(-exponent)
-        ratio = np.where(
-            one_minus_ac > 0.0,
-            -np.expm1(-n * exponent) / np.where(one_minus_ac > 0.0, one_minus_ac, 1.0),
-            float(n),
-        )
-        # exponent >= 0 and n >= 1, so exp(-n*exponent) <= 1: safe.
-        self.occupancy[trap_span] = (
-            np.exp(-n * exponent) * self.occupancy[trap_span] + offset * ratio  # repro: noqa[RPR006]
+        self.occupancy[trap_span], period = _compose_cycles(
+            self.occupancy[trap_span],
+            phases,
+            n,
+            lambda phase: self._rates(
+                phase.stress_voltage, phase.temperature, phase.duty,
+                phase.relax_voltage, trap_span, lo, k, guard,
+            ),
         )
         self.elapsed[lo : lo + k] += n * period
         if guard.checking:
@@ -535,13 +458,9 @@ class BinnedFleetTraps:
         self, v_class: np.ndarray, arr_c: np.ndarray, arr_e: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(chip, class) capture/emission factors for a class-voltage matrix."""
-        p = self.grid.params
-        fac_c = safe_exp_array(
-            p.gamma_capture_per_volt * (v_class - p.reference_stress_voltage)
-        ) * arr_c[:, None]
-        fac_e = safe_exp_array(
-            -p.gamma_emission_per_volt * (v_class - p.reference_recovery_voltage)
-        ) * arr_e[:, None]
+        vfac_c, vfac_e = _voltage_factors(self.grid.params, v_class)
+        fac_c = vfac_c * arr_c[:, None]
+        fac_e = vfac_e * arr_e[:, None]
         return fac_c.astype(self.dtype), fac_e.astype(self.dtype)
 
     def _rates_into(
@@ -580,14 +499,13 @@ class BinnedFleetTraps:
         """Advance a chip span; ``v_class`` is ``(k, n_classes)`` volts.
 
         With ``duty < 1`` the off fraction sits at ``v_class_relax`` and
-        the duty-averaged rate combination (including the AC capture
-        suppression) matches ``TrapPopulation._effective_rates``.
+        the rates are duty-averaged (including the AC capture
+        suppression) like the exact engines', in the state's dtype.
         """
+        _check_phase(duration, duty)
         if duration <= 0.0:
-            if duration < 0.0:
-                raise ConfigurationError(f"duration must be non-negative, got {duration}")
             return
-        lo, hi, _ = chips.indices(self.n_chips)
+        lo, hi = contiguous_chips(chips, self.n_chips)
         temperatures = np.asarray(temperatures, dtype=float)
         p = self.grid.params
         inv_kt = 1.0 / (BOLTZMANN_EV * temperatures)
@@ -618,14 +536,8 @@ class BinnedFleetTraps:
             np.multiply(re, self.dtype.type(duty), out=re)
             np.multiply(tmp2, off_weight, out=tmp2)
             re += tmp2
-        total = np.add(rc, re, out=re)
-        p_inf = np.divide(rc, total, out=rc)
-        np.multiply(total, self.dtype.type(-duration), out=total)
-        decay = np.exp(total, out=total)  # repro: noqa[RPR006]
         occupancy = self.occupancy[lo:hi]
-        np.subtract(occupancy, p_inf, out=occupancy)
-        np.multiply(occupancy, decay, out=occupancy)
-        np.add(occupancy, p_inf, out=occupancy)
+        _affine_step(occupancy, rc, re, self.dtype.type(duration), re, rc)
         self.elapsed[lo:hi] += duration
         guard = self._guard
         if guard.checking:
@@ -644,7 +556,7 @@ class BinnedFleetTraps:
 
     def readout_shift(self, chips: slice = slice(None)) -> np.ndarray:
         """Per-chip delay shift: one dot product of occupancy x weights."""
-        lo, hi, _ = chips.indices(self.n_chips)
+        lo, hi = contiguous_chips(chips, self.n_chips)
         shift = np.einsum(
             "ij,ij->i", self.occupancy[lo:hi], self.readout_weight[lo:hi]
         )

@@ -34,7 +34,7 @@ from repro.guard import get_guard, safe_exp, safe_exp_array
 from repro.obs import get_tracer
 from repro.units import BOLTZMANN_EV, celsius
 
-#: Default number of bias points the per-population rate cache retains.
+#: Number of bias patterns the per-population rate memo retains.
 #: A campaign touches a handful of distinct patterns (frozen DC, the two
 #: AC half-cycles, passive/negative recovery); 32 covers every schedule
 #: in the repo with room for ablation sweeps.
@@ -109,6 +109,20 @@ def _log_uniform(rng: np.random.Generator, bounds: tuple[float, float], size: in
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=size))  # repro: noqa[RPR006]
 
 
+@dataclass(frozen=True)
+class TrapDraws:
+    """One population's frozen random draws (no mutable state)."""
+
+    owner: np.ndarray
+    tau_c0: np.ndarray
+    tau_e0: np.ndarray
+    impact: np.ndarray
+
+    @property
+    def n_traps(self) -> int:
+        return self.owner.size
+
+
 @dataclass
 class _PopulationState:
     """Snapshot of the mutable part of a population (occupancies + time)."""
@@ -119,57 +133,186 @@ class _PopulationState:
 
 @dataclass(frozen=True)
 class CyclePhase:
-    """One leg of a repeating bias cycle, in :meth:`TrapPopulation.evolve` terms.
+    """One leg of a repeating bias cycle, in ``evolve`` terms.
 
     ``stress_voltage`` and ``relax_voltage`` follow the same per-owner
-    (or scalar) convention as ``evolve``; the phase is piecewise constant
-    so its occupancy update is an exact affine map.
+    (or scalar) convention as :meth:`TrapPopulation.evolve`; the fleet
+    engine also takes ``(k, n_owners)`` voltages and ``(k,)``
+    temperatures.  The phase is piecewise constant, so its occupancy
+    update is an exact affine map.
     """
 
     duration: float
     stress_voltage: np.ndarray | float
-    temperature: float
+    temperature: np.ndarray | float
     duty: float = 1.0
     relax_voltage: np.ndarray | float = 0.0
 
     def __post_init__(self) -> None:
-        if self.duration < 0.0:
-            raise ConfigurationError(
-                f"cycle phase duration must be non-negative, got {self.duration}"
-            )
-        if not 0.0 <= self.duty <= 1.0:
-            raise ConfigurationError(f"duty must be within [0, 1], got {self.duty}")
+        _check_phase(self.duration, self.duty)
 
 
-class _LruCache:
-    """A tiny bounded LRU map (the rate caches; not thread-safe)."""
+# ---------------------------------------------------------------------- #
+# the trap-physics kernel, shared by TrapPopulation and the fleet engines
+# ---------------------------------------------------------------------- #
 
-    def __init__(self, maxsize: int) -> None:
-        if maxsize <= 0:
-            raise ConfigurationError(f"cache size must be positive, got {maxsize}")
-        self.maxsize = maxsize
-        self._entries: OrderedDict = OrderedDict()
 
-    def get(self, key):
-        """The cached value, refreshed as most recent, or ``None``."""
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-        return value
+def _draw_population(
+    params: TrapParameters, n_owners: int, rng: np.random.Generator
+) -> TrapDraws:
+    """Draw one population's constants: counts, tau_c0, tau_e0, impacts."""
+    counts = rng.poisson(params.mean_trap_count, size=n_owners)
+    owner = np.repeat(np.arange(n_owners), counts)
+    n_traps = int(counts.sum())
+    tau_c0 = _log_uniform(rng, params.tau_capture_bounds, n_traps)
+    tau_e0 = _log_uniform(rng, params.tau_emission_bounds, n_traps)
+    impact = rng.exponential(params.impact_mean_volts, size=n_traps)
+    return TrapDraws(owner=owner, tau_c0=tau_c0, tau_e0=tau_e0, impact=impact)
 
-    def put(self, key, value) -> None:
-        """Insert a value, evicting the least recently used past the bound."""
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
 
-    def clear(self) -> None:
-        """Drop every entry."""
-        self._entries.clear()
+def _check_phase(duration: float, duty: float) -> None:
+    """Reject a negative phase duration or a duty outside ``[0, 1]``."""
+    if duration < 0.0:
+        raise ConfigurationError(f"duration must be non-negative, got {duration}")
+    if not 0.0 <= duty <= 1.0:
+        raise ConfigurationError(f"duty must be within [0, 1], got {duty}")
 
-    def __len__(self) -> int:
-        return len(self._entries)
+
+def _check_cycles(phases: Sequence, n: int) -> None:
+    """Reject a negative cycle count or an empty phase sequence."""
+    if n < 0:
+        raise ConfigurationError(f"cycle count must be non-negative, got {n}")
+    if not phases:
+        raise ConfigurationError("evolve_cycles needs at least one phase")
+
+
+def _arrhenius(params: TrapParameters, temperature: float) -> tuple[float, float]:
+    """Scalar capture/emission Arrhenius factors relative to reference.
+
+    Scalar ``math.exp`` (via ``safe_exp``) on purpose: ``np.exp`` differs
+    from it by one ULP on a few percent of inputs, and every exact engine
+    must agree bit for bit.
+    """
+    inv_kt = 1.0 / (BOLTZMANN_EV * temperature)
+    inv_kt_ref = 1.0 / (BOLTZMANN_EV * params.reference_temperature)
+    # safe_exp: as T -> 0 K the exponent diverges; saturate rather
+    # than overflow to inf (which would NaN-poison the rate product).
+    arr_c = safe_exp(-params.ea_capture_ev * (inv_kt - inv_kt_ref))
+    arr_e = safe_exp(-params.ea_emission_ev * (inv_kt - inv_kt_ref))
+    return arr_c, arr_e
+
+
+def _voltage_factors(
+    params: TrapParameters, voltage: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Field-acceleration factors ``exp(+-gamma*dV)`` of capture and emission."""
+    vfac_c = safe_exp_array(
+        params.gamma_capture_per_volt * (voltage - params.reference_stress_voltage)
+    )
+    vfac_e = safe_exp_array(
+        -params.gamma_emission_per_volt * (voltage - params.reference_recovery_voltage)
+    )
+    return vfac_c, vfac_e
+
+
+def _combined_rates(
+    params: TrapParameters,
+    v_stress: np.ndarray,
+    duty: float,
+    v_relax: np.ndarray | None,
+    inv_tau_c: np.ndarray,
+    inv_tau_e: np.ndarray,
+    gather: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Temperature-free, duty-averaged per-trap rates.
+
+    The voltage factor is computed at owner resolution and expanded by
+    the ``gather`` index: ``exp(x)[owner]`` equals ``exp(x[owner])`` bit
+    for bit at a fraction of the exp cost, since owners are ~100x fewer
+    than traps.  The scalar Arrhenius factors are common to both legs of
+    the duty average, so they distribute over the mix and are applied by
+    the caller.
+    """
+
+    def bases(voltage: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        vfac_c, vfac_e = _voltage_factors(params, voltage)
+        return inv_tau_c * vfac_c[gather], inv_tau_e * vfac_e[gather]
+
+    base_c, base_e = bases(v_stress)
+    if duty >= 1.0:  # callers validate duty <= 1.0, so this is pure DC
+        return base_c, base_e
+    relax_c, relax_e = bases(v_relax)
+    suppression = params.ac_capture_suppression ** (1.0 - duty)
+    comb_c = duty * suppression * base_c + (1.0 - duty) * relax_c
+    comb_e = duty * base_e + (1.0 - duty) * relax_e
+    return comb_c, comb_e
+
+
+def _affine_step(
+    occupancy: np.ndarray,
+    capture: np.ndarray,
+    emission: np.ndarray,
+    duration: float,
+    total_out: np.ndarray,
+    pinf_out: np.ndarray,
+) -> None:
+    """Exact occupancy update over one phase, in place.
+
+    ``p' = p_inf + (p - p_inf) * exp(-(rc+re)*dt)``, computed in the two
+    scratch buffers ``total_out`` / ``pinf_out`` (either may alias
+    ``emission`` / ``capture``): the arrays are large, so these
+    elementwise ops are memory-bound and must not allocate.
+    """
+    total = np.add(capture, emission, out=total_out)
+    p_inf = np.divide(capture, total, out=pinf_out)
+    np.multiply(total, -duration, out=total)
+    # total = -(capture+emission)*duration <= 0: underflow-only, safe.
+    decay = np.exp(total, out=total)  # repro: noqa[RPR006]
+    np.subtract(occupancy, p_inf, out=occupancy)
+    np.multiply(occupancy, decay, out=occupancy)
+    np.add(occupancy, p_inf, out=occupancy)
+
+
+def _compose_cycles(
+    occupancy: np.ndarray, phases: Sequence[CyclePhase], n: int, rates
+) -> tuple[np.ndarray, float]:
+    """``n`` repetitions of a phase sequence in closed form, O(1) in ``n``.
+
+    Every phase is an elementwise affine map ``p' = a*p + b`` with ``a =
+    exp(-(rc+re)*dt)`` and ``b = p_inf*(1 - a)``, so one full cycle
+    composes to ``p' = a_c*p + b_c`` and N identical cycles to::
+
+        p' = a_c**N * p  +  b_c * (1 - a_c**N) / (1 - a_c)
+
+    The cycle decay is accumulated as an exponent sum (``a_c = exp(-X)``
+    with ``X = sum((rc+re)*dt)``) and ``1 - a_c`` is evaluated via
+    ``expm1`` so slow traps keep full precision.  ``rates(phase)``
+    returns the phase's per-trap ``(capture, emission)``.  Returns the
+    new occupancy and the cycle period.
+    """
+    exponent = np.zeros(occupancy.shape)
+    offset = np.zeros(occupancy.shape)
+    period = 0.0
+    for phase in phases:
+        period += phase.duration
+        if phase.duration <= 0.0:
+            continue
+        capture, emission = rates(phase)
+        total = capture + emission
+        x = total * phase.duration
+        # x >= 0, so exp(-x) <= 1: underflow-only, safe.
+        offset = offset * np.exp(-x) + (capture / total) * -np.expm1(-x)  # repro: noqa[RPR006]
+        exponent = exponent + x
+    one_minus_ac = -np.expm1(-exponent)
+    # Geometric-series ratio (1 - a_c**n)/(1 - a_c); when the cycle
+    # decay underflows to the identity the series degenerates to n.
+    ratio = np.where(
+        one_minus_ac > 0.0,
+        -np.expm1(-n * exponent) / np.where(one_minus_ac > 0.0, one_minus_ac, 1.0),
+        float(n),
+    )
+    # exponent >= 0 and n >= 1, so exp(-n*exponent) <= 1: safe.
+    return np.exp(-n * exponent) * occupancy + offset * ratio, period  # repro: noqa[RPR006]
 
 
 class TrapPopulation:
@@ -187,7 +330,6 @@ class TrapPopulation:
         n_owners: int,
         rng: np.random.Generator | int | None = None,
         tracer=None,
-        rate_cache_size: int = RATE_CACHE_SIZE,
         guard=None,
     ) -> None:
         if n_owners <= 0:
@@ -196,40 +338,30 @@ class TrapPopulation:
             rng = np.random.default_rng(rng)
         self.params = params
         self.n_owners = n_owners
-
-        counts = rng.poisson(params.mean_trap_count, size=n_owners)
-        self.owner = np.repeat(np.arange(n_owners), counts)
-        n_traps = int(counts.sum())
-        self.tau_c0 = _log_uniform(rng, params.tau_capture_bounds, n_traps)
-        self.tau_e0 = _log_uniform(rng, params.tau_emission_bounds, n_traps)
-        self.impact = rng.exponential(params.impact_mean_volts, size=n_traps)
+        draws = _draw_population(params, n_owners, rng)
+        self.owner = draws.owner
+        self.tau_c0 = draws.tau_c0
+        self.tau_e0 = draws.tau_e0
+        self.impact = draws.impact
+        n_traps = draws.n_traps
         self._state = _PopulationState(occupancy=np.zeros(n_traps))
 
         # Rates factor as (1/tau) * arrhenius(T) * exp(gamma * dV): the
         # 1/tau arrays are immutable, the temperature factor is a scalar,
         # and campaigns replay a handful of voltage patterns thousands of
-        # times.  Three memo levels, coarse to fine:
-        #   base:     voltage pattern -> (1/tau)*exp(gamma*dV) per trap
-        #   combined: (stress, relax, duty) -> duty-averaged base rates
-        #   full:     (combined key, temperature) -> final rate arrays
-        # Instrument jitter re-samples voltage and temperature per chunk,
-        # so the outer levels hit even when the inner one cannot.
+        # times.  One memo: (stress, relax, duty) -> duty-averaged,
+        # temperature-free rates; the scalar Arrhenius factors are applied
+        # per lookup, since instrument jitter re-samples temperature.
         self._inv_tau_c0 = 1.0 / self.tau_c0
         self._inv_tau_e0 = 1.0 / self.tau_e0
-        self._base_cache = _LruCache(rate_cache_size)
-        self._comb_cache = _LruCache(rate_cache_size)
-        self._full_cache = _LruCache(rate_cache_size)
+        self._rate_cache: OrderedDict = OrderedDict()
         self._scratch_total = np.empty(n_traps)
         self._scratch_pinf = np.empty(n_traps)
         self._scratch_weights = np.empty(n_traps)
         self._guard = guard if guard is not None else get_guard()
         tracer = tracer if tracer is not None else get_tracer()
         self._cache_hits = tracer.counter(
-            "bti.rate_cache.hits", "rate lookups served fully from cache"
-        )
-        self._cache_partial_hits = tracer.counter(
-            "bti.rate_cache.partial_hits",
-            "rate lookups that reused cached voltage factors",
+            "bti.rate_cache.hits", "rate lookups that reused memoised rates"
         )
         self._cache_misses = tracer.counter(
             "bti.rate_cache.misses", "rate lookups that recomputed voltage factors"
@@ -263,42 +395,17 @@ class TrapPopulation:
     # physics
     # ------------------------------------------------------------------ #
 
-    def _arrhenius(self, temperature: float) -> tuple[float, float]:
-        """Scalar capture/emission Arrhenius factors relative to reference."""
-        p = self.params
-        inv_kt = 1.0 / (BOLTZMANN_EV * temperature)
-        inv_kt_ref = 1.0 / (BOLTZMANN_EV * p.reference_temperature)
-        # safe_exp: as T -> 0 K the exponent diverges; saturate rather
-        # than overflow to inf (which would NaN-poison the rate product).
-        arr_c = safe_exp(-p.ea_capture_ev * (inv_kt - inv_kt_ref))
-        arr_e = safe_exp(-p.ea_emission_ev * (inv_kt - inv_kt_ref))
-        return arr_c, arr_e
-
     def _rates(self, stress_voltage: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-trap capture and emission rates (1/s) at a bias point.
 
         ``stress_voltage`` is broadcast per trap (already expanded from the
         per-owner vector by the caller).  This is the uncached reference
-        path; hot loops go through :meth:`_rates_for`.
+        path; hot loops go through :meth:`_effective_rates`.
         """
-        p = self.params
-        arr_c, arr_e = self._arrhenius(temperature)
-        capture = (
-            (1.0 / self.tau_c0)
-            * arr_c
-            * safe_exp_array(
-                p.gamma_capture_per_volt
-                * (stress_voltage - p.reference_stress_voltage)
-            )
-        )
-        emission = (
-            (1.0 / self.tau_e0)
-            * arr_e
-            * safe_exp_array(
-                -p.gamma_emission_per_volt
-                * (stress_voltage - p.reference_recovery_voltage)
-            )
-        )
+        arr_c, arr_e = _arrhenius(self.params, temperature)
+        vfac_c, vfac_e = _voltage_factors(self.params, stress_voltage)
+        capture = (1.0 / self.tau_c0) * arr_c * vfac_c
+        emission = (1.0 / self.tau_e0) * arr_e * vfac_e
         return capture, emission
 
     def _canonical_bias(self, per_owner: np.ndarray | float) -> np.ndarray:
@@ -322,44 +429,17 @@ class TrapPopulation:
             )
         return arr
 
+    def _owner_voltages(self, canonical: np.ndarray) -> np.ndarray:
+        """A canonical bias as one voltage per owner."""
+        if canonical.ndim == 0:
+            return np.full(self.n_owners, float(canonical))
+        return canonical
+
     @staticmethod
     def _bias_key(per_owner: np.ndarray) -> tuple[tuple[int, ...], bytes]:
         """Hashable fingerprint of a *canonical* voltage pattern."""
         arr = np.asarray(per_owner, dtype=float)
         return (arr.shape, arr.tobytes())
-
-    def _base_rates(
-        self, per_owner_voltage: np.ndarray | float, key
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Temperature-free per-trap rate bases ``(1/tau) * exp(gamma*dV)``.
-
-        The voltage factor is computed at owner resolution and expanded by
-        gather — ``exp(x)[owner]`` equals ``exp(x[owner])`` bit-for-bit at
-        a fraction of the exp cost, since owners are ~100x fewer than
-        traps.  Returned arrays are read-only and shared; do not mutate.
-        """
-        base = self._base_cache.get(key)
-        if base is not None:
-            return base
-        p = self.params
-        arr = self._canonical_bias(per_owner_voltage)
-        if arr.ndim == 0:
-            v_owner = np.full(self.n_owners, float(arr))
-        else:
-            v_owner = arr
-        vfac_c = safe_exp_array(
-            p.gamma_capture_per_volt * (v_owner - p.reference_stress_voltage)
-        )
-        vfac_e = safe_exp_array(
-            -p.gamma_emission_per_volt * (v_owner - p.reference_recovery_voltage)
-        )
-        base_c = self._inv_tau_c0 * vfac_c[self.owner]
-        base_e = self._inv_tau_e0 * vfac_e[self.owner]
-        base_c.flags.writeable = False
-        base_e.flags.writeable = False
-        base = (base_c, base_e)
-        self._base_cache.put(key, base)
-        return base
 
     def _effective_rates(
         self,
@@ -368,51 +448,41 @@ class TrapPopulation:
         duty: float,
         relax_voltage: np.ndarray | float,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Duty-averaged per-trap rates for one piecewise-constant phase.
-
-        Returned arrays are read-only and may be shared with the cache;
-        callers must not mutate them.
-        """
+        """Duty-averaged per-trap rates for one piecewise-constant phase."""
         stress_voltage = self._canonical_bias(stress_voltage)
-        key_s = self._bias_key(stress_voltage)
         if duty >= 1.0:  # callers validate duty <= 1.0, so this is pure DC
-            comb_key = (key_s, None, 1.0)
+            key = (self._bias_key(stress_voltage), None, 1.0)
         else:
             relax_voltage = self._canonical_bias(relax_voltage)
-            comb_key = (key_s, self._bias_key(relax_voltage), duty)
-        full_key = (comb_key, float(temperature))
-        cached = self._full_cache.get(full_key)
-        if cached is not None:
-            self._cache_hits.inc()
-            return cached
-        comb = self._comb_cache.get(comb_key)
+            key = (self._bias_key(stress_voltage), self._bias_key(relax_voltage), duty)
+        cache = self._rate_cache
+        comb = cache.get(key)
         if comb is not None:
-            self._cache_partial_hits.inc()
+            self._cache_hits.inc()
+            cache.move_to_end(key)
         else:
             self._cache_misses.inc()
-            base_c, base_e = self._base_rates(stress_voltage, key_s)
-            if duty >= 1.0:
-                comb = (base_c, base_e)
-            else:
-                # The scalar Arrhenius factors are common to both legs of
-                # the duty average, so they distribute over the mix and the
-                # combination itself is temperature-free.
-                relax_c, relax_e = self._base_rates(relax_voltage, comb_key[1])
-                suppression = self.params.ac_capture_suppression ** (1.0 - duty)
-                comb_c = duty * suppression * base_c + (1.0 - duty) * relax_c
-                comb_e = duty * base_e + (1.0 - duty) * relax_e
-                comb_c.flags.writeable = False
-                comb_e.flags.writeable = False
-                comb = (comb_c, comb_e)
-            self._comb_cache.put(comb_key, comb)
-        arr_c, arr_e = self._arrhenius(temperature)
+            comb = _combined_rates(
+                self.params,
+                self._owner_voltages(stress_voltage),
+                duty,
+                None if duty >= 1.0 else self._owner_voltages(relax_voltage),
+                self._inv_tau_c0,
+                self._inv_tau_e0,
+                self.owner,
+            )
+            for array in comb:
+                array.flags.writeable = False
+            cache[key] = comb
+            if len(cache) > RATE_CACHE_SIZE:
+                cache.popitem(last=False)
+        arr_c, arr_e = _arrhenius(self.params, temperature)
         capture = comb[0] * arr_c
         emission = comb[1] * arr_e
         guard = self._guard
         if guard.checking:
             # Each factor is exp-clamped, but their product can still
-            # overflow to inf; repair/raise before the arrays are frozen
-            # and cached.
+            # overflow to inf; repair/raise before the update uses it.
             rate_cap = guard.config.rate_cap
             inputs = {"temperature": float(temperature), "duty": float(duty)}
             capture = guard.check_array(
@@ -421,9 +491,6 @@ class TrapPopulation:
             emission = guard.check_array(
                 "bti.rate", emission, 0.0, rate_cap, inputs=inputs
             )
-        capture.flags.writeable = False
-        emission.flags.writeable = False
-        self._full_cache.put(full_key, (capture, emission))
         return capture, emission
 
     def _expand(self, per_owner: np.ndarray | float) -> np.ndarray:
@@ -448,33 +515,23 @@ class TrapPopulation:
         The update is the exact solution of the occupancy ODE with
         duty-averaged rates: ``p' = p_inf + (p - p_inf) * exp(-(rc+re)*dt)``.
         """
-        if duration < 0.0:
-            raise ConfigurationError(f"duration must be non-negative, got {duration}")
-        if not 0.0 <= duty <= 1.0:
-            raise ConfigurationError(f"duty must be within [0, 1], got {duty}")
+        _check_phase(duration, duty)
         if duration <= 0.0:  # zero-length phase is a no-op (negatives raise above)
             return
         capture, emission = self._effective_rates(
             stress_voltage, temperature, duty, relax_voltage
         )
-        # Allocation-free update in scratch buffers: the occupancy arrays
-        # are ~30k doubles, so these elementwise ops are memory-bound.
-        total = np.add(capture, emission, out=self._scratch_total)
-        p_inf = np.divide(capture, total, out=self._scratch_pinf)
-        np.multiply(total, -duration, out=total)
-        # total = -(capture+emission)*duration <= 0: underflow-only, safe.
-        decay = np.exp(total, out=total)  # repro: noqa[RPR006]
         state = self._state
-        occupancy = state.occupancy
-        np.subtract(occupancy, p_inf, out=occupancy)
-        np.multiply(occupancy, decay, out=occupancy)
-        np.add(occupancy, p_inf, out=occupancy)
+        _affine_step(
+            state.occupancy, capture, emission, duration,
+            self._scratch_total, self._scratch_pinf,
+        )
         state.elapsed += duration
         guard = self._guard
         if guard.checking:
             guard.check_array(
                 "bti.occupancy",
-                occupancy,
+                state.occupancy,
                 0.0,
                 1.0,
                 inputs=lambda: {
@@ -490,53 +547,22 @@ class TrapPopulation:
     def evolve_cycles(self, phases: Sequence[CyclePhase], n: int) -> None:
         """Advance through ``n`` repetitions of a fixed phase sequence, O(1) in ``n``.
 
-        Every :meth:`evolve` is an elementwise affine map ``p' = a*p + b``
-        with ``a = exp(-(rc+re)*dt)`` and ``b = p_inf*(1 - a)``, so one
-        full cycle composes to an affine map ``p' = a_c*p + b_c`` and N
-        identical cycles to the exact closed form::
-
-            p' = a_c**N * p  +  b_c * (1 - a_c**N) / (1 - a_c)
-
-        The cycle decay is accumulated as an exponent sum (``a_c =
-        exp(-X)`` with ``X = sum((rc+re)*dt)``) and ``1 - a_c`` is
-        evaluated via ``expm1`` so slow traps keep full precision.
+        The exact closed form of repeated :meth:`evolve` calls (see
+        :func:`_compose_cycles`), so long periodic schedules cost one
+        cycle's rate lookups.
         """
-        if n < 0:
-            raise ConfigurationError(f"cycle count must be non-negative, got {n}")
-        if not phases:
-            raise ConfigurationError("evolve_cycles needs at least one phase")
+        _check_cycles(phases, n)
         if n == 0:
             return
-        exponent = np.zeros(self.n_traps)
-        offset = np.zeros(self.n_traps)
-        period = 0.0
-        for phase in phases:
-            period += phase.duration
-            if phase.duration <= 0.0:
-                continue
-            capture, emission = self._effective_rates(
-                phase.stress_voltage,
-                phase.temperature,
-                phase.duty,
-                phase.relax_voltage,
-            )
-            total = capture + emission
-            x = total * phase.duration
-            # Affine compose: p -> a*p + p_inf*(1-a) with a = exp(-x).
-            # x >= 0, so exp(-x) <= 1: underflow-only, safe.
-            offset = offset * np.exp(-x) + (capture / total) * -np.expm1(-x)  # repro: noqa[RPR006]
-            exponent = exponent + x
-        one_minus_ac = -np.expm1(-exponent)
-        # Geometric-series ratio (1 - a_c**n)/(1 - a_c); when the cycle
-        # decay underflows to the identity the series degenerates to n.
-        ratio = np.where(
-            one_minus_ac > 0.0,
-            -np.expm1(-n * exponent) / np.where(one_minus_ac > 0.0, one_minus_ac, 1.0),
-            float(n),
-        )
         state = self._state
-        # exponent >= 0 and n >= 1, so exp(-n*exponent) <= 1: safe.
-        state.occupancy = np.exp(-n * exponent) * state.occupancy + offset * ratio  # repro: noqa[RPR006]
+        state.occupancy, period = _compose_cycles(
+            state.occupancy,
+            phases,
+            n,
+            lambda phase: self._effective_rates(
+                phase.stress_voltage, phase.temperature, phase.duty, phase.relax_voltage
+            ),
+        )
         state.elapsed += n * period
         self._cycles_compressed.inc(n)
         guard = self._guard
@@ -674,11 +700,9 @@ class TrapPopulation:
     def _invalidate_rate_cache(self) -> None:
         """Drop every memoised rate array (state transitions must not
         observe entries built for a previous trajectory)."""
-        self._base_cache.clear()
-        self._comb_cache.clear()
-        self._full_cache.clear()
+        self._rate_cache.clear()
 
     @property
     def rate_cache_entries(self) -> int:
-        """Live entries across all rate-cache levels (introspection)."""
-        return len(self._base_cache) + len(self._comb_cache) + len(self._full_cache)
+        """Live entries in the rate memo (introspection)."""
+        return len(self._rate_cache)

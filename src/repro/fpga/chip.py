@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bti.traps import CyclePhase, TrapPopulation, _PopulationState
+from repro.bti.traps import CyclePhase, TrapPopulation, _check_cycles, _PopulationState
 from repro.device.delay import AlphaPowerDelayModel, FirstOrderDelayShift, GateDelayModel
 from repro.device.technology import TechnologyParameters, TECH_40NM
 from repro.device.variation import ProcessVariation, VariationSample
@@ -79,6 +79,81 @@ class CycleSegment:
             supply_voltage=supply_voltage,
             stress=False,
         )
+
+
+def bias_pattern(
+    netlist: InverterChainNetlist,
+    tech: TechnologyParameters,
+    stress: bool,
+    supplies,
+    temperatures,
+    mode: StressMode = StressMode.DC,
+    chain_input: int = 1,
+) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """Validated per-owner ``(v_stress, duty, v_relax)`` of one bias, for k chips.
+
+    ``supplies`` and ``temperatures`` are scalars or ``(k,)`` arrays; a
+    ``None`` supply is the nominal rail under stress and 0 V (power
+    gated) in recovery.  Voltages come back as ``(k, n_owners)``: a DC
+    stress freezes the ring at ``chain_input``, an AC stress toggles at
+    50 % duty between the two complementary static patterns (``v_relax``
+    is the off pattern), and a recovery biases every device uniformly.
+    """
+    if supplies is None:
+        supplies = tech.vdd_nominal if stress else 0.0
+    supplies = np.atleast_1d(np.asarray(supplies, dtype=float))
+    if stress:
+        if np.any(supplies <= 0.0):
+            raise ConfigurationError("stress requires a positive supply; use apply_recovery")
+    else:
+        for supply in supplies:
+            if supply > 0.0:
+                raise ConfigurationError("recovery needs a non-positive supply voltage")
+            tech.check_recovery_voltage(float(supply))
+    for temperature in np.atleast_1d(temperatures):
+        tech.check_temperature(float(temperature))
+    column = supplies[:, None]
+    if not stress:
+        return np.repeat(column, netlist.n_owners, axis=1), 1.0, None
+    if mode is StressMode.DC:
+        return column * netlist.dc_stress_fractions(chain_input), 1.0, None
+    if mode is StressMode.AC:
+        pattern_a, pattern_b = netlist.ac_stress_fractions()
+        return column * pattern_a, 0.5, column * pattern_b
+    raise ConfigurationError(f"unknown stress mode {mode!r}")
+
+
+def cycle_phases(
+    segments: Sequence[CycleSegment],
+    n: int,
+    netlist: InverterChainNetlist,
+    tech: TechnologyParameters,
+    *owner_sets: np.ndarray,
+) -> list[list[CyclePhase]]:
+    """One chip's :class:`CyclePhase` legs per owner set (e.g. per polarity).
+
+    Validates the cycle count and every segment's bias first, so an
+    ``apply_cycles`` that would fail does so before any state moves.
+    """
+    _check_cycles(segments, n)
+    phases: list[list[CyclePhase]] = [[] for _ in owner_sets]
+    for segment in segments:
+        v_stress, duty, v_relax = bias_pattern(
+            netlist, tech, segment.stress, segment.supply_voltage,
+            segment.temperature, segment.mode, segment.chain_input,
+        )
+        relax = np.zeros_like(v_stress) if v_relax is None else v_relax
+        for owners, legs in zip(owner_sets, phases):
+            legs.append(
+                CyclePhase(
+                    duration=segment.duration,
+                    stress_voltage=v_stress[0, owners],
+                    temperature=segment.temperature,
+                    duty=duty,
+                    relax_voltage=relax[0, owners],
+                )
+            )
+    return phases
 
 
 class FpgaChip:
@@ -279,58 +354,29 @@ class FpgaChip:
     def _evolve(
         self,
         duration: float,
-        stress_voltage: np.ndarray,
         temperature: float,
-        duty: float = 1.0,
-        relax_voltage: np.ndarray | None = None,
+        v_stress: np.ndarray,
+        duty: float,
+        v_relax: np.ndarray | None,
     ) -> None:
-        relax = relax_voltage if relax_voltage is not None else np.zeros(self.n_owners)
+        """Age both populations through one :func:`bias_pattern` phase."""
+        relax = np.zeros(self.n_owners) if v_relax is None else v_relax[0]
         self._pmos_population.evolve(
             duration,
-            stress_voltage[self._pmos_owners],
+            v_stress[0, self._pmos_owners],
             temperature,
             duty=duty,
             relax_voltage=relax[self._pmos_owners],
         )
         self._nmos_population.evolve(
             duration,
-            stress_voltage[self._nmos_owners],
+            v_stress[0, self._nmos_owners],
             temperature,
             duty=duty,
             relax_voltage=relax[self._nmos_owners],
         )
         self._trap_updates.inc(self.n_owners)
         self._elapsed += duration
-
-    def _stress_profile(
-        self,
-        temperature: float,
-        supply_voltage: float | None,
-        mode: StressMode,
-        chain_input: int,
-    ) -> tuple[np.ndarray, float, np.ndarray | None]:
-        """Validated per-owner ``(v_stress, duty, v_relax)`` for a stress bias."""
-        supply = supply_voltage if supply_voltage is not None else self.tech.vdd_nominal
-        if supply <= 0.0:
-            raise ConfigurationError("stress requires a positive supply; use apply_recovery")
-        self.tech.check_temperature(temperature)
-        if mode is StressMode.DC:
-            fractions = self.netlist.dc_stress_fractions(chain_input)
-            return fractions * supply, 1.0, None
-        if mode is StressMode.AC:
-            pattern_a, pattern_b = self.netlist.ac_stress_fractions()
-            return pattern_a * supply, 0.5, pattern_b * supply
-        raise ConfigurationError(f"unknown stress mode {mode!r}")
-
-    def _recovery_profile(
-        self, temperature: float, supply_voltage: float
-    ) -> tuple[np.ndarray, float, np.ndarray | None]:
-        """Validated per-owner ``(v_stress, duty, v_relax)`` for a recovery bias."""
-        if supply_voltage > 0.0:
-            raise ConfigurationError("recovery needs a non-positive supply voltage")
-        self.tech.check_recovery_voltage(supply_voltage)
-        self.tech.check_temperature(temperature)
-        return np.full(self.n_owners, supply_voltage), 1.0, None
 
     def apply_stress(
         self,
@@ -346,10 +392,10 @@ class FpgaChip:
         oscillate (50 % duty between the two complementary static
         patterns).  ``supply_voltage`` defaults to the nominal rail.
         """
-        v_stress, duty, v_relax = self._stress_profile(
-            temperature, supply_voltage, mode, chain_input
+        pattern = bias_pattern(
+            self.netlist, self.tech, True, supply_voltage, temperature, mode, chain_input
         )
-        self._evolve(duration, v_stress, temperature, duty=duty, relax_voltage=v_relax)
+        self._evolve(duration, temperature, *pattern)
 
     def apply_recovery(
         self, duration: float, temperature: float, supply_voltage: float = 0.0
@@ -360,22 +406,8 @@ class FpgaChip:
         negative value is the paper's accelerated recovery.  Every device
         sees the recovery bias uniformly.
         """
-        v_stress, duty, v_relax = self._recovery_profile(temperature, supply_voltage)
-        self._evolve(duration, v_stress, temperature, duty=duty, relax_voltage=v_relax)
-
-    def _segment_profile(
-        self, segment: CycleSegment
-    ) -> tuple[np.ndarray, float, np.ndarray | None]:
-        """Per-owner bias profile of one schedule segment."""
-        if segment.stress:
-            return self._stress_profile(
-                segment.temperature,
-                segment.supply_voltage,
-                segment.mode,
-                segment.chain_input,
-            )
-        supply = 0.0 if segment.supply_voltage is None else segment.supply_voltage
-        return self._recovery_profile(segment.temperature, supply)
+        pattern = bias_pattern(self.netlist, self.tech, False, supply_voltage, temperature)
+        self._evolve(duration, temperature, *pattern)
 
     def apply_cycles(self, segments: Sequence[CycleSegment], n: int) -> None:
         """Advance through ``n`` repetitions of a fixed segment sequence.
@@ -387,36 +419,15 @@ class FpgaChip:
         when every cycle really is identical: any per-cycle feedback
         (adaptive duty, jittered instruments) must stay on the loop path.
         """
-        if n < 0:
-            raise ConfigurationError(f"cycle count must be non-negative, got {n}")
-        if not segments:
-            raise ConfigurationError("apply_cycles needs at least one segment")
+        phases_pmos, phases_nmos = cycle_phases(
+            segments, n, self.netlist, self.tech, self._pmos_owners, self._nmos_owners
+        )
         if n == 0:
             return
-        phases_pmos: list[CyclePhase] = []
-        phases_nmos: list[CyclePhase] = []
-        period = 0.0
-        for segment in segments:
-            v_stress, duty, v_relax = self._segment_profile(segment)
-            relax = v_relax if v_relax is not None else np.zeros(self.n_owners)
-            for owners, phases in (
-                (self._pmos_owners, phases_pmos),
-                (self._nmos_owners, phases_nmos),
-            ):
-                phases.append(
-                    CyclePhase(
-                        duration=segment.duration,
-                        stress_voltage=v_stress[owners],
-                        temperature=segment.temperature,
-                        duty=duty,
-                        relax_voltage=relax[owners],
-                    )
-                )
-            period += segment.duration
         self._pmos_population.evolve_cycles(phases_pmos, n)
         self._nmos_population.evolve_cycles(phases_nmos, n)
         self._trap_updates.inc(self.n_owners * len(segments) * n)
-        self._elapsed += n * period
+        self._elapsed += n * sum(segment.duration for segment in segments)
 
     # ------------------------------------------------------------------ #
     # state management

@@ -13,10 +13,13 @@ Two fidelities:
   statistically faithful, not bit-identical (see
   :class:`~repro.bti.fleet.BinnedFleetTraps`).
 
-Chip construction replays :class:`FpgaChip.__init__`'s generator draws in
-the same order (variation sample, then the two population spawns), so an
-exact-fidelity fleet chip and a standalone chip from the same seed hold
-identical constants without sharing any code path at runtime.
+Chip construction consumes each seed's generator in
+:class:`FpgaChip.__init__`'s order (variation sample, then the two
+population spawns, drawn by the same kernel), and both classes turn a
+stress or recovery into per-owner voltages with one rule,
+:func:`~repro.fpga.chip.bias_pattern`, so an exact-fidelity fleet chip
+and a standalone chip from the same seed hold identical constants and
+see identical biases.
 """
 
 from __future__ import annotations
@@ -25,16 +28,16 @@ import numpy as np
 
 from repro.bti.fleet import (
     BinnedFleetTraps,
-    FleetCyclePhase,
     FleetTraps,
     TrapDraws,
     TrapGrid,
+    contiguous_chips,
     draw_population,
 )
 from repro.device.technology import TechnologyParameters, TECH_40NM
 from repro.device.variation import ProcessVariation
 from repro.errors import ConfigurationError
-from repro.fpga.chip import CycleSegment
+from repro.fpga.chip import bias_pattern, cycle_phases
 from repro.fpga.netlist import InverterChainNetlist
 from repro.fpga.ring_oscillator import StressMode
 from repro.guard import get_guard
@@ -176,18 +179,6 @@ class FleetChip:
     # bias application (lock-step groups)
     # ------------------------------------------------------------------ #
 
-    def _indices(self, chips: slice) -> tuple[int, int]:
-        lo, hi, step = chips.indices(self.n_chips)
-        if step != 1 or hi <= lo:
-            raise ConfigurationError("fleet chip slices must be contiguous and non-empty")
-        return lo, hi
-
-    def _check_temperatures(self, temperatures: np.ndarray) -> np.ndarray:
-        temperatures = np.asarray(temperatures, dtype=float)
-        for temperature in temperatures:
-            self.tech.check_temperature(float(temperature))
-        return temperatures
-
     def apply_stress(
         self,
         duration: float,
@@ -204,22 +195,11 @@ class FleetChip:
         delivered values; the bias pattern (DC freeze or AC oscillation)
         is shared — lock-step groups always run the same phase.
         """
-        lo, hi = self._indices(chips)
-        supplies = np.asarray(supplies, dtype=float)
-        if np.any(supplies <= 0.0):
-            raise ConfigurationError("stress requires a positive supply; use apply_recovery")
-        temperatures = self._check_temperatures(temperatures)
-        if mode is StressMode.DC:
-            fractions = self.netlist.dc_stress_fractions(chain_input)
-            v_full = supplies[:, None] * fractions
-            duty, v_relax_full = 1.0, None
-        elif mode is StressMode.AC:
-            pattern_a, pattern_b = self.netlist.ac_stress_fractions()
-            v_full = supplies[:, None] * pattern_a
-            duty, v_relax_full = 0.5, supplies[:, None] * pattern_b
-        else:
-            raise ConfigurationError(f"unknown stress mode {mode!r}")
-        self._evolve_span(duration, v_full, temperatures, duty, v_relax_full, lo, hi, guard)
+        lo, hi = contiguous_chips(chips, self.n_chips)
+        pattern = bias_pattern(
+            self.netlist, self.tech, True, supplies, temperatures, mode, chain_input
+        )
+        self._evolve_span(duration, temperatures, *pattern, lo, hi, guard)
 
     def apply_recovery(
         self,
@@ -230,23 +210,15 @@ class FleetChip:
         guard=None,
     ) -> None:
         """Recover a contiguous chip span (0 V passive or negative rail)."""
-        lo, hi = self._indices(chips)
-        supplies = np.asarray(supplies, dtype=float)
-        for supply in supplies:
-            if supply > 0.0:
-                raise ConfigurationError("recovery needs a non-positive supply voltage")
-            self.tech.check_recovery_voltage(float(supply))
-        temperatures = self._check_temperatures(temperatures)
-        v_full = np.broadcast_to(
-            supplies[:, None], (hi - lo, self.netlist.n_owners)
-        ).copy()
-        self._evolve_span(duration, v_full, temperatures, 1.0, None, lo, hi, guard)
+        lo, hi = contiguous_chips(chips, self.n_chips)
+        pattern = bias_pattern(self.netlist, self.tech, False, supplies, temperatures)
+        self._evolve_span(duration, temperatures, *pattern, lo, hi, guard)
 
     def _evolve_span(
         self,
         duration: float,
-        v_full: np.ndarray,
         temperatures: np.ndarray,
+        v_full: np.ndarray,
         duty: float,
         v_relax_full: np.ndarray | None,
         lo: int,
@@ -254,6 +226,7 @@ class FleetChip:
         guard,
     ) -> None:
         span = slice(lo, hi)
+        temperatures = np.asarray(temperatures, dtype=float)
         if self.fidelity == "exact":
             relax_p = relax_n = None
             if v_relax_full is not None:
@@ -313,7 +286,7 @@ class FleetChip:
         """Per-chip per-owner threshold shifts, ``(k, n_owners)`` (exact only)."""
         if self.fidelity != "exact":
             raise ConfigurationError("per-owner delta_vth needs the exact fidelity")
-        lo, hi = self._indices(chips)
+        lo, hi = contiguous_chips(chips, self.n_chips)
         span = slice(lo, hi)
         shifts = np.zeros((hi - lo, self.netlist.n_owners))
         shifts[:, self._pmos_owners] = self._pmos.delta_vth(span)
@@ -336,7 +309,7 @@ class FleetChip:
         operation (including both guard contracts); binned fidelity reads
         the pooled linear observable of each population.
         """
-        lo, hi = self._indices(chips)
+        lo, hi = contiguous_chips(chips, self.n_chips)
         span = slice(lo, hi)
         guard = guard if guard is not None else self.guard
         if self.fidelity == "exact":
@@ -490,11 +463,10 @@ class ChipView:
         chain_input: int = 1,
     ) -> None:
         """Apply a stress phase to this chip only (``FpgaChip.apply_stress``)."""
-        supply = supply_voltage if supply_voltage is not None else self.tech.vdd_nominal
         self._fleet.apply_stress(
             duration,
             np.array([float(temperature)]),
-            np.array([float(supply)]),
+            supply_voltage,
             mode=mode,
             chain_input=chain_input,
             chips=self._span,
@@ -508,71 +480,23 @@ class ChipView:
         self._fleet.apply_recovery(
             duration,
             np.array([float(temperature)]),
-            np.array([float(supply_voltage)]),
+            supply_voltage,
             chips=self._span,
             guard=self.guard,
         )
 
     def apply_cycles(self, segments, n: int) -> None:
         """Closed-form N-cycle fast-forward through the fleet engine."""
-        if n < 0:
-            raise ConfigurationError(f"cycle count must be non-negative, got {n}")
-        if not segments:
-            raise ConfigurationError("apply_cycles needs at least one segment")
+        fleet = self._fleet
+        phases_p, phases_n = cycle_phases(
+            segments, n, self.netlist, self.tech, fleet._pmos_owners, fleet._nmos_owners
+        )
         if n == 0:
             return
-        fleet = self._fleet
-        phases_p: list[FleetCyclePhase] = []
-        phases_n: list[FleetCyclePhase] = []
-        period = 0.0
-        for segment in segments:
-            v_full, duty, v_relax_full = self._segment_profile(segment)
-            relax = v_relax_full if v_relax_full is not None else np.zeros((1, self.n_owners))
-            temps = np.array([float(segment.temperature)])
-            for owners, phases in (
-                (fleet._pmos_owners, phases_p),
-                (fleet._nmos_owners, phases_n),
-            ):
-                phases.append(
-                    FleetCyclePhase(
-                        duration=segment.duration,
-                        v_stress=v_full[:, owners],
-                        temperatures=temps,
-                        duty=duty,
-                        v_relax=relax[:, owners],
-                    )
-                )
-            period += segment.duration
         fleet._pmos.evolve_cycles(phases_p, n, chips=self._span, guard=self.guard)
         fleet._nmos.evolve_cycles(phases_n, n, chips=self._span, guard=self.guard)
         fleet._trap_updates.inc(self.n_owners * len(segments) * n)
-        fleet.elapsed[self._index] += n * period
-
-    def _segment_profile(self, segment: CycleSegment):
-        """(1, n_owners) bias profile of one schedule segment."""
-        fleet = self._fleet
-        if segment.stress:
-            supply = (
-                segment.supply_voltage
-                if segment.supply_voltage is not None
-                else self.tech.vdd_nominal
-            )
-            if supply <= 0.0:
-                raise ConfigurationError(
-                    "stress requires a positive supply; use apply_recovery"
-                )
-            self.tech.check_temperature(segment.temperature)
-            if segment.mode is StressMode.DC:
-                fractions = fleet.netlist.dc_stress_fractions(segment.chain_input)
-                return (fractions * supply)[None, :], 1.0, None
-            pattern_a, pattern_b = fleet.netlist.ac_stress_fractions()
-            return (pattern_a * supply)[None, :], 0.5, (pattern_b * supply)[None, :]
-        supply = 0.0 if segment.supply_voltage is None else segment.supply_voltage
-        if supply > 0.0:
-            raise ConfigurationError("recovery needs a non-positive supply voltage")
-        self.tech.check_recovery_voltage(supply)
-        self.tech.check_temperature(segment.temperature)
-        return np.full((1, self.n_owners), supply), 1.0, None
+        fleet.elapsed[self._index] += n * sum(segment.duration for segment in segments)
 
     # state ------------------------------------------------------------- #
 

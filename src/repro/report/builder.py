@@ -210,12 +210,10 @@ def build_campaign_report(
     ]
 
     hits = model.metric_value(_CACHE_PREFIX + "hits")
-    partial = model.metric_value(_CACHE_PREFIX + "partial_hits")
     misses = model.metric_value(_CACHE_PREFIX + "misses")
-    lookups = hits + partial + misses
+    lookups = hits + misses
     cache = {
         "hits": int(hits),
-        "partial_hits": int(partial),
         "misses": int(misses),
         "lookups": int(lookups),
         "hit_rate": hits / lookups if lookups > 0 else 0.0,
@@ -352,8 +350,7 @@ def _render_html(
             ["quantity", "value"],
             [
                 ["lookups", cache["lookups"]],
-                ["full hits", cache["hits"]],
-                ["partial hits", cache["partial_hits"]],
+                ["hits", cache["hits"]],
                 ["misses", cache["misses"]],
                 ["hit rate", f"{100.0 * cache['hit_rate']:.1f}%"],
             ],

@@ -1,4 +1,4 @@
-"""Call graph construction and reachability."""
+"""Function and method indexing of the project call graph."""
 
 from pathlib import Path
 
@@ -26,20 +26,3 @@ class TestCallGraph:
     def test_methods_indexed_by_bare_name(self, fixture_graph):
         _, graph = fixture_graph
         assert "call_shapes.DataLog.merge" in graph.methods_by_name["merge"]
-
-    def test_nested_def_gets_implicit_edge(self, fixture_graph):
-        _, graph = fixture_graph
-        assert "call_shapes.collect.note" in graph.edges["call_shapes.collect"]
-
-    def test_cross_module_call_edge(self, fixture_graph):
-        _, graph = fixture_graph
-        assert "mini_faults.plan_faults" in graph.edges["rig.drive"]
-        assert "mini_campaign.run_case" in graph.edges["rig.drive"]
-
-    def test_reachability(self, fixture_graph):
-        _, graph = fixture_graph
-        reachable = graph.reachable(["call_shapes.collect"])
-        assert "call_shapes.collect.note" in reachable
-        assert "call_shapes.DataLog.merge" in reachable
-        assert "call_shapes.report" not in reachable
-        assert graph.callers_of("call_shapes.collect") == ["call_shapes.report"]

@@ -1,9 +1,9 @@
 """Rate caching and closed-form cycle compression of the trap ensemble.
 
-The caches must be *transparent*: a cached population and a fresh one fed
-the same bias history must produce identical occupancy, and every cache
-level must be dropped on ``reset`` / ``restore`` so stale rates can never
-leak across state changes.  ``evolve_cycles`` must match the naive
+The rate memo must be *transparent*: a cached population and one whose
+memo is dropped before every phase, fed the same bias history, must
+produce identical occupancy, and the memo must be dropped on ``reset`` /
+``restore`` so stale rates can never leak across state changes.  ``evolve_cycles`` must match the naive
 evolve-in-a-loop reference within the acceptance budget of 1e-9 over at
 least a thousand cycles.
 """
@@ -11,19 +11,18 @@ least a thousand cycles.
 import numpy as np
 import pytest
 
-from repro.bti.traps import CyclePhase, TrapParameters, TrapPopulation
+from repro.bti.traps import RATE_CACHE_SIZE, CyclePhase, TrapParameters, TrapPopulation
 from repro.errors import ConfigurationError
 from repro.obs import Tracer
 from repro.units import celsius, hours
 
 
-def make_population(seed=7, tracer=None, **kwargs) -> TrapPopulation:
+def make_population(seed=7, tracer=None) -> TrapPopulation:
     return TrapPopulation(
         TrapParameters(mean_trap_count=40.0),
         n_owners=4,
         rng=seed,
         tracer=tracer,
-        **kwargs,
     )
 
 
@@ -58,12 +57,13 @@ class TestCacheTransparency:
         ]
         for args in history:
             cached.evolve(*args)
-        fresh = make_population(seed=3, rate_cache_size=1)
+        fresh = make_population(seed=3)
         for args in history:
+            fresh._invalidate_rate_cache()
             fresh.evolve(*args)
         np.testing.assert_array_equal(cached.occupancy, fresh.occupancy)
 
-    def test_repeated_bias_hits_the_full_cache(self):
+    def test_repeated_bias_hits_the_cache(self):
         tracer = Tracer()
         pop = make_population(tracer=tracer)
         for _ in range(5):
@@ -71,23 +71,24 @@ class TestCacheTransparency:
         assert tracer.metrics.value("bti.rate_cache.misses") == 1.0
         assert tracer.metrics.value("bti.rate_cache.hits") == 4.0
 
-    def test_new_temperature_is_a_partial_hit(self):
+    def test_new_temperature_reuses_the_memo(self):
+        # The memo is temperature-free: a jittered temperature still hits.
         tracer = Tracer()
         pop = make_population(tracer=tracer)
         pop.evolve(hours(1.0), STRESS_V, HOT)
         pop.evolve(hours(1.0), STRESS_V, celsius(100.0))
         assert tracer.metrics.value("bti.rate_cache.misses") == 1.0
-        assert tracer.metrics.value("bti.rate_cache.partial_hits") == 1.0
+        assert tracer.metrics.value("bti.rate_cache.hits") == 1.0
 
     def test_cache_is_bounded(self):
-        pop = make_population(rate_cache_size=4)
-        for i in range(20):
+        pop = make_population()
+        for i in range(2 * RATE_CACHE_SIZE):
             pop.evolve(60.0, 1.0 + 0.01 * i, HOT)
-        assert pop.rate_cache_entries <= 3 * 4
+        assert pop.rate_cache_entries == RATE_CACHE_SIZE
 
 
 class TestCacheInvalidation:
-    """The stale-cache class: state changes must drop every cache level."""
+    """The stale-cache class: state changes must drop the rate memo."""
 
     def test_reset_clears_the_cache(self):
         pop = make_population()

@@ -125,12 +125,9 @@ class TestMergedHistogramsAndDerived:
         tracer = Tracer()
         run_table1_campaign(seed=7, n_chips=2, tracer=tracer)
         registry = tracer.metrics
-        lookups = (
-            registry.value("bti.rate_cache.hits")
-            + registry.value("bti.rate_cache.partial_hits")
-            + registry.value("bti.rate_cache.misses")
-        )
-        expected = (
-            registry.value("bti.rate_cache.hits") / lookups if lookups else 0.0
-        )
+        hits = registry.value("bti.rate_cache.hits")
+        lookups = hits + registry.value("bti.rate_cache.misses")
+        expected = hits / lookups if lookups else 0.0
         assert registry.value("bti.rate_cache.hit_rate") == expected
+        # the memo is reused across the campaign despite temperature jitter
+        assert registry.value("bti.rate_cache.hit_rate") > 0.3

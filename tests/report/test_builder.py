@@ -103,7 +103,7 @@ class TestCampaignHealthReport:
         result, model = traced_campaign
         cache = build_campaign_report(result, model).data["rate_cache"]
         assert cache["lookups"] == (
-            cache["hits"] + cache["partial_hits"] + cache["misses"]
+            cache["hits"] + cache["misses"]
         )
         assert 0.0 <= cache["hit_rate"] <= 1.0
 
