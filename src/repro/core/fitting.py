@@ -12,6 +12,10 @@ step against the virtual silicon:
 * :func:`fit_physics_scaling` — (K, E0, B) of Eqs. (2)/(4) from
   per-condition prefactors, giving the cross-condition temperature and
   voltage scaling.
+
+scipy is imported inside the two least-squares fits, not at module top:
+``import repro.core`` (and so every sweep cell's lifetime projection)
+would otherwise load about 300 scipy modules it never uses.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 from typing import Generic, TypeVar
 
 import numpy as np
-from scipy import optimize
 
 from repro.bti.firstorder import PhysicsScaling, RecoveryParameters, StressParameters
 from repro.errors import FittingError
@@ -73,6 +76,8 @@ def fit_stress_parameters(times, shifts) -> FitReport[StressParameters]:
     delay (or threshold) change.  Returns the fitted
     :class:`StressParameters` with goodness-of-fit.
     """
+    from scipy import optimize
+
     times, shifts = _check_series(times, shifts, minimum=4)
     if np.all(shifts <= 0.0):
         raise FittingError("stress series shows no degradation to fit")
@@ -121,6 +126,8 @@ def fit_recovery_parameters(
     When ``rate_c`` is given (e.g. from the matching stress fit) it is
     held fixed, as the paper shares C between the phases.
     """
+    from scipy import optimize
+
     times, shifts = _check_series(times, shifts, minimum=4)
     if stress_time <= 0.0 or shift_at_stress_end <= 0.0:
         raise FittingError("recovery fitting needs a positive stress time and peak shift")

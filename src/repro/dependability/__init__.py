@@ -16,6 +16,9 @@ fault-injection campaign manager (DAVOS) sits on top of a simulator:
   per-cell process isolation, wall-clock timeouts and bounded retries;
   a failed or timed-out cell is *recorded*, never raised, and the sweep
   completes on the survivors;
+* :mod:`repro.dependability.cell` — one cell's campaign and lifetime
+  projection; the runner imports it before forking, so forked cells
+  inherit every module they need;
 * :mod:`repro.dependability.analyzer` — per-cell failure / quarantine /
   retry / guard-violation / lifetime statistics with bootstrap and
   Wilson confidence intervals, plus cross-cell sensitivity tables;

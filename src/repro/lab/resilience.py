@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -297,8 +296,7 @@ class CheckpointStore:
     Writes are crash-safe against SIGKILL: each save lands in fresh
     generation files, then the manifest is atomically replaced to point
     at them, then older generations are pruned — a kill at any instant
-    leaves the manifest referencing a fully-written snapshot.  A lock
-    serialises manifest updates from parallel chip workers.
+    leaves the manifest referencing a fully-written snapshot.
     """
 
     MANIFEST = "manifest.json"
@@ -310,7 +308,6 @@ class CheckpointStore:
         # so any .tmp here is an orphan from an interrupted save — warn
         # and drop it before a reader can mistake it for state.
         discard_orphan_tmp(self.directory)
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # manifest
@@ -400,34 +397,32 @@ class CheckpointStore:
         corrupts the previous checkpoint.
         """
         chip_id = chip.chip_id
-        with self._lock:
-            manifest = self.read_manifest()
-            if manifest is None:
-                raise CheckpointError(
-                    f"{self._manifest_path()}: manifest vanished mid-campaign"
-                )
-            generation = self._generation_of(manifest, chip_id) + 1
+        manifest = self.read_manifest()
+        if manifest is None:
+            raise CheckpointError(
+                f"{self._manifest_path()}: manifest vanished mid-campaign"
+            )
+        generation = self._generation_of(manifest, chip_id) + 1
         prefix = f"{chip_id}.{generation}"
         np.savez(self.directory / f"{prefix}.state.npz", **chip.export_state())
         with open(self.directory / f"{prefix}.rng.json", "w") as handle:
             json.dump(bench_rng.bit_generator.state, handle)
         baseline_log.write_csv(self.directory / f"{prefix}.baseline.csv")
         case_log.write_csv(self.directory / f"{prefix}.cases.csv")
-        with self._lock:
-            manifest = self.read_manifest()
-            if manifest is None:
-                raise CheckpointError(
-                    f"{self._manifest_path()}: manifest vanished mid-campaign"
-                )
-            manifest["completed"][chip_id] = list(completed)
-            manifest.setdefault("generations", {})[chip_id] = generation
-            if quarantine is not None:
-                manifest["quarantined"][chip_id] = {
-                    "case": quarantine.case,
-                    "sim_time": quarantine.sim_time,
-                    "reason": quarantine.reason,
-                }
-            self._write_manifest(manifest)
+        manifest = self.read_manifest()
+        if manifest is None:
+            raise CheckpointError(
+                f"{self._manifest_path()}: manifest vanished mid-campaign"
+            )
+        manifest["completed"][chip_id] = list(completed)
+        manifest.setdefault("generations", {})[chip_id] = generation
+        if quarantine is not None:
+            manifest["quarantined"][chip_id] = {
+                "case": quarantine.case,
+                "sim_time": quarantine.sim_time,
+                "reason": quarantine.reason,
+            }
+        self._write_manifest(manifest)
         self._prune_generations(chip_id, keep=generation)
 
     def load_chip(
