@@ -6,34 +6,29 @@ Two legs:
   sequential ``run_table1_campaign`` record stream bit-for-bit (the
   facade contract that lets the whole lab stack run against the batch);
 * **throughput** — a 200-chip binned-fidelity lot must clear 20x the
-  sequential baseline's measurements/s (454.2/s in the seed ledger).
-  The run refreshes ``BENCH_fleet_campaign.json`` at the repo root and
-  folds the headline numbers into ``BENCH_campaign.json`` next to the
-  sequential baseline, so both trajectories live in one file.
+  sequential campaign's measurements/s (``SEQUENTIAL_MEAS_PER_SEC``).
 
 Run directly for a smoke check (CI does)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_fleet_campaign.py -q
 """
 
-import json
 import time
-from pathlib import Path
 
 from repro.lab.campaign import run_table1_campaign
 from repro.lab.fleet import run_fleet_campaign
 from repro.obs import Tracer
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-FLEET_BASELINE_PATH = REPO_ROOT / "BENCH_fleet_campaign.json"
-CAMPAIGN_BASELINE_PATH = REPO_ROOT / "BENCH_campaign.json"
-
 #: Chips in the throughput leg — large enough that per-batch setup
 #: amortises, small enough for a CI smoke.
 N_CHIPS = 200
 
-#: The sequential baseline this engine must beat (BENCH_campaign.json
-#: seed entry) and the acceptance multiple.
+#: The sequential baseline this engine must beat, and the acceptance
+#: multiple.  454.2 meas/s is one run of the seed-0 five-chip
+#: ``run_table1_campaign`` (622 measurements in 1.369 s), timed by
+#: ``bench_obs_overhead.py::test_bench_campaign_baseline`` when the
+#: physics guards landed, on a host that was not recorded.  Nothing
+#: re-measures it, so the floor depends on the host running this file.
 SEQUENTIAL_MEAS_PER_SEC = 454.2
 SPEEDUP_FLOOR = 20.0
 
@@ -55,7 +50,7 @@ def test_bench_fleet_bit_identity(once):
 
 
 def test_bench_fleet_campaign(once):
-    """Time the 200-chip binned lot and refresh the fleet baseline files."""
+    """Time the 200-chip binned lot against the sequential baseline."""
 
     def timed_fleet():
         tracer = Tracer()
@@ -70,43 +65,10 @@ def test_bench_fleet_campaign(once):
     sim_seconds = tracer.spans("campaign")[0].sim_advanced
     speedup = meas_per_sec / SEQUENTIAL_MEAS_PER_SEC
 
-    entry = {
-        "bench": "bench_fleet_campaign.test_bench_fleet_campaign",
-        "seed": 0,
-        "n_chips": N_CHIPS,
-        "fidelity": result.fidelity,
-        "shards": result.shards,
-        "measurements": result.total_measurements,
-        "campaign_wall_s": round(wall_s, 3),
-        "measurements_per_sec": round(meas_per_sec, 1),
-        "sim_seconds": round(sim_seconds, 1),
-        "sim_seconds_per_wall_second": round(sim_seconds / wall_s, 1),
-        "speedup_vs_sequential": round(speedup, 1),
-    }
-    FLEET_BASELINE_PATH.write_text(json.dumps(entry, indent=2) + "\n")
-
-    # Fold the headline into the sequential baseline file (flat keys the
-    # rolling-baseline check ignores), preserving the existing entry.
-    try:
-        campaign_entry = json.loads(CAMPAIGN_BASELINE_PATH.read_text())
-    except (OSError, json.JSONDecodeError):
-        campaign_entry = {}
-    campaign_entry.update(
-        {
-            "fleet_n_chips": N_CHIPS,
-            "fleet_fidelity": result.fidelity,
-            "fleet_measurements_per_sec": entry["measurements_per_sec"],
-            "fleet_speedup_vs_sequential": entry["speedup_vs_sequential"],
-        }
-    )
-    CAMPAIGN_BASELINE_PATH.write_text(json.dumps(campaign_entry, indent=2) + "\n")
-
     print(f"fleet campaign: {N_CHIPS} chips, {result.total_measurements} "
           f"measurements in {wall_s:.2f} s wall "
-          f"({entry['measurements_per_sec']:,} meas/s, "
+          f"({meas_per_sec:,.1f} meas/s, {sim_seconds / wall_s:,.1f} sim s/s, "
           f"{speedup:.1f}x sequential)")
-    print(f"baselines written to {FLEET_BASELINE_PATH.name} and "
-          f"{CAMPAIGN_BASELINE_PATH.name}")
     assert result.total_measurements > 20_000
     assert speedup >= SPEEDUP_FLOOR, (
         f"fleet throughput {meas_per_sec:.0f} meas/s is below "

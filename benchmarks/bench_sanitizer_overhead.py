@@ -4,18 +4,12 @@
 at each phase boundary.  The hashes are only useful if they can stay on
 in CI, so the budget mirrors the observability layer's: a sanitized
 campaign may cost at most 5 % more wall clock than the same run with the
-null sanitizer.  Every run also refreshes ``BENCH_sanitizer.json`` so
-future PRs that touch the hashing path have a trajectory to beat.
+null sanitizer.
 """
 
-import json
 import time
-from pathlib import Path
 
 from repro.lab.campaign import run_table1_campaign
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BASELINE_PATH = REPO_ROOT / "BENCH_sanitizer.json"
 
 #: Maximum tolerated wall-clock overhead of --sanitize vs off.
 OVERHEAD_BUDGET = 0.05
@@ -57,7 +51,7 @@ def test_bench_sanitizer_overhead(once):
 
 
 def test_bench_sanitizer_baseline(once):
-    """Time the sanitized five-chip campaign and refresh BENCH_sanitizer.json."""
+    """Time the sanitized five-chip campaign and count its phase hashes."""
 
     def timed_campaign():
         start = time.perf_counter()
@@ -65,20 +59,9 @@ def test_bench_sanitizer_baseline(once):
         return time.perf_counter() - start, result
 
     wall_s, result = once(timed_campaign)
-    baseline = {
-        "bench": "bench_sanitizer_overhead.test_bench_sanitizer_baseline",
-        "seed": 0,
-        "n_chips": len(result.chips),
-        "measurements": len(result.log),
-        "phase_hashes": len(result.state_hashes),
-        "campaign_wall_s": round(wall_s, 3),
-        "measurements_per_sec": round(len(result.log) / wall_s, 1),
-    }
-    BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
     print(f"sanitized campaign: {wall_s:.3f} s wall, "
-          f"{baseline['phase_hashes']} phase hashes")
-    print(f"baseline written to {BASELINE_PATH}")
+          f"{len(result.state_hashes)} phase hashes")
     # Per-chip baseline plus every schedule phase, incl. chip 5's
     # re-stress and 12 h recovery (AR110N12).
-    assert baseline["phase_hashes"] == 16
-    assert baseline["measurements"] > 500
+    assert len(result.state_hashes) == 16
+    assert len(result.log) > 500

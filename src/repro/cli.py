@@ -12,7 +12,6 @@ Usage::
     python -m repro trace diff a.jsonl b.jsonl
     python -m repro report [--out out.html] # campaign health report
     python -m repro report --experiments    # legacy markdown experiment report
-    python -m repro bench --check           # compare BENCH json vs history
     python -m repro sweep run spec.json --dir sweep/   # dependability sweep
     python -m repro sweep resume --dir sweep/          # finish unfinished cells
     python -m repro sweep report --dir sweep/ --out sweep.html
@@ -159,26 +158,33 @@ def _print_quarantine(result) -> None:
         )
 
 
-def _write_health_report(result, tracer, out: str, seed: int) -> None:
-    """Build and write the campaign health report (HTML + JSON sibling)."""
+def _write_report(report, out: str, label: str) -> None:
+    """Write a built report (HTML + JSON sibling) and say where it went."""
+    path = report.write(out)
+    print(f"{label} report written to {path} (+ {path.with_suffix('.json').name})")
+
+
+def _run_campaign(args: argparse.Namespace, tracer, note: str = ""):
+    """Run the per-chip Table 1 campaign the flags describe; print its outcome."""
+    from repro.lab.campaign import run_table1_campaign
+    from repro.obs import ProgressReporter
+
+    progress = ProgressReporter(enabled=args.progress)
+    print(f"running the Table 1 campaign on {args.chips} chips{note}...")
+    result = run_table1_campaign(seed=args.seed, n_chips=args.chips,
+                                 tracer=tracer, progress=progress,
+                                 **_resilience_kwargs(args))
+    print(f"done: {len(result.log)} measurements over {len(result.chips)} chips")
+    _print_quarantine(result)
+    return result
+
+
+def _health_report(result, tracer, seed: int):
+    """The campaign health report of a run, with its tracer's metrics."""
     from repro.obs.query import TraceModel
     from repro.report import build_campaign_report
 
-    model = TraceModel.from_tracer(tracer) if tracer is not None else None
-    report = build_campaign_report(result, model, seed=seed)
-    path = report.write(out)
-    print(f"health report written to {path} (+ {path.with_suffix('.json').name})")
-
-
-def _write_fleet_report(result, tracer, out: str, seed: int) -> None:
-    """Build and write the fleet distribution report (HTML + JSON sibling)."""
-    from repro.obs.query import TraceModel
-    from repro.report import build_fleet_report
-
-    model = TraceModel.from_tracer(tracer) if tracer is not None else None
-    report = build_fleet_report(result, model, seed=seed)
-    path = report.write(out)
-    print(f"fleet report written to {path} (+ {path.with_suffix('.json').name})")
+    return build_campaign_report(result, TraceModel.from_tracer(tracer), seed=seed)
 
 
 def _cmd_fleet_campaign(args: argparse.Namespace) -> int:
@@ -226,7 +232,13 @@ def _cmd_fleet_campaign(args: argparse.Namespace) -> int:
         result.log.write_csv(args.csv)
         print(f"log written to {args.csv}")
     if args.report:
-        _write_fleet_report(result, tracer, args.report, args.seed)
+        from repro.obs.query import TraceModel
+        from repro.report import build_fleet_report
+
+        report = build_fleet_report(
+            result, TraceModel.from_tracer(tracer), seed=args.seed
+        )
+        _write_report(report, args.report, "fleet")
     if tracer is not None:
         n_spans = len(tracer.finished)
         tracer.close()
@@ -236,8 +248,7 @@ def _cmd_fleet_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.lab.campaign import run_table1_campaign
-    from repro.obs import JsonlExporter, ProgressReporter, Tracer
+    from repro.obs import JsonlExporter, Tracer
 
     if args.fleet is not None:
         return _cmd_fleet_campaign(args)
@@ -247,19 +258,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     elif args.report:
         # The health report reads trace metrics; give it an in-memory tracer.
         tracer = Tracer()
-    progress = ProgressReporter(enabled=args.progress)
-    print(f"running the Table 1 campaign on {args.chips} chips...")
-    result = run_table1_campaign(seed=args.seed, n_chips=args.chips,
-                                 tracer=tracer, progress=progress,
-                                 **_resilience_kwargs(args))
-    print(f"done: {len(result.log)} measurements over {len(result.chips)} chips")
-    _print_quarantine(result)
+    result = _run_campaign(args, tracer)
     _print_sanitizer(result)
     if args.csv:
         result.log.write_csv(args.csv)
         print(f"log written to {args.csv}")
     if args.report:
-        _write_health_report(result, tracer, args.report, args.seed)
+        _write_report(_health_report(result, tracer, args.seed), args.report,
+                      "health")
     if tracer is not None:
         n_spans = len(tracer.finished)
         tracer.close()
@@ -269,18 +275,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.lab.campaign import run_table1_campaign
-    from repro.obs import JsonlExporter, ProgressReporter, Tracer
+    from repro.obs import JsonlExporter, Tracer
 
     exporter = JsonlExporter(args.trace) if args.trace else None
     tracer = Tracer(exporter=exporter)
-    progress = ProgressReporter(enabled=args.progress)
-    print(f"running the Table 1 campaign on {args.chips} chips (instrumented)...")
-    result = run_table1_campaign(seed=args.seed, n_chips=args.chips,
-                                 tracer=tracer, progress=progress,
-                                 **_resilience_kwargs(args))
-    print(f"done: {len(result.log)} measurements over {len(result.chips)} chips")
-    _print_quarantine(result)
+    result = _run_campaign(args, tracer, " (instrumented)")
     _print_sanitizer(result)
     print()
     tracer.summary_table(
@@ -381,18 +380,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(text)
         return 0
 
-    from repro.lab.campaign import run_table1_campaign
-    from repro.obs import ProgressReporter, Tracer
+    from repro.obs import Tracer
 
     tracer = Tracer()
-    progress = ProgressReporter(enabled=args.progress)
-    print(f"running the Table 1 campaign on {args.chips} chips (instrumented)...")
-    result = run_table1_campaign(seed=args.seed, n_chips=args.chips,
-                                 tracer=tracer, progress=progress,
-                                 **_resilience_kwargs(args))
-    print(f"done: {len(result.log)} measurements over {len(result.chips)} chips")
-    _print_quarantine(result)
-    _write_health_report(result, tracer, args.out or "report.html", args.seed)
+    result = _run_campaign(args, tracer, " (instrumented)")
+    _write_report(_health_report(result, tracer, args.seed),
+                  args.out or "report.html", "health")
     tracer.close()
     return 0
 
@@ -446,38 +439,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.report import bench
-
-    try:
-        with open(args.input, encoding="utf-8") as handle:
-            entry = _json.load(handle)
-    except FileNotFoundError:
-        print(f"error: benchmark result {args.input!r} not found — run "
-              "benchmarks/bench_obs_overhead.py first", file=sys.stderr)
-        return 2
-    verdict = bench.check(entry, history_dir=args.history,
-                          threshold=args.threshold, window=args.window)
-    regressed = False
-    if verdict is None:
-        print(f"no matching history in {args.history} for "
-              f"{entry.get('bench', '?')} — nothing to compare against")
-    else:
-        verdict.table().print()
-        regressed = not verdict.ok
-        if regressed:
-            names = ", ".join(v.metric for v in verdict.regressions)
-            print(f"WARNING: possible regression in {names} "
-                  "(warn-only; pass --strict to gate)")
-    if args.record:
-        path = bench.record(entry, history_dir=args.history, stamp=args.stamp)
-        print(f"recorded as entry #{bench.load_history(path)[-1]['sequence']} "
-              f"in {path}")
-    return 1 if regressed and args.strict else 0
-
-
 def _load_sweep_spec(path: str):
     """Read a sweep spec file; the literal ``demo`` means the built-in demo."""
     from repro.dependability import SweepSpec, demo_spec
@@ -493,15 +454,6 @@ def _load_sweep_spec(path: str):
     return SweepSpec.from_json(text)
 
 
-def _write_sweep_report(analysis, out: str) -> None:
-    """Build and write the dependability report (HTML + JSON sibling)."""
-    from repro.report import build_dependability_report
-
-    report = build_dependability_report(analysis)
-    path = report.write(out)
-    print(f"dependability report written to {path} (+ {path.with_suffix('.json').name})")
-
-
 def _print_sweep_summary(result) -> None:
     ok, degraded = result.ok_cells, result.degraded_cells
     print(
@@ -514,6 +466,7 @@ def _print_sweep_summary(result) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.dependability import SweepRunner, SweepStore, analyze_sweep
+    from repro.report import build_dependability_report
 
     if args.sweep_command == "init":
         from repro.dependability import validate_sweep_spec
@@ -534,7 +487,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.sweep_command == "report":
         analysis = analyze_sweep(args.dir)
         analysis.table().print()
-        _write_sweep_report(analysis, args.out or "sweep-report.html")
+        _write_report(build_dependability_report(analysis),
+                      args.out or "sweep-report.html", "dependability")
         return 0
 
     # run | resume
@@ -562,7 +516,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result = runner.run()
     _print_sweep_summary(result)
     if args.report:
-        _write_sweep_report(analyze_sweep(result), args.report)
+        _write_report(build_dependability_report(analyze_sweep(result)),
+                      args.report, "dependability")
     if tracer is not None:
         n_spans = len(tracer.finished)
         tracer.close()
@@ -882,53 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit nonzero when significant deltas exist",
     )
     trace.set_defaults(func=_cmd_trace)
-
-    bench = sub.add_parser(
-        "bench",
-        help="check a benchmark result against its rolling history baseline",
-    )
-    bench.add_argument(
-        "--input",
-        default="BENCH_campaign.json",
-        help="benchmark result JSON (default: BENCH_campaign.json)",
-    )
-    bench.add_argument(
-        "--history",
-        default="benchmarks/history",
-        help="history ledger directory (default: benchmarks/history)",
-    )
-    bench.add_argument(
-        "--record",
-        action="store_true",
-        help="append the result to the history ledger after checking",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the rolling baseline (default behaviour)",
-    )
-    bench.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit nonzero on regression instead of warning",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        help="relative change flagged as a regression (default: 0.10)",
-    )
-    bench.add_argument(
-        "--window",
-        type=int,
-        default=8,
-        help="history entries in the rolling baseline (default: 8)",
-    )
-    bench.add_argument(
-        "--stamp",
-        help="provenance marker stored with --record (e.g. a git SHA)",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     sweep = sub.add_parser(
         "sweep",

@@ -604,6 +604,8 @@ def run_fleet_campaign(
         raise ScheduleError(f"shards must be at least 1, got {shards}")
     if collect not in ("records", "summary"):
         raise ConfigurationError(f"collect must be 'records' or 'summary', got {collect!r}")
+    if batch_size is not None and batch_size < 1:
+        raise ConfigurationError(f"batch_size must be at least 1, got {batch_size}")
     if retry is not None:
         raise ConfigurationError(
             "run_fleet_campaign does not support retry=: the fleet path has "

@@ -1,36 +1,21 @@
-"""Campaign health reports and benchmark regression tracking.
+"""Campaign, fleet and dependability reports.
 
 Split from :mod:`repro.obs` on purpose: ``obs`` is the low-level
 instrument/trace layer that must stay import-light on the hot path,
 while this package is the *consumer* side — it renders finished
-campaigns into human-facing artefacts (self-contained HTML + JSON) and
-keeps the benchmark ledger.
+campaigns into human-facing artefacts (self-contained HTML + JSON).
 """
 
-from repro.report.bench import (
-    BenchCheck,
-    BenchVerdict,
-    check,
-    load_history,
-    record,
-    rolling_baseline,
-)
 from repro.report.builder import CampaignHealthReport, build_campaign_report
 from repro.report.dependability import build_dependability_report
 from repro.report.fleet import build_fleet_report
 from repro.report.svg import svg_line_chart, svg_scatter_chart
 
 __all__ = [
-    "BenchCheck",
-    "BenchVerdict",
     "CampaignHealthReport",
     "build_campaign_report",
     "build_dependability_report",
     "build_fleet_report",
-    "check",
-    "load_history",
-    "record",
-    "rolling_baseline",
     "svg_line_chart",
     "svg_scatter_chart",
 ]

@@ -119,3 +119,8 @@ class TestCollectionModes:
             run_fleet_campaign(n_chips=2, collect="everything")
         with pytest.raises(ConfigurationError):
             run_fleet_campaign(n_chips=2, fidelity="approximate")
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_rejects_batch_size_below_one(self, batch_size):
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            run_fleet_campaign(n_chips=2, batch_size=batch_size)

@@ -219,59 +219,6 @@ class TestReportCli:
                                 "quarantined", "rate_cache", "resilience"]
 
 
-class TestBenchCli:
-    def _entry(self, tmp_path, **overrides):
-        import json
-
-        entry = json.loads(open("BENCH_campaign.json", encoding="utf-8").read())
-        entry.update(overrides)
-        path = tmp_path / "candidate.json"
-        path.write_text(json.dumps(entry))
-        return path
-
-    def test_no_history_is_informational(self, tmp_path, capsys):
-        candidate = self._entry(tmp_path)
-        assert main(["bench", "--input", str(candidate),
-                     "--history", str(tmp_path / "h")]) == 0
-        assert "no matching history" in capsys.readouterr().out
-
-    def test_record_then_check_ok(self, tmp_path, capsys):
-        candidate = self._entry(tmp_path)
-        history = tmp_path / "h"
-        assert main(["bench", "--input", str(candidate),
-                     "--history", str(history), "--record"]) == 0
-        assert main(["bench", "--check", "--input", str(candidate),
-                     "--history", str(history)]) == 0
-        out = capsys.readouterr().out
-        assert "Bench regression check" in out
-        assert "REGRESSED" not in out
-
-    def test_slowed_run_warns_but_exits_zero(self, tmp_path, capsys):
-        import json
-
-        base = self._entry(tmp_path)
-        history = tmp_path / "h"
-        assert main(["bench", "--input", str(base),
-                     "--history", str(history), "--record"]) == 0
-        entry = json.loads(base.read_text())
-        slow = self._entry(
-            tmp_path,
-            campaign_wall_s=entry["campaign_wall_s"] * 1.5,
-            measurements_per_sec=entry["measurements_per_sec"] / 1.5,
-        )
-        assert main(["bench", "--check", "--input", str(slow),
-                     "--history", str(history)]) == 0
-        out = capsys.readouterr().out
-        assert "WARNING: possible regression" in out
-        assert main(["bench", "--check", "--strict", "--input", str(slow),
-                     "--history", str(history)]) == 1
-        capsys.readouterr()
-
-    def test_missing_input_is_an_error(self, tmp_path, capsys):
-        assert main(["bench", "--input", str(tmp_path / "nope.json")]) == 2
-        assert "not found" in capsys.readouterr().err
-
-
 class TestLintCli:
     """The `repro lint` subcommand against fixture trees."""
 
