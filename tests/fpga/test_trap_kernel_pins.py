@@ -2,9 +2,9 @@
 
 ``tests/lab/test_campaign_golden.py`` pins the per-chip Table-1
 campaign, which never touches the binned fleet kernel or the N-cycle
-closed form.  The values here pin both, plus an exact fleet driven on an
-offset chip span with per-chip temperatures, so a refactor of the trap
-physics that keeps them keeps every engine's numbers.
+closed form.  The values here pin both, plus an exact and a binned fleet
+driven on an offset chip span with per-chip temperatures, so a refactor
+of the trap physics that keeps them keeps every engine's numbers.
 """
 
 import hashlib
@@ -21,6 +21,10 @@ from repro.units import celsius, hours
 #: Seed-0 ten-chip binned lot, summary collection: digest of the summaries.
 BINNED_SUMMARY_DIGEST = "467fda1660fcd35c"
 BINNED_MEASUREMENTS = 1244
+
+#: Seven-chip binned lot driven on ``chips=slice(2, 6)``: raw bytes of
+#: every chip's float32 cell occupancy (both polarities) and path delays.
+BINNED_RAW_DIGEST = "df2d519a7bbce736"
 
 #: ``FpgaChip(seed=5).apply_cycles`` (DC active + -0.3 V sleep, n=1000).
 CYCLES_STATE_DIGEST = "2ca4931a61a89efd"
@@ -47,6 +51,36 @@ class TestBinnedLotPin:
         assert result.total_measurements == BINNED_MEASUREMENTS
         text = "".join(repr(summary) for summary in result.summaries)
         assert digest(text.encode()) == BINNED_SUMMARY_DIGEST
+
+
+class TestBinnedKernelRawPin:
+    """Pins the kernel's last ulp, which integer counter reads can hide."""
+
+    def test_offset_span_raw_bytes(self):
+        ids = [f"chip-{i + 1}" for i in range(7)]
+        fleet = FleetChip(ids, [21 + i for i in range(7)], fidelity="binned")
+        span = slice(2, 6)
+        temps = np.array([celsius(c) for c in (95.0, 100.0, 105.0, 110.0)])
+        supplies = np.array([1.2, 1.15, 1.1, 1.25])
+
+        fleet.apply_stress(hours(1.5), temps, supplies, mode=StressMode.AC, chips=span)
+        fleet.apply_stress(hours(2.0), temps[::-1].copy(), supplies, mode=StressMode.DC,
+                           chain_input=0, chips=span)
+        fleet.apply_stress(hours(1.0), temps, supplies[::-1].copy(), mode=StressMode.DC,
+                           chain_input=1, chips=span)
+        fleet.apply_recovery(hours(0.5), temps, np.array([-0.3, -0.3, -0.3, -0.3]),
+                             chips=span)
+        fleet.apply_recovery(hours(0.75), temps[::-1].copy(), np.zeros(4), chips=span)
+
+        parts = []
+        for index in range(fleet.n_chips):
+            state = fleet.export_chip_state(index)
+            parts.append(state["pmos_occupancy"].tobytes())
+            parts.append(state["nmos_occupancy"].tobytes())
+        parts.append(fleet.path_delays().tobytes())
+        assert digest(b"".join(parts)) == BINNED_RAW_DIGEST
+        # the chips outside the span are still fresh
+        np.testing.assert_array_equal(fleet.elapsed[[0, 1, 6]], 0.0)
 
 
 class TestCycleClosedFormPin:
