@@ -361,10 +361,17 @@ class TrapGrid:
     log-uniform inside them by construction).  A cell's representative
     time constants are the geometric centres of its bin; quantising a
     trap onto its cell moves each tau by at most half a bin width.
+    Cells are laid out ``(class, tau_c bin, tau_e bin)`` row-major, so a
+    cell's capture rate depends only on its (class, tau_c bin) and its
+    emission rate only on its (class, tau_e bin).
     """
 
     def __init__(
-        self, params: TrapParameters, n_classes: int, bins_per_decade: float = 3.0
+        self,
+        params: TrapParameters,
+        n_classes: int,
+        bins_per_decade: float = 3.0,
+        dtype=np.float32,
     ) -> None:
         if n_classes <= 0:
             raise ConfigurationError(f"n_classes must be positive, got {n_classes}")
@@ -373,16 +380,15 @@ class TrapGrid:
         self.params = params
         self.n_classes = n_classes
         self.bins_per_decade = bins_per_decade
+        self.dtype = np.dtype(dtype)
         self._log_lo_c, self._n_c, centres_c = self._axis(params.tau_capture_bounds)
         self._log_lo_e, self._n_e, centres_e = self._axis(params.tau_emission_bounds)
-        per_class = self._n_c * self._n_e
-        self.n_cells = n_classes * per_class
-        # Representative rates, tiled (class, tau_c, tau_e) row-major.
-        inv_c = np.repeat(1.0 / centres_c, self._n_e)
-        inv_e = np.tile(1.0 / centres_e, self._n_c)
-        self.inv_tau_c = np.tile(inv_c, n_classes)
-        self.inv_tau_e = np.tile(inv_e, n_classes)
-        self.class_of_cell = np.repeat(np.arange(n_classes), per_class)
+        #: ``(n_classes, n_c, n_e)``: the cell layout as an array shape.
+        self.shape = (n_classes, self._n_c, self._n_e)
+        self.n_cells = n_classes * self._n_c * self._n_e
+        #: Representative rates of the tau_c and tau_e bins.
+        self.inv_c_axis = (1.0 / centres_c).astype(self.dtype)
+        self.inv_e_axis = (1.0 / centres_e).astype(self.dtype)
 
     def _axis(self, bounds: tuple[float, float]) -> tuple[float, int, np.ndarray]:
         lo, hi = bounds
@@ -416,34 +422,28 @@ class BinnedFleetTraps:
     Each chip contributes per-cell *readout weights* (sums of
     impact x delay-sensitivity over the traps that landed in the cell),
     so the chip-level observable collapses to one dot product per chip.
-    Rates are computed per (chip, bias-class) and gathered per cell —
-    the same Arrhenius/field model as the exact engine, evaluated at the
-    cell's representative time constants.
+    Rates are factored: per (chip, bias-class) field/Arrhenius factors
+    times the grid's per-axis representative rates give ``(k, classes,
+    n_c)`` capture and ``(k, classes, n_e)`` emission rates, duty-mixed
+    at that size and expanded once onto the cells for the occupancy
+    update — the same model as the exact engine, evaluated at the
+    cells' representative time constants, in the grid's dtype.
     """
 
-    def __init__(
-        self,
-        grid: TrapGrid,
-        n_chips: int,
-        dtype=np.float32,
-        guard=None,
-    ) -> None:
+    def __init__(self, grid: TrapGrid, n_chips: int, guard=None) -> None:
         if n_chips <= 0:
             raise ConfigurationError(f"n_chips must be positive, got {n_chips}")
         self.grid = grid
         self.n_chips = n_chips
-        self.dtype = np.dtype(dtype)
+        self.dtype = grid.dtype
         self.occupancy = np.zeros((n_chips, grid.n_cells), dtype=self.dtype)
         self.readout_weight = np.zeros((n_chips, grid.n_cells), dtype=self.dtype)
         self.elapsed = np.zeros(n_chips)
-        self._inv_c = grid.inv_tau_c.astype(self.dtype)
-        self._inv_e = grid.inv_tau_e.astype(self.dtype)
         self._guard = guard if guard is not None else get_guard()
-        shape = (n_chips, grid.n_cells)
-        self._b_rc = np.empty(shape, dtype=self.dtype)
-        self._b_re = np.empty(shape, dtype=self.dtype)
-        self._b_tmp = np.empty(shape, dtype=self.dtype)
-        self._b_tmp2 = np.empty(shape, dtype=self.dtype)
+        # Per-cell rate buffers, shaped (chip, class, tau_c bin, tau_e bin)
+        # so the per-axis rates expand into them by broadcasting.
+        self._b_rc = np.empty((n_chips, *grid.shape), dtype=self.dtype)
+        self._b_re = np.empty((n_chips, *grid.shape), dtype=self.dtype)
 
     def add_chip(
         self, index: int, draws: TrapDraws, class_of_owner: np.ndarray, owner_weight: np.ndarray
@@ -454,38 +454,14 @@ class BinnedFleetTraps:
         row = np.bincount(cells, weights=weights, minlength=self.grid.n_cells)
         self.readout_weight[index] = row.astype(self.dtype)
 
-    def _class_factors(
+    def _axis_rates(
         self, v_class: np.ndarray, arr_c: np.ndarray, arr_e: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(chip, class) capture/emission factors for a class-voltage matrix."""
+        """``(k, classes, n_c)`` capture and ``(k, classes, n_e)`` emission rates."""
         vfac_c, vfac_e = _voltage_factors(self.grid.params, v_class)
-        fac_c = vfac_c * arr_c[:, None]
-        fac_e = vfac_e * arr_e[:, None]
-        return fac_c.astype(self.dtype), fac_e.astype(self.dtype)
-
-    def _rates_into(
-        self,
-        fac_c: np.ndarray,
-        fac_e: np.ndarray,
-        rc: np.ndarray,
-        re: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Expand class factors to per-cell rates, one pass per class.
-
-        Cells are laid out class-major (``class_of_cell`` is a repeat of
-        ``arange(n_classes)``), so the gather collapses to a broadcast
-        multiply per contiguous class segment — no index arrays.
-        """
-        per_class = self.grid.n_cells // self.grid.n_classes
-        for class_index in range(self.grid.n_classes):
-            seg = slice(class_index * per_class, (class_index + 1) * per_class)
-            np.multiply(
-                self._inv_c[seg], fac_c[:, class_index : class_index + 1], out=rc[:, seg]
-            )
-            np.multiply(
-                self._inv_e[seg], fac_e[:, class_index : class_index + 1], out=re[:, seg]
-            )
-        return rc, re
+        fac_c = (vfac_c * arr_c[:, None]).astype(self.dtype)
+        fac_e = (vfac_e * arr_e[:, None]).astype(self.dtype)
+        return fac_c[:, :, None] * self.grid.inv_c_axis, fac_e[:, :, None] * self.grid.inv_e_axis
 
     def evolve(
         self,
@@ -514,30 +490,33 @@ class BinnedFleetTraps:
         # binned fidelity never claims bit-identity with the scalar path.
         arr_c = np.exp(np.minimum(-p.ea_capture_ev * (inv_kt - inv_kt_ref), 700.0))  # repro: noqa[RPR006]
         arr_e = np.exp(np.minimum(-p.ea_emission_ev * (inv_kt - inv_kt_ref), 700.0))  # repro: noqa[RPR006]
-        fac_c, fac_e = self._class_factors(np.asarray(v_class, dtype=float), arr_c, arr_e)
-        rc, re = self._rates_into(fac_c, fac_e, self._b_rc[lo:hi], self._b_re[lo:hi])
+        rc, re = self._axis_rates(np.asarray(v_class, dtype=float), arr_c, arr_e)
         if duty < 1.0:
             relax = (
                 np.zeros_like(v_class)
                 if v_class_relax is None
                 else np.asarray(v_class_relax, dtype=float)
             )
-            fac_rc, fac_re = self._class_factors(relax, arr_c, arr_e)
-            tmp = self._b_tmp[lo:hi]
-            tmp2 = self._b_tmp2[lo:hi]
-            self._rates_into(fac_rc, fac_re, tmp, tmp2)
+            off_c, off_e = self._axis_rates(relax, arr_c, arr_e)
             suppression = self.dtype.type(
                 p.ac_capture_suppression ** (1.0 - duty)
             )
             off_weight = self.dtype.type(1.0 - duty)
             np.multiply(rc, self.dtype.type(duty) * suppression, out=rc)
-            np.multiply(tmp, off_weight, out=tmp)
-            rc += tmp
+            np.multiply(off_c, off_weight, out=off_c)
+            rc += off_c
             np.multiply(re, self.dtype.type(duty), out=re)
-            np.multiply(tmp2, off_weight, out=tmp2)
-            re += tmp2
+            np.multiply(off_e, off_weight, out=off_e)
+            re += off_e
+        # One expansion onto the cells: the update's inner loops stay long.
+        capture = self._b_rc[lo:hi]
+        emission = self._b_re[lo:hi]
+        np.copyto(capture, rc[:, :, :, None])
+        np.copyto(emission, re[:, :, None, :])
+        capture = capture.reshape(hi - lo, -1)
+        emission = emission.reshape(hi - lo, -1)
         occupancy = self.occupancy[lo:hi]
-        _affine_step(occupancy, rc, re, self.dtype.type(duration), re, rc)
+        _affine_step(occupancy, capture, emission, self.dtype.type(duration), emission, capture)
         self.elapsed[lo:hi] += duration
         guard = self._guard
         if guard.checking:

@@ -119,6 +119,18 @@ def campaign_stats(cell: SweepCell, retries: int, backoff_s: float) -> dict:
     for record in result.log:
         log_hash.update(repr(record).encode())
     metrics = tracer.metrics.snapshot()
+    # Read after the snapshot: a closing read must not add to the counters.
+    # The fleet engine keeps no chip objects; it reports final delays.
+    if cell.engine == "fleet":
+        degradation = {
+            chip_id: final - result.fresh_delays[chip_id]
+            for chip_id, final in sorted(result.final_delays.items())
+        }
+    else:
+        degradation = {
+            chip_id: chip.delta_path_delay()
+            for chip_id, chip in sorted(result.chips.items())
+        }
     guard_violations = {
         name.removeprefix("guard.violations."): value
         for name, value in metrics.items()
@@ -137,10 +149,7 @@ def campaign_stats(cell: SweepCell, retries: int, backoff_s: float) -> dict:
         "guard_violations_total": sum(guard_violations.values()),
         "faults_planned": len(faults) if faults is not None else 0,
         "log_digest": log_hash.hexdigest()[:16],
-        "degradation": {
-            chip_id: chip.delta_path_delay()
-            for chip_id, chip in sorted(result.chips.items())
-        },
+        "degradation": degradation,
     }
     if cell.lifetime.enabled:
         stats.update(lifetime_stats(cell))

@@ -89,6 +89,7 @@ def bias_pattern(
     temperatures,
     mode: StressMode = StressMode.DC,
     chain_input: int = 1,
+    owners: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, np.ndarray | None]:
     """Validated per-owner ``(v_stress, duty, v_relax)`` of one bias, for k chips.
 
@@ -98,6 +99,8 @@ def bias_pattern(
     stress freezes the ring at ``chain_input``, an AC stress toggles at
     50 % duty between the two complementary static patterns (``v_relax``
     is the off pattern), and a recovery biases every device uniformly.
+    An ``owners`` index returns only those owners' columns, bit for bit
+    the same as selecting them from the full pattern.
     """
     if supplies is None:
         supplies = tech.vdd_nominal if stress else 0.0
@@ -113,13 +116,15 @@ def bias_pattern(
     for temperature in np.atleast_1d(temperatures):
         tech.check_temperature(float(temperature))
     column = supplies[:, None]
+    select = slice(None) if owners is None else owners
     if not stress:
-        return np.repeat(column, netlist.n_owners, axis=1), 1.0, None
+        width = netlist.n_owners if owners is None else len(owners)
+        return np.repeat(column, width, axis=1), 1.0, None
     if mode is StressMode.DC:
-        return column * netlist.dc_stress_fractions(chain_input), 1.0, None
+        return column * netlist.dc_stress_fractions(chain_input)[select], 1.0, None
     if mode is StressMode.AC:
         pattern_a, pattern_b = netlist.ac_stress_fractions()
-        return column * pattern_a, 0.5, column * pattern_b
+        return column * pattern_a[select], 0.5, column * pattern_b[select]
     raise ConfigurationError(f"unknown stress mode {mode!r}")
 
 

@@ -11,7 +11,9 @@ Two fidelities:
   :meth:`FleetChip.view`'s :class:`ChipView` and the fleet test suite).
 * ``"binned"`` — CET-grid quantised populations for 10k-chip lots;
   statistically faithful, not bit-identical (see
-  :class:`~repro.bti.fleet.BinnedFleetTraps`).
+  :class:`~repro.bti.fleet.BinnedFleetTraps`).  Owners with identical
+  voltage histories form one bias class, and only one representative
+  owner per class is biased.
 
 Chip construction consumes each seed's generator in
 :class:`FpgaChip.__init__`'s order (variation sample, then the two
@@ -134,16 +136,19 @@ class FleetChip:
             caps[:, self._pmos_owners] = self._pmos.max_delta_vth()
             caps[:, self._nmos_owners] = self._nmos.max_delta_vth()
             self._dvth_caps = caps
+            bias_p, bias_n = self._pmos_owners, self._nmos_owners
         else:
-            self._class_p, class_of_owner_p = self._owner_classes(self._pmos_owners)
-            self._class_n, class_of_owner_n = self._owner_classes(self._nmos_owners)
+            # Every owner of a bias class shares its fraction row, so one
+            # representative owner's voltage stands for the whole class.
+            bias_p, class_of_owner_p = self._owner_classes(self._pmos_owners)
+            bias_n, class_of_owner_n = self._owner_classes(self._nmos_owners)
             self._pmos = BinnedFleetTraps(
-                TrapGrid(tech.nbti_traps, self._class_p.shape[0], bins_per_decade),
+                TrapGrid(tech.nbti_traps, bias_p.size, bins_per_decade),
                 self.n_chips,
                 guard=self.guard,
             )
             self._nmos = BinnedFleetTraps(
-                TrapGrid(tech.pbti_traps, self._class_n.shape[0], bins_per_decade),
+                TrapGrid(tech.pbti_traps, bias_n.size, bins_per_decade),
                 self.n_chips,
                 guard=self.guard,
             )
@@ -160,6 +165,11 @@ class FleetChip:
                     class_of_owner_n,
                     self._weights[index, self._nmos_owners] / self._div_nmos[index],
                 )
+        #: The owners whose voltages a phase needs: every owner (exact) or
+        #: one per bias class (binned), pMOS first, then nMOS from column
+        #: ``_bias_split`` on.
+        self._bias_owners = np.concatenate([bias_p, bias_n])
+        self._bias_split = bias_p.size
 
     def _owner_classes(self, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bias classes of one polarity's owners.
@@ -167,13 +177,17 @@ class FleetChip:
         Two owners belong to one class iff their voltage fractions agree
         in every bias the schedule grammar can apply (DC pattern, both AC
         patterns) — then their traps see identical voltage histories and
-        can share grid cells.  Returns ``(signatures, class_of_owner)``.
+        can share grid cells.  Returns ``(representatives,
+        class_of_owner)``: the first owner of each class, as a global
+        owner index, and each owner's class.
         """
         dc = self.netlist.dc_stress_fractions(1)
         ac_a, ac_b = self.netlist.ac_stress_fractions()
         signature = np.stack([dc[owners], ac_a[owners], ac_b[owners]], axis=1)
-        unique, inverse = np.unique(signature, axis=0, return_inverse=True)
-        return unique, inverse
+        _, first, inverse = np.unique(
+            signature, axis=0, return_index=True, return_inverse=True
+        )
+        return owners[first], inverse
 
     # ------------------------------------------------------------------ #
     # bias application (lock-step groups)
@@ -197,7 +211,8 @@ class FleetChip:
         """
         lo, hi = contiguous_chips(chips, self.n_chips)
         pattern = bias_pattern(
-            self.netlist, self.tech, True, supplies, temperatures, mode, chain_input
+            self.netlist, self.tech, True, supplies, temperatures, mode, chain_input,
+            owners=self._bias_owners,
         )
         self._evolve_span(duration, temperatures, *pattern, lo, hi, guard)
 
@@ -211,72 +226,40 @@ class FleetChip:
     ) -> None:
         """Recover a contiguous chip span (0 V passive or negative rail)."""
         lo, hi = contiguous_chips(chips, self.n_chips)
-        pattern = bias_pattern(self.netlist, self.tech, False, supplies, temperatures)
+        pattern = bias_pattern(
+            self.netlist, self.tech, False, supplies, temperatures, owners=self._bias_owners
+        )
         self._evolve_span(duration, temperatures, *pattern, lo, hi, guard)
 
     def _evolve_span(
         self,
         duration: float,
         temperatures: np.ndarray,
-        v_full: np.ndarray,
+        voltages: np.ndarray,
         duty: float,
-        v_relax_full: np.ndarray | None,
+        relax_voltages: np.ndarray | None,
         lo: int,
         hi: int,
         guard,
     ) -> None:
+        """Age both populations; voltages are ``(k, _bias_owners)`` columns."""
         span = slice(lo, hi)
         temperatures = np.asarray(temperatures, dtype=float)
-        if self.fidelity == "exact":
-            relax_p = relax_n = None
-            if v_relax_full is not None:
-                relax_p = v_relax_full[:, self._pmos_owners]
-                relax_n = v_relax_full[:, self._nmos_owners]
-            self._pmos.evolve(
-                duration, v_full[:, self._pmos_owners], temperatures,
-                duty=duty, v_relax=relax_p, chips=span, guard=guard,
-            )
-            self._nmos.evolve(
-                duration, v_full[:, self._nmos_owners], temperatures,
-                duty=duty, v_relax=relax_n, chips=span, guard=guard,
-            )
-        else:
-            # Class voltages: every owner of a class shares its fraction
-            # row, so one representative owner's voltage stands for all.
-            for pop, owners, classes in (
-                (self._pmos, self._pmos_owners, self._class_p),
-                (self._nmos, self._nmos_owners, self._class_n),
-            ):
-                rep = self._class_representatives(owners, classes)
-                v_class = v_full[:, rep]
-                v_relax_class = (
-                    None if v_relax_full is None else v_relax_full[:, rep]
-                )
+        split = self._bias_split
+        for pop, columns in ((self._pmos, slice(None, split)), (self._nmos, slice(split, None))):
+            relax = None if relax_voltages is None else relax_voltages[:, columns]
+            if self.fidelity == "exact":
                 pop.evolve(
-                    duration, v_class, temperatures,
-                    duty=duty, v_class_relax=v_relax_class, chips=span,
+                    duration, voltages[:, columns], temperatures,
+                    duty=duty, v_relax=relax, chips=span, guard=guard,
+                )
+            else:
+                pop.evolve(
+                    duration, voltages[:, columns], temperatures,
+                    duty=duty, v_class_relax=relax, chips=span,
                 )
         self._trap_updates.inc(self.netlist.n_owners * (hi - lo))
         self.elapsed[span] += duration
-
-    def _class_representatives(self, owners: np.ndarray, classes: np.ndarray) -> np.ndarray:
-        """Global owner index of one representative per bias class."""
-        # classes rows are unique (dc, ac_a, ac_b) signatures; find the
-        # first owner carrying each signature.  Cached after first use.
-        key = owners.tobytes()
-        cache = getattr(self, "_rep_cache", None)
-        if cache is None:
-            cache = self._rep_cache = {}
-        if key not in cache:
-            dc = self.netlist.dc_stress_fractions(1)
-            ac_a, ac_b = self.netlist.ac_stress_fractions()
-            signature = np.stack([dc[owners], ac_a[owners], ac_b[owners]], axis=1)
-            reps = np.empty(classes.shape[0], dtype=np.int64)
-            for class_index, row in enumerate(classes):
-                matches = np.flatnonzero((signature == row).all(axis=1))
-                reps[class_index] = owners[matches[0]]
-            cache[key] = reps
-        return cache[key]
 
     # ------------------------------------------------------------------ #
     # observables

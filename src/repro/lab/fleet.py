@@ -38,6 +38,7 @@ from repro.errors import ConfigurationError, MeasurementError, ScheduleError
 from repro.fpga.counter import ReadoutCounter
 from repro.fpga.fleet import FleetChip
 from repro.fpga.ring_oscillator import StressMode
+from repro.guard import Guard
 from repro.lab.campaign import CampaignResult
 from repro.lab.faults import FaultInjector, FaultKind, FaultPlan
 from repro.lab.clock_generator import ClockGenerator
@@ -371,13 +372,16 @@ class FleetCampaignResult(CampaignResult):
     """A :class:`CampaignResult` plus the fleet's population statistics.
 
     ``chips`` stays empty — 10k live chip objects defeat the point of the
-    batched engine; per-chip state is summarised in ``summaries``.  In
+    batched engine; per-chip state is summarised in ``summaries``, and
+    ``final_delays`` holds each chip's model path delay at the end of its
+    schedule (what ``chip.path_delay()`` reads on the per-chip engine).  In
     ``collect="summary"`` mode the log keeps only each phase's first and
     last record per chip (the distribution pipeline reads summaries, the
     hashes cover the full record stream regardless).
     """
 
     summaries: list[FleetChipSummary] = field(default_factory=list)
+    final_delays: dict[str, float] = field(default_factory=dict)
     fidelity: str = "exact"
     total_measurements: int = 0
     shards: int = 1
@@ -438,8 +442,8 @@ def _run_fleet_range(
     Every worker re-derives the complete per-chip stream table from the
     master seed — streams never depend on the shard cut — then runs its
     range in memory-bounded batches.  Returns per-chip results in chip
-    order: ``(baseline_records, case_records, summary)`` lists plus the
-    sanitizer hashes and the measurement count.
+    order: ``(baseline_records, case_records, summary)`` lists, the fresh
+    and final path delays, the sanitizer hashes and the measurement count.
     """
     tracer = tracer if tracer is not None else get_tracer()
     master = np.random.default_rng(seed)
@@ -454,6 +458,7 @@ def _run_fleet_range(
     case_records: dict[int, list] = {}
     summaries: dict[int, FleetChipSummary] = {}
     fresh_delays: dict[int, float] = {}
+    final_delays: dict[int, float] = {}
     hashes: dict[str, str] = {}
     total_measurements = 0
     sanitizer = DeterminismSanitizer() if sanitize else NULL_SANITIZER
@@ -524,7 +529,11 @@ def _run_fleet_range(
                     for p, start in zip(range(position, group_end), starts):
                         _trim_phase_records(logs[p], start)
             position = group_end
+        # Each chip's model delay at the end of its schedule, read under a
+        # tracer-less copy of the guard so it adds no counts to the trace.
+        finals = fleet.path_delays(guard=Guard(fleet.guard.config))
         for position, index in enumerate(order):
+            final_delays[index] = float(finals[position])
             baseline_records[index] = baselines[position]
             case_records[index] = logs[position]
             summaries[index] = _chip_summary(
@@ -544,6 +553,7 @@ def _run_fleet_range(
         [case_records[index] for index in ordered],
         [summaries[index] for index in ordered],
         {index: fresh_delays[index] for index in ordered},
+        {index: final_delays[index] for index in ordered},
         hashes,
         total_measurements,
     )
@@ -665,8 +675,6 @@ def run_fleet_campaign(
         if shards == 1:
             fleet_guard = None
             if guard is not None:
-                from repro.guard import Guard
-
                 fleet_guard = Guard(guard, tracer=tracer, owner="fleet")
             shard_results = [
                 _run_fleet_range(
@@ -695,9 +703,12 @@ def run_fleet_campaign(
         case_logs: list[DataLog] = []
         summaries: list[FleetChipSummary] = []
         fresh_delays: dict[str, float] = {}
+        final_delays: dict[str, float] = {}
         state_hashes: dict[str, str] = {}
         total_measurements = 0
-        for baselines, cases, shard_summaries, shard_fresh, hashes, count in shard_results:
+        for (
+            baselines, cases, shard_summaries, shard_fresh, shard_final, hashes, count
+        ) in shard_results:
             for records in baselines:
                 log = DataLog()
                 log.extend(records)
@@ -709,6 +720,7 @@ def run_fleet_campaign(
             summaries.extend(shard_summaries)
             for index, fresh in shard_fresh.items():
                 fresh_delays[f"chip-{index + 1}"] = fresh
+                final_delays[f"chip-{index + 1}"] = shard_final[index]
             state_hashes.update(hashes)
             total_measurements += count
         log = DataLog.merge(baseline_logs + case_logs)
@@ -735,6 +747,7 @@ def run_fleet_campaign(
         fresh_delays=fresh_delays,
         state_hashes=state_hashes,
         summaries=summaries,
+        final_delays=final_delays,
         fidelity=fidelity,
         total_measurements=total_measurements,
         shards=shards,

@@ -30,6 +30,9 @@ class TestExactBitIdentity:
                                    sanitize=True)
         assert list(fleet.log) == list(sequential.log)
         assert fleet.fresh_delays == sequential.fresh_delays
+        assert fleet.final_delays == {
+            chip_id: chip.path_delay() for chip_id, chip in sequential.chips.items()
+        }
         assert fleet.state_hashes == sequential.state_hashes
         assert fleet.complete
         assert fleet.total_measurements == len(sequential.log)
@@ -61,6 +64,8 @@ class TestSharding:
         assert list(base.log) == list(sharded.log)
         assert base.state_hashes == sharded.state_hashes
         assert base.fresh_delays == sharded.fresh_delays
+        assert base.final_delays == sharded.final_delays
+        assert list(base.final_delays) == [f"chip-{i + 1}" for i in range(6)]
         assert [s.case_end_frequency for s in base.summaries] == [
             s.case_end_frequency for s in sharded.summaries
         ]
