@@ -18,8 +18,9 @@ Sections
 * quarantine table (which chip, during which case, why);
 * trap-rate cache effectiveness.
 
-Everything lands in a JSON dict first; the HTML is a rendering of that
-dict plus the charts, so the two artefacts can never disagree.
+Everything lands in a JSON dict first; the HTML is that dict plus the
+charts, declared as sections for :func:`repro.report.html.page`, so the
+two artefacts can never disagree.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from repro.analysis.series import Series
 from repro.analysis.stats import bootstrap_ci, summary
-from repro.errors import ScheduleError
+from repro.errors import ConfigurationError, ScheduleError
 from repro.units import SECONDS_PER_HOUR
 from repro.lab.campaign import CampaignResult
 from repro.obs.query import TraceModel
@@ -53,8 +56,13 @@ def _chip_no(chip_id: str) -> int:
         return 0
 
 
-def _ci_stats(values: list[float]) -> dict:
-    """Summary + 95% bootstrap CI, degrading gracefully on tiny samples."""
+def summary_with_ci(values: list[float], percentiles: tuple[float, ...] = ()) -> dict:
+    """Summary statistics plus a 95% bootstrap CI, as a JSON entry.
+
+    Tiny samples degrade gracefully: ``{"n": 0}`` when empty, no CI
+    below two values.  ``percentiles`` adds a ``pN`` table; its p50 is
+    the median, so the bare ``median`` key is then left out.
+    """
     if not values:
         return {"n": 0}
     stats = summary(values)
@@ -63,9 +71,15 @@ def _ci_stats(values: list[float]) -> dict:
         "mean": stats.mean,
         "std": stats.std,
         "min": stats.minimum,
-        "median": stats.median,
         "max": stats.maximum,
     }
+    if percentiles:
+        arr = np.asarray(values, dtype=float)
+        entry["percentiles"] = {
+            f"p{pct:g}": float(np.percentile(arr, pct)) for pct in percentiles
+        }
+    else:
+        entry["median"] = stats.median
     if stats.n >= 2:
         low, high = bootstrap_ci(values)
         entry["ci95"] = [low, high]
@@ -84,14 +98,23 @@ class CampaignHealthReport:
         return json.dumps(self.data, indent=2, sort_keys=True)
 
     def write(self, html_path: str | Path, json_path: str | Path | None = None) -> Path:
-        """Write the HTML (and JSON beside it unless given its own path)."""
+        """Write the HTML (and JSON beside it unless given its own path).
+
+        Raises :class:`~repro.errors.ConfigurationError` when both would
+        land in one file, e.g. an HTML path that ends in ``.json``.
+        """
         html_path = Path(html_path)
-        html_path.parent.mkdir(parents=True, exist_ok=True)
-        html_path.write_text(self.html, encoding="utf-8")
         json_path = (
             html_path.with_suffix(".json") if json_path is None else Path(json_path)
         )
-        Path(json_path).write_text(self.to_json() + "\n", encoding="utf-8")
+        if html_path.resolve() == json_path.resolve():
+            raise ConfigurationError(
+                f"report HTML and JSON would both be written to {html_path}; "
+                "give the HTML a different suffix"
+            )
+        html_path.parent.mkdir(parents=True, exist_ok=True)
+        html_path.write_text(self.html, encoding="utf-8")
+        json_path.write_text(self.to_json() + "\n", encoding="utf-8")
         return html_path
 
 
@@ -195,8 +218,8 @@ def build_campaign_report(
         "faults_injected": int(model.metric_value(_FAULTS)),
         "sample_retries": int(model.metric_value(_RETRIES)),
         "quarantines": int(model.metric_value(_QUARANTINES)) or len(result.quarantined),
-        "per_chip_measurements": _ci_stats(per_chip_meas),
-        "final_degradation_pct": _ci_stats(per_chip_final),
+        "per_chip_measurements": summary_with_ci(per_chip_meas),
+        "final_degradation_pct": summary_with_ci(per_chip_final),
     }
 
     quarantine_rows = [
@@ -227,7 +250,7 @@ def build_campaign_report(
         "quarantined": quarantine_rows,
         "rate_cache": cache,
     }
-    return CampaignHealthReport(data, _render_html(data, result, chip_rows))
+    return CampaignHealthReport(data, H.page(title, _sections(data, result)))
 
 
 def _ci_text(entry: dict) -> str:
@@ -241,120 +264,61 @@ def _ci_text(entry: dict) -> str:
     return text
 
 
-def _render_html(
-    data: dict, result: CampaignResult, chip_rows: list[dict]
-) -> str:
-    meta = data["meta"]
-    sections: list[str] = []
-
-    status = (
-        '<span class="ok">complete</span>'
-        if meta["complete"]
-        else f'<span class="bad">{len(data["quarantined"])} chip(s) quarantined</span>'
-    )
-    sections.append("<h2>Campaign</h2>")
-    sections.append(
-        H.rows_table(
-            "Campaign summary",
-            ["quantity", "value"],
-            [
-                ["status", status],
-                ["chips", meta["n_chips"]],
-                ["cases", ", ".join(meta["cases"]) or "-"],
-                ["measurements", meta["measurements"]],
-                ["simulated", f"{meta['sim_seconds'] / SECONDS_PER_HOUR:,.1f} h"],
-                [
-                    "sim seconds per wall second",
-                    f"{meta['sim_seconds_per_wall_second']:,.0f}",
-                ],
-                ["trace spans", meta["trace_spans"]],
-                ["seed", meta["seed"] if meta["seed"] is not None else "-"],
-            ],
-        ).replace(H.escape(status), status)  # keep the styled span live
-    )
-
-    sections.append("<h2>Chips</h2>")
-    sections.append(
-        H.rows_table(
-            "Per-chip summary",
-            [
-                "chip", "fresh delay ns", "fresh MHz", "measurements",
-                "cases", "final degradation %", "quarantined",
-            ],
-            [
-                [
-                    row["chip_id"],
-                    row["fresh_delay_ns"],
-                    row["fresh_frequency_mhz"],
-                    row["measurements"],
-                    ", ".join(row["cases"]) or "-",
-                    row["final_degradation_pct"],
-                    row["quarantined"],
-                ]
-                for row in chip_rows
-            ],
-        )
-    )
-
-    sections.append("<h2>Frequency degradation</h2>")
-    charts = _degradation_charts(result, chip_rows)
-    if charts:
-        sections.extend(charts)
-    else:
-        sections.append('<p class="note">No per-case measurement series recorded.</p>')
-
-    sections.append("<h2>Guard violations</h2>")
-    if data["guard_violations"]:
-        sections.append(
-            H.rows_table(
-                "Physics-contract violations",
-                ["contract", "violations"],
-                [[g["contract"], g["violations"]] for g in data["guard_violations"]],
-            )
-        )
-    else:
-        sections.append('<p class="note">No guard violations recorded.</p>')
-
-    res = data["resilience"]
-    sections.append("<h2>Faults, retries and quarantines</h2>")
-    sections.append(
-        H.rows_table(
-            "Resilience statistics",
-            ["quantity", "value"],
-            [
-                ["faults injected", res["faults_injected"]],
-                ["sample retries", res["sample_retries"]],
-                ["chips quarantined", res["quarantines"]],
-                ["measurements per chip", _ci_text(res["per_chip_measurements"])],
-                ["final degradation % per chip", _ci_text(res["final_degradation_pct"])],
-            ],
-        )
-    )
-    if data["quarantined"]:
-        sections.append(
-            H.rows_table(
-                "Quarantined chips",
-                ["chip", "during case", "sim time h", "reason"],
-                [
-                    [q["chip_id"], q["case"], q["sim_time_h"], q["reason"]]
-                    for q in data["quarantined"]
-                ],
-            )
-        )
-
-    cache = data["rate_cache"]
-    sections.append("<h2>Trap-rate cache</h2>")
-    sections.append(
-        H.rows_table(
-            "Rate-cache effectiveness",
-            ["quantity", "value"],
-            [
-                ["lookups", cache["lookups"]],
-                ["hits", cache["hits"]],
-                ["misses", cache["misses"]],
-                ["hit rate", f"{100.0 * cache['hit_rate']:.1f}%"],
-            ],
-        )
-    )
-
-    return H.page(meta["title"], sections)
+def _sections(data: dict, result: CampaignResult) -> list[str]:
+    """The health report's sections, in page order."""
+    meta, res, cache = data["meta"], data["resilience"], data["rate_cache"]
+    charts = _degradation_charts(result, data["chips"])
+    quarantined = data["quarantined"]
+    return [
+        H.heading("Campaign"),
+        H.rows_table("Campaign summary", ["quantity", "value"], [
+            ["status", H.status("complete", True) if meta["complete"]
+             else H.status(f"{len(quarantined)} chip(s) quarantined", False)],
+            ["chips", meta["n_chips"]],
+            ["cases", ", ".join(meta["cases"]) or "-"],
+            ["measurements", meta["measurements"]],
+            ["simulated", f"{meta['sim_seconds'] / SECONDS_PER_HOUR:,.1f} h"],
+            ["sim seconds per wall second",
+             f"{meta['sim_seconds_per_wall_second']:,.0f}"],
+            ["trace spans", meta["trace_spans"]],
+            ["seed", meta["seed"] if meta["seed"] is not None else "-"],
+        ]),
+        H.heading("Chips"),
+        H.table("Per-chip summary", [
+            ("chip", "chip_id"),
+            ("fresh delay ns", "fresh_delay_ns"),
+            ("fresh MHz", "fresh_frequency_mhz"),
+            ("measurements", "measurements"),
+            ("cases", lambda row: ", ".join(row["cases"]) or "-"),
+            ("final degradation %", "final_degradation_pct"),
+            ("quarantined", "quarantined"),
+        ], data["chips"]),
+        H.heading("Frequency degradation"),
+        *(charts or [H.note("No per-case measurement series recorded.")]),
+        H.heading("Guard violations"),
+        H.table("Physics-contract violations", [
+            ("contract", "contract"), ("violations", "violations"),
+        ], data["guard_violations"]) if data["guard_violations"]
+        else H.note("No guard violations recorded."),
+        H.heading("Faults, retries and quarantines"),
+        H.rows_table("Resilience statistics", ["quantity", "value"], [
+            ["faults injected", res["faults_injected"]],
+            ["sample retries", res["sample_retries"]],
+            ["chips quarantined", res["quarantines"]],
+            ["measurements per chip", _ci_text(res["per_chip_measurements"])],
+            ["final degradation % per chip", _ci_text(res["final_degradation_pct"])],
+        ]),
+        *([H.table("Quarantined chips", [
+            ("chip", "chip_id"),
+            ("during case", "case"),
+            ("sim time h", "sim_time_h"),
+            ("reason", "reason"),
+        ], quarantined)] if quarantined else []),
+        H.heading("Trap-rate cache"),
+        H.rows_table("Rate-cache effectiveness", ["quantity", "value"], [
+            ["lookups", cache["lookups"]],
+            ["hits", cache["hits"]],
+            ["misses", cache["misses"]],
+            ["hit rate", f"{100.0 * cache['hit_rate']:.1f}%"],
+        ]),
+    ]

@@ -15,11 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.series import Series
-from repro.analysis.stats import bootstrap_ci, summary
 from repro.lab.fleet import FleetCampaignResult
 from repro.obs.query import TraceModel
 from repro.report import html as H
-from repro.report.builder import CampaignHealthReport
+from repro.report.builder import CampaignHealthReport, summary_with_ci
 from repro.report.svg import svg_line_chart
 
 #: Chips further than this many robust sigma equivalents from their
@@ -40,26 +39,12 @@ _METRICS = (
 _THROUGHPUT = "campaign.fleet_measurements_per_second"
 
 
-def _distribution(values: list[float]) -> dict:
-    """Summary statistics + percentiles + 95% CI for one metric."""
-    if not values:
-        return {"n": 0}
-    stats = summary(values)
-    arr = np.asarray(values, dtype=float)
-    entry = {
-        "n": stats.n,
-        "mean": stats.mean,
-        "std": stats.std,
-        "min": stats.minimum,
-        "max": stats.maximum,
-        "percentiles": {
-            f"p{pct:g}": float(np.percentile(arr, pct)) for pct in PERCENTILES
-        },
-    }
-    if stats.n >= 2:
-        low, high = bootstrap_ci(values)
-        entry["ci95"] = [low, high]
-    return entry
+def _by_chip_no(result: FleetCampaignResult, metric: str) -> dict[int, list[float]]:
+    """``metric`` of every chip, grouped by schedule position (chip_no)."""
+    by_no: dict[int, list[float]] = {}
+    for chip in result.summaries:
+        by_no.setdefault(chip.chip_no, []).append(getattr(chip, metric))
+    return by_no
 
 
 #: Scale factor turning a median absolute deviation into a sigma
@@ -77,11 +62,8 @@ def _outliers(result: FleetCampaignResult, metric: str) -> list[dict]:
     silicon — and the spread is the median absolute deviation scaled to
     a sigma equivalent, so an extreme chip cannot widen its own fence.
     """
-    by_no: dict[int, list[float]] = {}
-    for chip in result.summaries:
-        by_no.setdefault(chip.chip_no, []).append(getattr(chip, metric))
     fences = {}
-    for chip_no, values in by_no.items():
+    for chip_no, values in _by_chip_no(result, metric).items():
         arr = np.asarray(values, dtype=float)
         center = float(np.median(arr))
         spread = _MAD_TO_SIGMA * float(np.median(np.abs(arr - center)))
@@ -109,9 +91,7 @@ def _outliers(result: FleetCampaignResult, metric: str) -> list[dict]:
 
 def _histogram_series(result: FleetCampaignResult, metric: str) -> list[Series]:
     """Per-schedule-position histograms of ``metric`` as plottable series."""
-    by_no: dict[int, list[float]] = {}
-    for chip in result.summaries:
-        by_no.setdefault(chip.chip_no, []).append(getattr(chip, metric))
+    by_no = _by_chip_no(result, metric)
     lo = min(min(v) for v in by_no.values())
     hi = max(max(v) for v in by_no.values())
     if hi <= lo:
@@ -150,13 +130,11 @@ def build_fleet_report(
     distributions = {}
     for metric, _label in _METRICS:
         values = [getattr(chip, metric) for chip in result.summaries]
-        by_no: dict[int, list[float]] = {}
-        for chip in result.summaries:
-            by_no.setdefault(chip.chip_no, []).append(getattr(chip, metric))
+        by_no = _by_chip_no(result, metric)
         distributions[metric] = {
-            "lot": _distribution(values),
+            "lot": summary_with_ci(values, PERCENTILES),
             "by_chip_no": {
-                str(chip_no): _distribution(by_no[chip_no])
+                str(chip_no): summary_with_ci(by_no[chip_no], PERCENTILES)
                 for chip_no in sorted(by_no)
             },
         }
@@ -168,73 +146,50 @@ def build_fleet_report(
         "distributions": distributions,
         "outliers": outliers,
     }
-    return CampaignHealthReport(data, _render_html(data, result))
+    return CampaignHealthReport(data, H.page(title, _sections(data, result)))
 
 
-def _distribution_rows(groups: dict[str, dict]) -> list[list[object]]:
-    rows = []
-    for name, entry in groups.items():
-        if entry.get("n", 0) == 0:
-            rows.append([name, 0, "-", "-", "-", "-", "-", "-"])
-            continue
-        pct = entry["percentiles"]
-        rows.append(
-            [
-                name,
-                entry["n"],
-                entry["mean"],
-                entry["std"],
-                pct["p1"],
-                pct["p50"],
-                pct["p99"],
-                entry["max"],
-            ]
-        )
-    return rows
+def _group_entry(group: str, entry: dict) -> dict:
+    """A distribution entry flattened into one table row (pN at top level)."""
+    return {"group": group, **entry, **entry.get("percentiles", {})}
 
 
-def _render_html(data: dict, result: FleetCampaignResult) -> str:
+def _sections(data: dict, result: FleetCampaignResult) -> list[str]:
+    """The fleet report's sections, in page order."""
     meta = data["meta"]
-    sections: list[str] = []
-
-    sections.append("<h2>Fleet</h2>")
     throughput = meta["measurements_per_second"]
-    sections.append(
-        H.rows_table(
-            "Fleet summary",
-            ["quantity", "value"],
-            [
-                ["chips", meta["n_chips"]],
-                ["fidelity", meta["fidelity"]],
-                ["shards", meta["shards"]],
-                ["measurements", meta["measurements"]],
-                ["records kept", meta["collected_records"]],
-                [
-                    "measurements per wall second",
-                    f"{throughput:,.0f}" if throughput else "-",
-                ],
-                ["seed", meta["seed"] if meta["seed"] is not None else "-"],
-            ],
-        )
-    )
-
+    sections = [
+        H.heading("Fleet"),
+        H.rows_table("Fleet summary", ["quantity", "value"], [
+            ["chips", meta["n_chips"]],
+            ["fidelity", meta["fidelity"]],
+            ["shards", meta["shards"]],
+            ["measurements", meta["measurements"]],
+            ["records kept", meta["collected_records"]],
+            ["measurements per wall second",
+             f"{throughput:,.0f}" if throughput else "-"],
+            ["seed", meta["seed"] if meta["seed"] is not None else "-"],
+        ]),
+    ]
     for metric, label in _METRICS:
         dist = data["distributions"][metric]
-        sections.append(f"<h2>Distribution: {H.escape(label)}</h2>")
-        groups = {"lot": dist["lot"]}
-        groups.update(
-            {
-                f"chip no. {chip_no}": entry
-                for chip_no, entry in dist["by_chip_no"].items()
-            }
-        )
-        sections.append(
-            H.rows_table(
-                f"{label} — population statistics",
-                ["group", "n", "mean", "std", "p1", "median", "p99", "max"],
-                _distribution_rows(groups),
-            )
-        )
+        groups = [_group_entry("lot", dist["lot"])] + [
+            _group_entry(f"chip no. {chip_no}", entry)
+            for chip_no, entry in dist["by_chip_no"].items()
+        ]
+        sections += [
+            H.heading(f"Distribution: {label}"),
+            H.table(f"{label} — population statistics", [
+                ("group", "group"),
+                ("n", "n"),
+                ("mean", "mean"),
+                ("std", "std"),
+                ("p1", "p1"),
+                ("median", "p50"),
+                ("p99", "p99"),
+                ("max", "max"),
+            ], groups),
+        ]
         if len(result.summaries) >= 2:
             chart = svg_line_chart(
                 _histogram_series(result, metric),
@@ -242,37 +197,21 @@ def _render_html(data: dict, result: FleetCampaignResult) -> str:
                 x_label="degradation %",
                 y_label="chips per bin",
             )
-            sections.append(
-                H.figure(
-                    chart,
-                    f"{label}: one curve per Table 1 schedule position "
-                    f"({meta['n_chips']:,} chips total)",
-                )
-            )
-
-        rows = data["outliers"][metric]
-        sections.append(f"<h3>Outliers (&gt; {OUTLIER_SIGMA:g}&sigma;)</h3>")
-        if rows:
-            sections.append(
-                H.rows_table(
-                    f"{label} — outlier chips",
-                    ["chip", "chip no.", "value %", "group median %", "z-score"],
-                    [
-                        [
-                            row["chip_id"],
-                            row["chip_no"],
-                            row["value"],
-                            row["group_median"],
-                            row["z_score"],
-                        ]
-                        for row in rows
-                    ],
-                )
-            )
-        else:
-            sections.append(
-                '<p class="note">No chip beyond the sigma fence '
-                "within its schedule group.</p>"
-            )
-
-    return H.page(meta["title"], sections)
+            sections.append(H.figure(
+                chart,
+                f"{label}: one curve per Table 1 schedule position "
+                f"({meta['n_chips']:,} chips total)",
+            ))
+        outliers = data["outliers"][metric]
+        sections += [
+            H.heading(H.Markup(f"Outliers (&gt; {OUTLIER_SIGMA:g}&sigma;)"), 3),
+            H.table(f"{label} — outlier chips", [
+                ("chip", "chip_id"),
+                ("chip no.", "chip_no"),
+                ("value %", "value"),
+                ("group median %", "group_median"),
+                ("z-score", "z_score"),
+            ], outliers) if outliers
+            else H.note("No chip beyond the sigma fence within its schedule group."),
+        ]
+    return sections

@@ -1,16 +1,20 @@
-"""HTML building blocks for the self-contained campaign health report.
+"""The one section renderer behind the campaign, fleet and sweep reports.
 
-Everything here emits plain strings; the only styling is one inline
-``<style>`` block in :func:`page`, so the finished report is a single
+A report is its JSON data plus a list of sections, each one HTML
+fragment: :func:`heading`, :func:`table` (or :func:`rows_table`),
+:func:`figure` around an inline SVG chart, or :func:`note`.
+:func:`page` renders any section list into the finished document.  The
+only styling is one inline ``<style>`` block, so the report is a single
 file that opens anywhere with no network access.
+
+Text is escaped on the way in; only :class:`Markup` — the fragments
+built here and the styled :func:`status` cell — passes through as is.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Mapping, Sequence, Union
 from xml.sax.saxutils import escape
-
-from repro.analysis.tables import Table
 
 #: The whole report's stylesheet — inlined, never linked.
 STYLE = """
@@ -29,58 +33,80 @@ figure { margin: 1em 0; }
 figcaption { font-size: 0.92em; color: #555; }
 """.strip()
 
+#: A table column's key: a key of the JSON entry, or a function of it.
+Key = Union[str, Callable[[Mapping], object]]
 
-def _cell(cell: object, fmt: str) -> tuple[str, bool]:
-    """(rendered text, is-numeric) for one table cell."""
+
+class Markup(str):
+    """Text that is already HTML: rendered as is, never escaped again."""
+
+
+def _text(value: object) -> str:
+    return value if isinstance(value, Markup) else escape(str(value))
+
+
+def status(text: str, ok: bool) -> Markup:
+    """A status cell: ``text`` styled green when ``ok``, red otherwise."""
+    return Markup(f'<span class="{"ok" if ok else "bad"}">{escape(text)}</span>')
+
+
+def _cell(cell: object, fmt: str) -> str:
+    """One ``<td>``; numbers get the right-aligned ``num`` class."""
     if isinstance(cell, bool):
-        return ("yes" if cell else "no"), False
+        return f"<td>{'yes' if cell else 'no'}</td>"
     if isinstance(cell, float):
-        return fmt.format(cell), True
+        return f'<td class="num">{fmt.format(cell)}</td>'
     if isinstance(cell, int):
-        return f"{cell:,}", True
-    return escape(str(cell)), False
-
-
-def table_html(table: Table, caption: str | None = None) -> str:
-    """Render an :class:`~repro.analysis.tables.Table` as an HTML table.
-
-    Numeric cells get the ``num`` class (right-aligned tabular figures);
-    the table's title becomes the caption unless overridden.
-    """
-    lines = ["<table>"]
-    lines.append(f"<caption>{escape(caption or table.title)}</caption>")
-    lines.append(
-        "<tr>" + "".join(f"<th>{escape(str(c))}</th>" for c in table.columns) + "</tr>"
-    )
-    for row in table.rows:
-        cells = []
-        for cell in row:
-            text, numeric = _cell(cell, table.fmt)
-            cells.append(f'<td class="num">{text}</td>' if numeric else f"<td>{text}</td>")
-        lines.append("<tr>" + "".join(cells) + "</tr>")
-    lines.append("</table>")
-    return "\n".join(lines)
+        return f'<td class="num">{cell:,}</td>'
+    return f"<td>{_text(cell)}</td>"
 
 
 def rows_table(
     title: str, columns: Sequence[str], rows: Sequence[Sequence[object]],
     fmt: str = "{:,.3f}",
-) -> str:
-    """Shorthand: build a Table from raw rows and render it to HTML."""
-    table = Table(title, list(columns), fmt=fmt)
+) -> Markup:
+    """A captioned HTML table of raw rows; floats are formatted with ``fmt``."""
+    lines = ["<table>", f"<caption>{escape(title)}</caption>"]
+    lines.append("<tr>" + "".join(f"<th>{escape(c)}</th>" for c in columns) + "</tr>")
     for row in rows:
-        table.add_row(*row)
-    return table_html(table)
+        lines.append("<tr>" + "".join(_cell(cell, fmt) for cell in row) + "</tr>")
+    lines.append("</table>")
+    return Markup("\n".join(lines))
 
 
-def figure(svg: str, caption: str) -> str:
+def table(
+    title: str, columns: Sequence[tuple[str, Key]], entries: Sequence[Mapping],
+    fmt: str = "{:,.3f}",
+) -> Markup:
+    """A table over JSON entries, its columns declared as (header, key) pairs.
+
+    A key the entry lacks renders as ``-``.
+    """
+    rows = [
+        [key(entry) if callable(key) else entry.get(key, "-") for _, key in columns]
+        for entry in entries
+    ]
+    return rows_table(title, [header for header, _ in columns], rows, fmt)
+
+
+def heading(text: str, level: int = 2) -> Markup:
+    """A section heading (``<h2>`` unless ``level`` says otherwise)."""
+    return Markup(f"<h{level}>{_text(text)}</h{level}>")
+
+
+def note(text: str) -> Markup:
+    """A muted one-line note, e.g. in place of an empty table."""
+    return Markup(f'<p class="note">{escape(text)}</p>')
+
+
+def figure(svg: str, caption: str) -> Markup:
     """Wrap an inline SVG chart in a captioned ``<figure>``."""
-    return f"<figure>{svg}<figcaption>{escape(caption)}</figcaption></figure>"
+    return Markup(f"<figure>{svg}<figcaption>{escape(caption)}</figcaption></figure>")
 
 
-def page(title: str, body_sections: Sequence[str]) -> str:
-    """The full self-contained HTML document."""
-    body = "\n".join(body_sections)
+def page(title: str, sections: Sequence[str]) -> str:
+    """Render a section list into the full self-contained HTML document."""
+    body = "\n".join(sections)
     return (
         "<!DOCTYPE html>\n"
         '<html lang="en">\n<head>\n<meta charset="utf-8"/>\n'

@@ -21,6 +21,9 @@ PALETTE = (
     "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
 )
 
+#: Plot-area margin left of the y tick labels; the legend starts here too.
+_MARGIN_LEFT = 56.0
+
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     """``n`` evenly spaced tick values from lo to hi inclusive."""
@@ -28,6 +31,75 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
         return [lo, hi]
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
+
+
+def _frame(
+    width: int, height: int, title: str, x_label: str, y_label: str,
+    x_range: tuple[float, float], y_range: tuple[float, float],
+    margin_bottom: float,
+):
+    """Open a chart: title, plot frame, gridlines, ticks and axis labels.
+
+    Returns the SVG parts so far plus the data-to-pixel maps ``sx`` and
+    ``sy``; the caller appends its marks and the closing tag.
+    """
+    if width < 120 or height < 80:
+        raise ConfigurationError("chart must be at least 120 x 80 px")
+    margin_left, margin_right = _MARGIN_LEFT, 16.0
+    margin_top = 28.0 if title else 12.0
+    plot_w = width - margin_left - margin_right
+    plot_h = height - margin_top - margin_bottom
+    (x_min, x_max), (y_min, y_max) = x_range, y_range
+
+    def sx(x: float) -> float:
+        return margin_left + (x - x_min) / (x_max - x_min) * plot_w
+
+    def sy(y: float) -> float:
+        return margin_top + (1.0 - (y - y_min) / (y_max - y_min)) * plot_h
+
+    parts: list[str] = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}" '
+        f'role="img" font-family="sans-serif" font-size="11">'
+    ]
+    if title:
+        parts.append(
+            f'<text x="{width / 2:.2f}" y="16" text-anchor="middle" '
+            f'font-size="13">{escape(title)}</text>'
+        )
+    parts.append(
+        f'<rect x="{margin_left:.2f}" y="{margin_top:.2f}" '
+        f'width="{plot_w:.2f}" height="{plot_h:.2f}" fill="none" '
+        f'stroke="#999" stroke-width="1"/>'
+    )
+    for tick in _ticks(y_min, y_max):
+        y = sy(tick)
+        parts.append(
+            f'<line x1="{margin_left:.2f}" y1="{y:.2f}" '
+            f'x2="{margin_left + plot_w:.2f}" y2="{y:.2f}" '
+            f'stroke="#e0e0e0" stroke-width="0.5"/>'
+        )
+        parts.append(
+            f'<text x="{margin_left - 6:.2f}" y="{y + 3:.2f}" '
+            f'text-anchor="end">{tick:.3g}</text>'
+        )
+    for tick in _ticks(x_min, x_max):
+        x = sx(tick)
+        parts.append(
+            f'<text x="{x:.2f}" y="{margin_top + plot_h + 14:.2f}" '
+            f'text-anchor="middle">{tick:.3g}</text>'
+        )
+    parts.append(
+        f'<text x="{margin_left + plot_w / 2:.2f}" '
+        f'y="{margin_top + plot_h + 28:.2f}" text-anchor="middle">'
+        f'{escape(x_label)}</text>'
+    )
+    parts.append(
+        f'<text x="14" y="{margin_top + plot_h / 2:.2f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {margin_top + plot_h / 2:.2f})">'
+        f'{escape(y_label)}</text>'
+    )
+    return parts, sx, sy
 
 
 def svg_line_chart(
@@ -46,15 +118,6 @@ def svg_line_chart(
     """
     if not series:
         raise ConfigurationError("svg_line_chart needs at least one series")
-    if width < 120 or height < 80:
-        raise ConfigurationError("chart must be at least 120 x 80 px")
-
-    margin_left, margin_right = 56.0, 16.0
-    margin_top = 28.0 if title else 12.0
-    margin_bottom = 56.0
-    plot_w = width - margin_left - margin_right
-    plot_h = height - margin_top - margin_bottom
-
     x_min = min(float(s.times.min()) for s in series)
     x_max = max(float(s.times.max()) for s in series)
     y_min = min(float(s.values.min()) for s in series)
@@ -63,59 +126,10 @@ def svg_line_chart(
         x_max = x_min + 1.0
     if y_max == y_min:
         y_max = y_min + 1.0
-
-    def sx(x: float) -> float:
-        return margin_left + (x - x_min) / (x_max - x_min) * plot_w
-
-    def sy(y: float) -> float:
-        return margin_top + (1.0 - (y - y_min) / (y_max - y_min)) * plot_h
-
-    parts: list[str] = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" '
-        f'role="img" font-family="sans-serif" font-size="11">'
-    ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.2f}" y="16" text-anchor="middle" '
-            f'font-size="13">{escape(title)}</text>'
-        )
-    # plot frame
-    parts.append(
-        f'<rect x="{margin_left:.2f}" y="{margin_top:.2f}" '
-        f'width="{plot_w:.2f}" height="{plot_h:.2f}" fill="none" '
-        f'stroke="#999" stroke-width="1"/>'
+    parts, sx, sy = _frame(
+        width, height, title, x_label, y_label,
+        (x_min, x_max), (y_min, y_max), margin_bottom=56.0,
     )
-    # gridlines + ticks
-    for tick in _ticks(y_min, y_max):
-        y = sy(tick)
-        parts.append(
-            f'<line x1="{margin_left:.2f}" y1="{y:.2f}" '
-            f'x2="{margin_left + plot_w:.2f}" y2="{y:.2f}" '
-            f'stroke="#e0e0e0" stroke-width="0.5"/>'
-        )
-        parts.append(
-            f'<text x="{margin_left - 6:.2f}" y="{y + 3:.2f}" '
-            f'text-anchor="end">{tick:.3g}</text>'
-        )
-    for tick in _ticks(x_min, x_max):
-        x = sx(tick)
-        parts.append(
-            f'<text x="{x:.2f}" y="{margin_top + plot_h + 14:.2f}" '
-            f'text-anchor="middle">{tick:.3g}</text>'
-        )
-    # axis labels
-    parts.append(
-        f'<text x="{margin_left + plot_w / 2:.2f}" '
-        f'y="{margin_top + plot_h + 28:.2f}" text-anchor="middle">'
-        f'{escape(x_label)}</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{margin_top + plot_h / 2:.2f}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {margin_top + plot_h / 2:.2f})">'
-        f'{escape(y_label)}</text>'
-    )
-    # series
     for index, s in enumerate(series):
         colour = PALETTE[index % len(PALETTE)]
         points = " ".join(
@@ -128,7 +142,7 @@ def svg_line_chart(
         )
     # legend (bottom row, one swatch per series)
     legend_y = height - 10.0
-    x_cursor = margin_left
+    x_cursor = _MARGIN_LEFT
     for index, s in enumerate(series):
         colour = PALETTE[index % len(PALETTE)]
         parts.append(
@@ -164,15 +178,6 @@ def svg_scatter_chart(
     """
     if not points:
         raise ConfigurationError("svg_scatter_chart needs at least one point")
-    if width < 120 or height < 80:
-        raise ConfigurationError("chart must be at least 120 x 80 px")
-
-    margin_left, margin_right = 56.0, 16.0
-    margin_top = 28.0 if title else 12.0
-    margin_bottom = 44.0
-    plot_w = width - margin_left - margin_right
-    plot_h = height - margin_top - margin_bottom
-
     xs = [float(x) for x, _, _ in points]
     ys = [float(y) for _, y, _ in points]
     x_min, x_max = min(xs), max(xs)
@@ -180,56 +185,10 @@ def svg_scatter_chart(
     # Pad 5% so edge points are not clipped by the frame.
     x_pad = 0.05 * (x_max - x_min) or 0.5
     y_pad = 0.05 * (y_max - y_min) or 0.5
-    x_min, x_max = x_min - x_pad, x_max + x_pad
-    y_min, y_max = y_min - y_pad, y_max + y_pad
-
-    def sx(x: float) -> float:
-        return margin_left + (x - x_min) / (x_max - x_min) * plot_w
-
-    def sy(y: float) -> float:
-        return margin_top + (1.0 - (y - y_min) / (y_max - y_min)) * plot_h
-
-    parts: list[str] = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" '
-        f'role="img" font-family="sans-serif" font-size="11">'
-    ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.2f}" y="16" text-anchor="middle" '
-            f'font-size="13">{escape(title)}</text>'
-        )
-    parts.append(
-        f'<rect x="{margin_left:.2f}" y="{margin_top:.2f}" '
-        f'width="{plot_w:.2f}" height="{plot_h:.2f}" fill="none" '
-        f'stroke="#999" stroke-width="1"/>'
-    )
-    for tick in _ticks(y_min, y_max):
-        y = sy(tick)
-        parts.append(
-            f'<line x1="{margin_left:.2f}" y1="{y:.2f}" '
-            f'x2="{margin_left + plot_w:.2f}" y2="{y:.2f}" '
-            f'stroke="#e0e0e0" stroke-width="0.5"/>'
-        )
-        parts.append(
-            f'<text x="{margin_left - 6:.2f}" y="{y + 3:.2f}" '
-            f'text-anchor="end">{tick:.3g}</text>'
-        )
-    for tick in _ticks(x_min, x_max):
-        x = sx(tick)
-        parts.append(
-            f'<text x="{x:.2f}" y="{margin_top + plot_h + 14:.2f}" '
-            f'text-anchor="middle">{tick:.3g}</text>'
-        )
-    parts.append(
-        f'<text x="{margin_left + plot_w / 2:.2f}" '
-        f'y="{margin_top + plot_h + 28:.2f}" text-anchor="middle">'
-        f'{escape(x_label)}</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{margin_top + plot_h / 2:.2f}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {margin_top + plot_h / 2:.2f})">'
-        f'{escape(y_label)}</text>'
+    parts, sx, sy = _frame(
+        width, height, title, x_label, y_label,
+        (x_min - x_pad, x_max + x_pad), (y_min - y_pad, y_max + y_pad),
+        margin_bottom=44.0,
     )
     if len(frontier) >= 2:
         line = " ".join(

@@ -1,6 +1,8 @@
 """Dependability report: scatter chart, sections, JSON sibling."""
 
 import json
+from dataclasses import replace
+from xml.sax.saxutils import escape
 
 import pytest
 
@@ -111,6 +113,16 @@ class TestDependabilityReport:
         report = build_dependability_report(fabricated_analysis(failed_ids=()))
         assert "all cells completed" in report.html
         assert report.data["degraded"] == []
+
+    def test_user_text_equal_to_status_markup_stays_escaped(self):
+        # Only the styled status cell may be live markup; a spec name (user
+        # JSON) spelling that markup renders as text.
+        markup = '<span class="ok">all cells completed</span>'
+        analysis = fabricated_analysis(failed_ids=())
+        analysis = replace(analysis, spec=replace(analysis.spec, name=markup))
+        report = build_dependability_report(analysis)
+        assert report.html.count(markup) == 1  # the status cell alone
+        assert escape(markup) in report.html  # the sweep name, as text
 
     def test_write_emits_json_sibling(self, tmp_path):
         report = build_dependability_report(fabricated_analysis())

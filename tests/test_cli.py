@@ -135,6 +135,16 @@ class TestCampaignCli:
         assert data["meta"]["n_chips"] == 1
         assert data["rate_cache"]["lookups"] > 0
 
+    def test_campaign_report_to_a_json_path_fails_cleanly(self, tmp_path, capsys):
+        # The HTML and its JSON sibling would be the same file.
+        out = tmp_path / "out.json"
+        assert main(["campaign", "--chips", "1", "--quiet",
+                     "--report", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "report written" not in captured.out
+        assert not out.exists()
+
 
 class TestTraceCli:
     """The `repro trace` subcommands over a real exported trace."""
