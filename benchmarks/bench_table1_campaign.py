@@ -33,3 +33,28 @@ def test_bench_table1_rate_cache_reuse(once):
     # Even under instrument jitter the memo is reused heavily; a cold
     # cache would make every lookup a miss.
     assert reuse > 0.3
+
+
+def test_bench_table1_rate_memo_footprint(once):
+    """Only reused bias patterns stay resident in the rate memos.
+
+    Supply and chamber jitter make every DC-stress and negative-rail
+    chunk a pattern that never returns; the memo admits a pattern on its
+    second miss, so each population keeps at most the readout burst and
+    the power-gated recovery.  ``result.chips`` keeps every population
+    alive, so a memo that stored one-off patterns would show here.
+    """
+    tracer = Tracer()
+    result = once(run_table1_campaign, seed=0, tracer=tracer)
+    entries = {
+        (chip_id, polarity): getattr(chip, f"_{polarity}_population").rate_cache_entries
+        for chip_id, chip in result.chips.items()
+        for polarity in ("pmos", "nmos")
+    }
+    hits = tracer.metrics.value("bti.rate_cache.hits")
+    lookups = hits + tracer.metrics.value("bti.rate_cache.misses")
+    print(f"memo entries per population: {sorted(entries.values())}; "
+          f"{int(hits)} hits / {int(lookups)} lookups")
+    assert len(entries) == 10
+    assert max(entries.values()) <= 2
+    assert hits >= 1250

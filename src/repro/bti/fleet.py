@@ -26,10 +26,10 @@ chunk.  This module batches the same physics across chips:
   10k-chip fleets, never for bit-identity checks.
 
 Both engines call the trap-physics kernel of :mod:`repro.bti.traps`
-(voltage factors, occupancy update; the exact engine also the scalar
-Arrhenius factors, duty mix and cycle closed form), so there is one
-rate model.  The binned engine keeps its own float32 duty mix and
-vectorised Arrhenius factors: it never claims bit-identity.
+(voltage factors, occupancy update; the exact engine also the rate
+memo, scalar Arrhenius factors, duty mix and cycle closed form), so
+there is one rate model.  The binned engine keeps its own float32 duty
+mix and vectorised Arrhenius factors: it never claims bit-identity.
 """
 
 from __future__ import annotations
@@ -40,15 +40,18 @@ import numpy as np
 
 from repro.bti.traps import (
     CyclePhase,
+    RateMemo,
     TrapDraws,
     TrapParameters,
     _affine_step,
     _arrhenius,
     _check_cycles,
     _check_phase,
-    _combined_rates,
     _compose_cycles,
     _draw_population,
+    _rate_entry,
+    _rate_key,
+    _rates_into,
     _voltage_factors,
 )
 from repro.errors import ConfigurationError
@@ -99,6 +102,7 @@ class FleetTraps:
         n_owners: int,
         draws: Sequence[TrapDraws],
         guard=None,
+        tracer=None,
     ) -> None:
         if n_owners <= 0:
             raise ConfigurationError(f"n_owners must be positive, got {n_owners}")
@@ -128,6 +132,7 @@ class FleetTraps:
         self._scratch_pinf = np.empty(n_total)
         self._scratch_weights = np.empty(n_total)
         self._guard = guard if guard is not None else get_guard()
+        self._memo = RateMemo(tracer)
 
     # ------------------------------------------------------------------ #
     # spans
@@ -178,7 +183,10 @@ class FleetTraps:
         """Duty-averaged per-trap rates for a contiguous chip span.
 
         Temperatures are per chip (a scalar applies to the whole span);
-        each chip's scalar Arrhenius factors scale its trap block.
+        each chip's scalar Arrhenius factors scale its trap block.  The
+        span goes through the kernel's rate memo, keyed by its first chip
+        and flat bias block, and the rates are written into the span's
+        scratch buffers like ``TrapPopulation._effective_rates``.
         """
         temperatures = np.asarray(temperatures, dtype=float)
         if temperatures.ndim == 0:
@@ -187,25 +195,29 @@ class FleetTraps:
             raise ConfigurationError(
                 f"temperatures must have shape ({k},), got {temperatures.shape}"
             )
-        comb_c, comb_e = _combined_rates(
-            self.params,
-            self._owner_block(v_stress, k),
-            duty,
-            None if duty >= 1.0 else self._owner_block(0.0 if v_relax is None else v_relax, k),
-            self._inv_tau_c0[trap_span],
-            self._inv_tau_e0[trap_span],
-            self._gather_index(trap_span, lo),
+        v_stress = self._owner_block(v_stress, k)
+        if duty >= 1.0:  # callers validate duty <= 1.0, so this is pure DC
+            v_relax = None
+        else:
+            v_relax = self._owner_block(0.0 if v_relax is None else v_relax, k)
+        bounds = (self.trap_offsets[lo : lo + k + 1] - trap_span.start).tolist()
+        entry = self._memo.lookup(
+            _rate_key(lo, v_stress, duty, v_relax),
+            lambda: _rate_entry(
+                self.params, v_stress, duty, v_relax,
+                self._inv_tau_c0[trap_span], self._inv_tau_e0[trap_span],
+                self._gather_index(trap_span, lo), bounds,
+            ),
         )
-        factors = np.array([_arrhenius(self.params, float(t)) for t in temperatures])
-        counts = self.trap_counts[lo : lo + k]
-        capture = comb_c * np.repeat(factors[:, 0], counts)
-        emission = comb_e * np.repeat(factors[:, 1], counts)
-        if guard.checking:
-            rate_cap = guard.config.rate_cap
-            inputs = {"duty": float(duty), "fleet_chips": int(k)}
-            capture = guard.check_array("bti.rate", capture, 0.0, rate_cap, inputs=inputs)
-            emission = guard.check_array("bti.rate", emission, 0.0, rate_cap, inputs=inputs)
-        return capture, emission
+        return _rates_into(
+            entry,
+            bounds,
+            [_arrhenius(self.params, t) for t in temperatures.tolist()],
+            self._scratch_pinf[trap_span],
+            self._scratch_total[trap_span],
+            guard,
+            lambda: {"duty": float(duty), "fleet_chips": int(k)},
+        )
 
     def evolve(
         self,

@@ -22,9 +22,10 @@ oscillator over a 24 h phase is a handful of numpy operations.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,10 +35,11 @@ from repro.guard import get_guard, safe_exp, safe_exp_array
 from repro.obs import get_tracer
 from repro.units import BOLTZMANN_EV, celsius
 
-#: Number of bias patterns the per-population rate memo retains.
-#: A campaign touches a handful of distinct patterns (frozen DC, the two
-#: AC half-cycles, passive/negative recovery); 32 covers every schedule
-#: in the repo with room for ablation sweeps.
+#: Number of bias patterns a rate memo retains, and the length of its
+#: history of patterns seen once.  A campaign reuses a handful of
+#: patterns (frozen DC, the two AC half-cycles, passive/negative
+#: recovery, the readout bias); 32 covers every schedule in the repo
+#: with room for ablation sweeps.
 RATE_CACHE_SIZE = 32
 
 
@@ -248,6 +250,149 @@ def _combined_rates(
     return comb_c, comb_e
 
 
+class RateMemo:
+    """Temperature-free rates of the bias patterns a trap span reuses.
+
+    Rates factor as (1/tau) * arrhenius(T) * exp(gamma * dV): the 1/tau
+    arrays are immutable and the temperature factors are per-chip
+    scalars, so one entry per (span, stress, relax, duty) pattern serves
+    every temperature.  Instrument jitter makes most stress and
+    negative-rail chunks a pattern that never comes back, so a pattern
+    is admitted only on its second miss: the first miss records its key
+    in a history, the second stores the entry.  Entries and history are
+    each LRU-bounded by :data:`RATE_CACHE_SIZE`.  An entry is
+    ``(comb_c, comb_e, extrema)`` from :func:`_rate_entry`.
+    """
+
+    def __init__(self, tracer=None) -> None:
+        tracer = tracer if tracer is not None else get_tracer()
+        self._entries: OrderedDict = OrderedDict()
+        self._history: OrderedDict = OrderedDict()
+        self._hits = tracer.counter(
+            "bti.rate_cache.hits", "rate lookups that reused memoised rates"
+        )
+        self._misses = tracer.counter(
+            "bti.rate_cache.misses", "rate lookups that recomputed voltage factors"
+        )
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        """Forget every entry and every key seen once."""
+        self._entries.clear()
+        self._history.clear()
+
+    def lookup(self, key, build: Callable[[], tuple]) -> tuple:
+        """The entry for ``key``, from the memo or from ``build()``."""
+        entries = self._entries
+        entry = entries.get(key)
+        if entry is not None:
+            self._hits.inc()
+            entries.move_to_end(key)
+            return entry
+        self._misses.inc()
+        entry = build()
+        history = self._history
+        if history.pop(key, False):
+            store, value = entries, entry
+        else:
+            store, value = history, True
+        store[key] = value
+        if len(store) > RATE_CACHE_SIZE:
+            store.popitem(last=False)
+        return entry
+
+
+def _rate_key(
+    lo: int, v_stress: np.ndarray, duty: float, v_relax: np.ndarray | None
+) -> tuple:
+    """Memo key of a span's flat per-owner bias block (first chip ``lo``)."""
+    return (lo, duty, v_stress.tobytes(), None if v_relax is None else v_relax.tobytes())
+
+
+def _rate_entry(
+    params: TrapParameters,
+    v_stress: np.ndarray,
+    duty: float,
+    v_relax: np.ndarray | None,
+    inv_tau_c: np.ndarray,
+    inv_tau_e: np.ndarray,
+    gather: np.ndarray,
+    bounds: Sequence[int],
+) -> tuple:
+    """A :class:`RateMemo` entry: ``(comb_c, comb_e, extrema)``.
+
+    ``extrema`` holds per-chip lists ``(min_c, max_c, min_e, max_e)`` of
+    the temperature-free rates over the chip blocks ``bounds[i]:bounds[i
+    + 1]``; a chip without traps gets 0.0.  :func:`_rates_into` turns them
+    into the ``bti.rate`` verdict without touching the trap arrays.
+    """
+    comb_c, comb_e = _combined_rates(
+        params, v_stress, duty, v_relax, inv_tau_c, inv_tau_e, gather
+    )
+    starts = np.asarray(bounds[:-1])
+    filled = np.asarray(bounds[1:]) > starts
+    extrema = []
+    for comb in (comb_c, comb_e):
+        comb.flags.writeable = False
+        for reduce in (np.minimum, np.maximum):
+            per_chip = np.zeros(starts.size)
+            if filled.any():
+                per_chip[filled] = reduce.reduceat(comb, starts[filled])
+            extrema.append(per_chip.tolist())
+    return comb_c, comb_e, tuple(extrema)
+
+
+def _rates_into(
+    entry: tuple,
+    bounds: Sequence[int],
+    factors: Sequence[tuple[float, float]],
+    capture_out: np.ndarray,
+    emission_out: np.ndarray,
+    guard,
+    inputs: Callable[[], dict],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trap rates of a memo entry at per-chip Arrhenius ``factors``.
+
+    Chip ``i``'s block ``bounds[i]:bounds[i + 1]`` is multiplied by its
+    factors into ``capture_out`` / ``emission_out`` (no allocation).  The
+    ``bti.rate`` verdict comes from the entry's per-chip extrema: a
+    correctly rounded product with a positive scalar is monotone and NaN
+    propagates, so ``min*arr`` and ``max*arr`` are the extrema of the
+    written block and the verdict is ``Guard.check_array``'s, in O(chips).
+    Only a failing verdict runs the full ``check_array`` on the written
+    arrays, which keeps its messages, bundles, clamping and counters.
+    """
+    comb_c, comb_e, extrema = entry
+    for i, (arr_c, arr_e) in enumerate(factors):
+        block = slice(bounds[i], bounds[i + 1])
+        np.multiply(comb_c[block], arr_c, out=capture_out[block])
+        np.multiply(comb_e[block], arr_e, out=emission_out[block])
+    if not guard.checking:
+        return capture_out, emission_out
+    rate_cap = guard.config.rate_cap
+    floor = 0.0 - guard.config.atol
+    ceiling = rate_cap + guard.config.atol
+    for (arr_c, arr_e), min_c, max_c, min_e, max_e in zip(factors, *extrema):
+        top_c = max_c * arr_c
+        top_e = max_e * arr_e
+        if not (
+            min_c * arr_c >= floor and top_c <= ceiling and top_c < math.inf
+            and min_e * arr_e >= floor and top_e <= ceiling and top_e < math.inf
+        ):
+            # Each factor is exp-clamped, but their product can still
+            # overflow to inf; repair/raise before the update uses it.
+            capture_out = guard.check_array(
+                "bti.rate", capture_out, 0.0, rate_cap, inputs=inputs
+            )
+            emission_out = guard.check_array(
+                "bti.rate", emission_out, 0.0, rate_cap, inputs=inputs
+            )
+            break
+    return capture_out, emission_out
+
+
 def _affine_step(
     occupancy: np.ndarray,
     capture: np.ndarray,
@@ -346,26 +491,18 @@ class TrapPopulation:
         n_traps = draws.n_traps
         self._state = _PopulationState(occupancy=np.zeros(n_traps))
 
-        # Rates factor as (1/tau) * arrhenius(T) * exp(gamma * dV): the
-        # 1/tau arrays are immutable, the temperature factor is a scalar,
-        # and campaigns replay a handful of voltage patterns thousands of
-        # times.  One memo: (stress, relax, duty) -> duty-averaged,
-        # temperature-free rates; the scalar Arrhenius factors are applied
-        # per lookup, since instrument jitter re-samples temperature.
+        # The population is a one-chip span of the shared rate kernel:
+        # memoised temperature-free rates, scaled per lookup by the scalar
+        # Arrhenius factors into the update's scratch buffers.
         self._inv_tau_c0 = 1.0 / self.tau_c0
         self._inv_tau_e0 = 1.0 / self.tau_e0
-        self._rate_cache: OrderedDict = OrderedDict()
+        self._bounds = (0, n_traps)
         self._scratch_total = np.empty(n_traps)
         self._scratch_pinf = np.empty(n_traps)
         self._scratch_weights = np.empty(n_traps)
         self._guard = guard if guard is not None else get_guard()
         tracer = tracer if tracer is not None else get_tracer()
-        self._cache_hits = tracer.counter(
-            "bti.rate_cache.hits", "rate lookups that reused memoised rates"
-        )
-        self._cache_misses = tracer.counter(
-            "bti.rate_cache.misses", "rate lookups that recomputed voltage factors"
-        )
+        self._memo = RateMemo(tracer)
         self._cycles_compressed = tracer.counter(
             "bti.cycles_compressed", "schedule cycles folded by evolve_cycles"
         )
@@ -435,12 +572,6 @@ class TrapPopulation:
             return np.full(self.n_owners, float(canonical))
         return canonical
 
-    @staticmethod
-    def _bias_key(per_owner: np.ndarray) -> tuple[tuple[int, ...], bytes]:
-        """Hashable fingerprint of a *canonical* voltage pattern."""
-        arr = np.asarray(per_owner, dtype=float)
-        return (arr.shape, arr.tobytes())
-
     def _effective_rates(
         self,
         stress_voltage: np.ndarray | float,
@@ -448,50 +579,32 @@ class TrapPopulation:
         duty: float,
         relax_voltage: np.ndarray | float,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Duty-averaged per-trap rates for one piecewise-constant phase."""
-        stress_voltage = self._canonical_bias(stress_voltage)
-        if duty >= 1.0:  # callers validate duty <= 1.0, so this is pure DC
-            key = (self._bias_key(stress_voltage), None, 1.0)
-        else:
-            relax_voltage = self._canonical_bias(relax_voltage)
-            key = (self._bias_key(stress_voltage), self._bias_key(relax_voltage), duty)
-        cache = self._rate_cache
-        comb = cache.get(key)
-        if comb is not None:
-            self._cache_hits.inc()
-            cache.move_to_end(key)
-        else:
-            self._cache_misses.inc()
-            comb = _combined_rates(
-                self.params,
-                self._owner_voltages(stress_voltage),
-                duty,
-                None if duty >= 1.0 else self._owner_voltages(relax_voltage),
-                self._inv_tau_c0,
-                self._inv_tau_e0,
-                self.owner,
-            )
-            for array in comb:
-                array.flags.writeable = False
-            cache[key] = comb
-            if len(cache) > RATE_CACHE_SIZE:
-                cache.popitem(last=False)
-        arr_c, arr_e = _arrhenius(self.params, temperature)
-        capture = comb[0] * arr_c
-        emission = comb[1] * arr_e
-        guard = self._guard
-        if guard.checking:
-            # Each factor is exp-clamped, but their product can still
-            # overflow to inf; repair/raise before the update uses it.
-            rate_cap = guard.config.rate_cap
-            inputs = {"temperature": float(temperature), "duty": float(duty)}
-            capture = guard.check_array(
-                "bti.rate", capture, 0.0, rate_cap, inputs=inputs
-            )
-            emission = guard.check_array(
-                "bti.rate", emission, 0.0, rate_cap, inputs=inputs
-            )
-        return capture, emission
+        """Duty-averaged per-trap rates for one piecewise-constant phase.
+
+        Written into the scratch buffers :func:`_affine_step` consumes
+        (capture into ``_scratch_pinf``, emission into ``_scratch_total``),
+        so they are valid until the next rate lookup.
+        """
+        v_stress = self._owner_voltages(self._canonical_bias(stress_voltage))
+        v_relax = None
+        if duty < 1.0:  # callers validate duty <= 1.0, so else pure DC
+            v_relax = self._owner_voltages(self._canonical_bias(relax_voltage))
+        entry = self._memo.lookup(
+            _rate_key(0, v_stress, duty, v_relax),
+            lambda: _rate_entry(
+                self.params, v_stress, duty, v_relax,
+                self._inv_tau_c0, self._inv_tau_e0, self.owner, self._bounds,
+            ),
+        )
+        return _rates_into(
+            entry,
+            self._bounds,
+            (_arrhenius(self.params, temperature),),
+            self._scratch_pinf,
+            self._scratch_total,
+            self._guard,
+            lambda: {"temperature": float(temperature), "duty": float(duty)},
+        )
 
     def _expand(self, per_owner: np.ndarray | float) -> np.ndarray:
         """Broadcast a per-owner vector (or scalar) to per-trap."""
@@ -700,9 +813,9 @@ class TrapPopulation:
     def _invalidate_rate_cache(self) -> None:
         """Drop every memoised rate array (state transitions must not
         observe entries built for a previous trajectory)."""
-        self._rate_cache.clear()
+        self._memo.clear()
 
     @property
     def rate_cache_entries(self) -> int:
         """Live entries in the rate memo (introspection)."""
-        return len(self._rate_cache)
+        return len(self._memo)

@@ -109,12 +109,18 @@ def bias_pattern(
         if np.any(supplies <= 0.0):
             raise ConfigurationError("stress requires a positive supply; use apply_recovery")
     else:
-        for supply in supplies:
+        # Vectorised range checks; the first failing element, in order,
+        # raises through the scalar checks' messages.
+        bad = (supplies > 0.0) | (supplies < tech.min_recovery_voltage)
+        if bad.any():
+            supply = float(supplies[bad.argmax()])
             if supply > 0.0:
                 raise ConfigurationError("recovery needs a non-positive supply voltage")
-            tech.check_recovery_voltage(float(supply))
-    for temperature in np.atleast_1d(temperatures):
-        tech.check_temperature(float(temperature))
+            tech.check_recovery_voltage(supply)
+    kelvin = np.atleast_1d(np.asarray(temperatures, dtype=float))
+    hot = kelvin > tech.max_accelerated_temperature
+    if hot.any():
+        tech.check_temperature(float(kelvin[hot.argmax()]))
     column = supplies[:, None]
     select = slice(None) if owners is None else owners
     if not stress:

@@ -127,10 +127,12 @@ class FleetChip:
         )
         if fidelity == "exact":
             self._pmos = FleetTraps(
-                tech.nbti_traps, self._pmos_owners.size, draws_p, guard=self.guard
+                tech.nbti_traps, self._pmos_owners.size, draws_p,
+                guard=self.guard, tracer=self.tracer,
             )
             self._nmos = FleetTraps(
-                tech.pbti_traps, self._nmos_owners.size, draws_n, guard=self.guard
+                tech.pbti_traps, self._nmos_owners.size, draws_n,
+                guard=self.guard, tracer=self.tracer,
             )
             caps = np.zeros((self.n_chips, n_owners))
             caps[:, self._pmos_owners] = self._pmos.max_delta_vth()

@@ -72,3 +72,42 @@ def test_validation_does_not_depend_on_owners(k, stress, supply, temperature, fr
     with pytest.raises(ConfigurationError) as selected:
         bias_pattern(*args, owners=OWNERS)
     assert str(selected.value) == str(full.value)
+
+
+def loop_validation(stress, supplies, temperatures):
+    """The per-element checks ``bias_pattern`` ran before vectorising."""
+    if not stress:
+        for supply in supplies:
+            if supply > 0.0:
+                raise ConfigurationError("recovery needs a non-positive supply voltage")
+            TECH_40NM.check_recovery_voltage(float(supply))
+    for temperature in temperatures:
+        TECH_40NM.check_temperature(float(temperature))
+
+
+HOT_OK = celsius(110.0)
+
+
+@pytest.mark.parametrize(
+    "stress, supplies, temperatures, fragment",
+    [
+        # The breakdown violation comes before the positive supply.
+        (False, [-0.1, -0.2, -0.9, 0.3], [HOT_OK] * 4, "-0.9 V is below"),
+        # The positive supply comes before the breakdown violation.
+        (False, [-0.1, 0.2, -0.9], [HOT_OK] * 3, "non-positive supply"),
+        # A NaN supply passes, as it did element by element.
+        (False, [np.nan, -0.7, -0.65], [HOT_OK] * 3, "-0.7 V is below"),
+        # The first over-limit temperature is named, not the hottest.
+        (True, [1.2, 1.2, 1.2, 1.2], [HOT_OK, celsius(130.0), celsius(150.0), HOT_OK],
+         f"temperature {celsius(130.0)} K"),
+        (False, [0.0, -0.3, -0.3], [HOT_OK, HOT_OK, celsius(126.0)],
+         f"temperature {celsius(126.0)} K"),
+    ],
+)
+def test_later_element_fails_with_the_loop_message(stress, supplies, temperatures, fragment):
+    supplies, temperatures = np.array(supplies), np.array(temperatures)
+    with pytest.raises(ConfigurationError) as expected:
+        loop_validation(stress, supplies, temperatures)
+    with pytest.raises(ConfigurationError, match=fragment) as raised:
+        bias_pattern(NETLIST, TECH_40NM, stress, supplies, temperatures)
+    assert str(raised.value) == str(expected.value)

@@ -31,6 +31,7 @@ class TestRestoreInvalidatesCaches:
         chip = _chip()
         chip.apply_stress(hours(1.0), HOT)
         chip.apply_recovery(hours(0.5), HOT, supply_voltage=-0.3)
+        chip.apply_stress(hours(1.0), HOT)  # a repeated pattern is admitted
         assert chip._pmos_population.rate_cache_entries > 0
         state = chip.export_state()
         chip.import_state(state)
@@ -41,6 +42,7 @@ class TestRestoreInvalidatesCaches:
         chip = _chip()
         snapshot = chip.snapshot()
         chip.apply_stress(hours(1.0), HOT)
+        chip.apply_stress(hours(1.0), HOT)  # a repeated pattern is admitted
         assert chip._pmos_population.rate_cache_entries > 0
         chip.restore(snapshot)
         assert chip._pmos_population.rate_cache_entries == 0

@@ -39,10 +39,13 @@ def _traced_campaign_report():
 
 #: case -> (builder, html sha256, json sha256)
 PINS = {
+    # Re-pinned when the rate memo began admitting a bias pattern on its
+    # second miss: only the trap-rate cache section moved (358 hits and
+    # 324 misses, was 364 and 318).
     "campaign": (
         _traced_campaign_report,
-        "279e798f91b45247f7d4713b62d45259b6d2746ca4036efbf9f347c5d0ab7df7",
-        "763f9685d560b694a9de71902953999d2901ba23fd0dbfe1e7f7ae7e319a1ca8",
+        "d75bde8b92e40ad7d5986e1fccc20c85a4b2116b33b8e3782aec8e0e13cb6dcf",
+        "4fa132ef922976f1029df6ccdc46fd4051f3c90f7d31cdb6d5a8a49011f83dcf",
     ),
     "quarantined-campaign": (
         lambda: build_campaign_report(quarantined_result()),
