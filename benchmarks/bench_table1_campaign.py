@@ -47,7 +47,7 @@ def test_bench_table1_rate_memo_footprint(once):
     tracer = Tracer()
     result = once(run_table1_campaign, seed=0, tracer=tracer)
     entries = {
-        (chip_id, polarity): getattr(chip, f"_{polarity}_population").rate_cache_entries
+        (chip_id, polarity): getattr(chip._fleet, f"_{polarity}").rate_cache_entries
         for chip_id, chip in result.chips.items()
         for polarity in ("pmos", "nmos")
     }

@@ -1,18 +1,11 @@
-"""Struct-of-arrays trap engine: one ``evolve`` call ages a wafer lot.
+"""Fleet trap engines: one ``evolve`` call ages a wafer lot.
 
-:class:`TrapPopulation` simulates one chip's traps; campaigns over many
-chips pay the full numpy dispatch and guard overhead once per chip per
-chunk.  This module batches the same physics across chips:
-
-* :class:`FleetTraps` — the *exact* engine.  Per-chip trap arrays (drawn
-  with :func:`draw_population`, stream-identical to
-  ``TrapPopulation.__init__``) are concatenated into flat struct-of-arrays
-  state with a global owner index, so one elementwise update advances
-  every trap of every chip.  Because the update is elementwise and numpy
-  elementwise kernels are value-identical across slicing/concatenation,
-  the exact engine is bit-identical to evolving each chip's
-  :class:`TrapPopulation` on its own — the fleet facade-equivalence
-  contract (see ``tests/fpga/test_fleet_facade.py``).
+* :class:`~repro.bti.traps.FleetTraps` — the *exact* engine, defined in
+  :mod:`repro.bti.traps` and re-exported here.  Per-chip trap arrays are
+  concatenated into flat struct-of-arrays state with a global owner
+  index, so one elementwise update advances every trap of a chip span;
+  a chip's row is bit-identical whatever span it is evolved in, and
+  :class:`~repro.bti.traps.TrapPopulation` is its one-chip case.
 
 * :class:`BinnedFleetTraps` — the *population-scale* engine.  Each chip's
   traps are quantised onto a shared log-log (tau_c, tau_e) grid per
@@ -26,339 +19,36 @@ chunk.  This module batches the same physics across chips:
   10k-chip fleets, never for bit-identity checks.
 
 Both engines call the trap-physics kernel of :mod:`repro.bti.traps`
-(voltage factors, occupancy update; the exact engine also the rate
-memo, scalar Arrhenius factors, duty mix and cycle closed form), so
-there is one rate model.  The binned engine keeps its own float32 duty
-mix and vectorised Arrhenius factors: it never claims bit-identity.
+(voltage factors, occupancy update), so there is one rate model.  The
+binned engine keeps its own float32 duty mix and vectorised Arrhenius
+factors: it never claims bit-identity.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.bti.traps import (
-    CyclePhase,
-    RateMemo,
+    FleetTraps,
     TrapDraws,
     TrapParameters,
     _affine_step,
-    _arrhenius,
-    _check_cycles,
     _check_phase,
-    _compose_cycles,
-    _draw_population,
-    _rate_entry,
-    _rate_key,
-    _rates_into,
     _voltage_factors,
+    contiguous_chips,
+    draw_population,
 )
 from repro.errors import ConfigurationError
 from repro.guard import get_guard
 from repro.units import BOLTZMANN_EV
 
-def draw_population(
-    params: TrapParameters, n_owners: int, rng: np.random.Generator
-) -> TrapDraws:
-    """Draw one population's constants, stream-identical to ``TrapPopulation``.
-
-    A function of its own rather than an alias of the kernel's draw:
-    ``perfbench/tracing.py`` times this name as fleet lot setup, which
-    must not also catch ``TrapPopulation``'s draws.
-    """
-    return _draw_population(params, n_owners, rng)
-
-
-def contiguous_chips(chips: slice, n_chips: int) -> tuple[int, int]:
-    """``(lo, hi)`` of a chip slice; strided or empty slices are refused."""
-    lo, hi, step = chips.indices(n_chips)
-    if step != 1 or hi <= lo:
-        raise ConfigurationError("fleet chip slices must be contiguous and non-empty")
-    return lo, hi
-
-
-class FleetTraps:
-    """Exact struct-of-arrays ensemble: N same-netlist chips, one polarity.
-
-    Parameters
-    ----------
-    params:
-        Shared :class:`TrapParameters` (all chips are the same process).
-    n_owners:
-        Owners *per chip* for this polarity.
-    draws:
-        One :class:`TrapDraws` per chip, in fleet order.
-    guard:
-        Contract checker for the batched updates; defaults to the
-        ambient guard.  Per-call override via the ``guard=`` argument of
-        the evolve methods keeps per-chip budgets possible through the
-        :class:`~repro.fpga.fleet.ChipView` facade.
-    """
-
-    def __init__(
-        self,
-        params: TrapParameters,
-        n_owners: int,
-        draws: Sequence[TrapDraws],
-        guard=None,
-        tracer=None,
-    ) -> None:
-        if n_owners <= 0:
-            raise ConfigurationError(f"n_owners must be positive, got {n_owners}")
-        if not draws:
-            raise ConfigurationError("a fleet needs at least one chip")
-        self.params = params
-        self.n_owners = n_owners
-        self.n_chips = len(draws)
-        trap_counts = np.array([d.n_traps for d in draws], dtype=np.int64)
-        self.trap_counts = trap_counts
-        #: trap_offsets[i]:trap_offsets[i+1] is chip i's span in the flat arrays.
-        self.trap_offsets = np.concatenate(([0], np.cumsum(trap_counts)))
-        self.owner_global = np.concatenate(
-            [d.owner + index * n_owners for index, d in enumerate(draws)]
-        )
-        tau_c0 = np.concatenate([d.tau_c0 for d in draws])
-        tau_e0 = np.concatenate([d.tau_e0 for d in draws])
-        self.impact = np.concatenate([d.impact for d in draws])
-        self._inv_tau_c0 = 1.0 / tau_c0
-        self._inv_tau_e0 = 1.0 / tau_e0
-        n_total = int(trap_counts.sum())
-        self.occupancy = np.zeros(n_total)
-        #: Per-chip simulated seconds, advanced exactly like
-        #: ``TrapPopulation.elapsed`` (same scalar additions, same order).
-        self.elapsed = np.zeros(self.n_chips)
-        self._scratch_total = np.empty(n_total)
-        self._scratch_pinf = np.empty(n_total)
-        self._scratch_weights = np.empty(n_total)
-        self._guard = guard if guard is not None else get_guard()
-        self._memo = RateMemo(tracer)
-
-    # ------------------------------------------------------------------ #
-    # spans
-    # ------------------------------------------------------------------ #
-
-    @property
-    def n_traps(self) -> int:
-        """Total trap count across the whole fleet."""
-        return self.owner_global.size
-
-    def _span(self, chips: slice) -> tuple[slice, int, int]:
-        """(trap span, first chip, chip count) of a contiguous chip slice."""
-        lo, hi = contiguous_chips(chips, self.n_chips)
-        return slice(int(self.trap_offsets[lo]), int(self.trap_offsets[hi])), lo, hi - lo
-
-    def _gather_index(self, trap_span: slice, lo: int) -> np.ndarray:
-        """Owner-gather index local to a chip span's flat owner block."""
-        if lo == 0:
-            return self.owner_global[trap_span]
-        return self.owner_global[trap_span] - lo * self.n_owners
-
-    # ------------------------------------------------------------------ #
-    # physics
-    # ------------------------------------------------------------------ #
-
-    def _owner_block(self, voltage, k: int) -> np.ndarray:
-        """A scalar, per-owner or ``(k, n_owners)`` bias as one flat block."""
-        try:
-            block = np.broadcast_to(np.asarray(voltage, dtype=float), (k, self.n_owners))
-        except ValueError:
-            raise ConfigurationError(
-                f"voltages must broadcast to ({k}, {self.n_owners}), "
-                f"got shape {np.shape(voltage)}"
-            ) from None
-        return block.ravel()
-
-    def _rates(
-        self,
-        v_stress,
-        temperatures,
-        duty: float,
-        v_relax,
-        trap_span: slice,
-        lo: int,
-        k: int,
-        guard,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Duty-averaged per-trap rates for a contiguous chip span.
-
-        Temperatures are per chip (a scalar applies to the whole span);
-        each chip's scalar Arrhenius factors scale its trap block.  The
-        span goes through the kernel's rate memo, keyed by its first chip
-        and flat bias block, and the rates are written into the span's
-        scratch buffers like ``TrapPopulation._effective_rates``.
-        """
-        temperatures = np.asarray(temperatures, dtype=float)
-        if temperatures.ndim == 0:
-            temperatures = np.full(k, float(temperatures))
-        if temperatures.shape != (k,):
-            raise ConfigurationError(
-                f"temperatures must have shape ({k},), got {temperatures.shape}"
-            )
-        v_stress = self._owner_block(v_stress, k)
-        if duty >= 1.0:  # callers validate duty <= 1.0, so this is pure DC
-            v_relax = None
-        else:
-            v_relax = self._owner_block(0.0 if v_relax is None else v_relax, k)
-        bounds = (self.trap_offsets[lo : lo + k + 1] - trap_span.start).tolist()
-        entry = self._memo.lookup(
-            _rate_key(lo, v_stress, duty, v_relax),
-            lambda: _rate_entry(
-                self.params, v_stress, duty, v_relax,
-                self._inv_tau_c0[trap_span], self._inv_tau_e0[trap_span],
-                self._gather_index(trap_span, lo), bounds,
-            ),
-        )
-        return _rates_into(
-            entry,
-            bounds,
-            [_arrhenius(self.params, t) for t in temperatures.tolist()],
-            self._scratch_pinf[trap_span],
-            self._scratch_total[trap_span],
-            guard,
-            lambda: {"duty": float(duty), "fleet_chips": int(k)},
-        )
-
-    def evolve(
-        self,
-        duration: float,
-        v_stress: np.ndarray,
-        temperatures: np.ndarray,
-        duty: float = 1.0,
-        v_relax: np.ndarray | None = None,
-        chips: slice = slice(None),
-        guard=None,
-    ) -> None:
-        """Advance every trap of a chip span through one phase.
-
-        ``v_stress`` / ``v_relax`` are ``(k, n_owners)`` per-chip voltage
-        patterns and ``temperatures`` the per-chip delivered kelvin.  The
-        rates and the in-place update are the kernel ``TrapPopulation``
-        uses, so each chip's occupancy row is bit-identical to evolving
-        it alone.
-        """
-        _check_phase(duration, duty)
-        if duration <= 0.0:
-            return
-        guard = guard if guard is not None else self._guard
-        trap_span, lo, k = self._span(chips)
-        capture, emission = self._rates(
-            v_stress, temperatures, duty, v_relax, trap_span, lo, k, guard
-        )
-        occupancy = self.occupancy[trap_span]
-        _affine_step(
-            occupancy, capture, emission, duration,
-            self._scratch_total[trap_span], self._scratch_pinf[trap_span],
-        )
-        self.elapsed[lo : lo + k] += duration
-        if guard.checking:
-            guard.check_array(
-                "bti.occupancy",
-                occupancy,
-                0.0,
-                1.0,
-                inputs=lambda: {
-                    "op": "fleet.evolve",
-                    "duration": float(duration),
-                    "duty": float(duty),
-                    "fleet_chips": int(k),
-                },
-                arrays=lambda: {
-                    "occupancy": occupancy,
-                    "temperatures": np.asarray(temperatures, dtype=float),
-                },
-            )
-
-    def evolve_cycles(
-        self, phases: Sequence[CyclePhase], n: int, chips: slice = slice(None), guard=None
-    ) -> None:
-        """``n`` repetitions of a fixed phase sequence, O(1) in ``n``.
-
-        Phases carry ``(k, n_owners)`` voltages and ``(k,)`` temperatures
-        for the span; the closed form is ``TrapPopulation.evolve_cycles``'
-        kernel, so per-chip rows are bit-identical to the single-chip path.
-        """
-        _check_cycles(phases, n)
-        if n == 0:
-            return
-        guard = guard if guard is not None else self._guard
-        trap_span, lo, k = self._span(chips)
-        self.occupancy[trap_span], period = _compose_cycles(
-            self.occupancy[trap_span],
-            phases,
-            n,
-            lambda phase: self._rates(
-                phase.stress_voltage, phase.temperature, phase.duty,
-                phase.relax_voltage, trap_span, lo, k, guard,
-            ),
-        )
-        self.elapsed[lo : lo + k] += n * period
-        if guard.checking:
-            guard.check_array(
-                "bti.occupancy",
-                self.occupancy[trap_span],
-                0.0,
-                1.0,
-                inputs=lambda: {
-                    "op": "fleet.evolve_cycles",
-                    "n": int(n),
-                    "period": float(period),
-                    "fleet_chips": int(k),
-                },
-            )
-
-    # ------------------------------------------------------------------ #
-    # observables / state
-    # ------------------------------------------------------------------ #
-
-    def delta_vth(self, chips: slice = slice(None)) -> np.ndarray:
-        """Per-chip per-owner expected threshold shift, ``(k, n_owners)``.
-
-        One bincount over the span's traps; row ``i`` is bit-identical to
-        ``TrapPopulation.delta_vth`` on chip ``lo + i`` alone.
-        """
-        trap_span, lo, k = self._span(chips)
-        weights = np.multiply(
-            self.occupancy[trap_span],
-            self.impact[trap_span],
-            out=self._scratch_weights[trap_span],
-        )
-        counts = np.bincount(
-            self._gather_index(trap_span, lo),
-            weights=weights,
-            minlength=k * self.n_owners,
-        )
-        return counts.reshape(k, self.n_owners)
-
-    def max_delta_vth(self, chips: slice = slice(None)) -> np.ndarray:
-        """Per-chip per-owner ceiling on :meth:`delta_vth` (all traps occupied)."""
-        trap_span, lo, k = self._span(chips)
-        counts = np.bincount(
-            self._gather_index(trap_span, lo),
-            weights=self.impact[trap_span],
-            minlength=k * self.n_owners,
-        )
-        return counts.reshape(k, self.n_owners)
-
-    def occupancy_row(self, index: int) -> np.ndarray:
-        """Copy of one chip's occupancy slice (checkpoint/export form)."""
-        span = slice(int(self.trap_offsets[index]), int(self.trap_offsets[index + 1]))
-        return self.occupancy[span].copy()
-
-    def set_occupancy_row(self, index: int, occupancy: np.ndarray, elapsed: float) -> None:
-        """Restore one chip's occupancy slice (checkpoint/import form)."""
-        span = slice(int(self.trap_offsets[index]), int(self.trap_offsets[index + 1]))
-        occupancy = np.asarray(occupancy, dtype=float)
-        if occupancy.shape != (span.stop - span.start,):
-            raise ConfigurationError("snapshot does not match this fleet population")
-        self.occupancy[span] = occupancy
-        self.elapsed[index] = float(elapsed)
-
-    def inject_upset(self, index: int, value: float, n_traps: int = 64) -> None:
-        """Fault-injection hook: corrupt the head of one chip's trap span."""
-        start = int(self.trap_offsets[index])
-        count = min(int(n_traps), int(self.trap_counts[index]))
-        self.occupancy[start : start + count] = value
+__all__ = [
+    "BinnedFleetTraps",
+    "FleetTraps",
+    "TrapGrid",
+    "contiguous_chips",
+    "draw_population",
+]
 
 
 # ---------------------------------------------------------------------- #
@@ -481,14 +171,14 @@ class BinnedFleetTraps:
         v_class: np.ndarray,
         temperatures: np.ndarray,
         duty: float = 1.0,
-        v_class_relax: np.ndarray | None = None,
+        v_relax: np.ndarray | None = None,
         chips: slice = slice(None),
     ) -> None:
         """Advance a chip span; ``v_class`` is ``(k, n_classes)`` volts.
 
-        With ``duty < 1`` the off fraction sits at ``v_class_relax`` and
-        the rates are duty-averaged (including the AC capture
-        suppression) like the exact engines', in the state's dtype.
+        With ``duty < 1`` the off fraction sits at ``v_relax`` (default
+        0 V) and the rates are duty-averaged (including the AC capture
+        suppression) like the exact engine's, in the state's dtype.
         """
         _check_phase(duration, duty)
         if duration <= 0.0:
@@ -506,8 +196,8 @@ class BinnedFleetTraps:
         if duty < 1.0:
             relax = (
                 np.zeros_like(v_class)
-                if v_class_relax is None
-                else np.asarray(v_class_relax, dtype=float)
+                if v_relax is None
+                else np.asarray(v_relax, dtype=float)
             )
             off_c, off_e = self._axis_rates(relax, arr_c, arr_e)
             suppression = self.dtype.type(

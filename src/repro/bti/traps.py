@@ -15,9 +15,10 @@ DAC 2012].  This module implements that ensemble directly:
 * an occupied trap shifts the owning transistor's threshold voltage by an
   exponentially distributed amount ``impact[i]``.
 
-The population is vectorised across *all* transistors of a chip: traps are
-stored in flat arrays with an ``owner`` index, so evolving a 75-LUT ring
-oscillator over a 24 h phase is a handful of numpy operations.
+:class:`FleetTraps` holds the traps of any number of chips of one polarity
+in flat arrays with a global ``owner`` index, so evolving a span of chips,
+each a 75-LUT ring oscillator, over a 24 h phase is a handful of numpy
+operations.  :class:`TrapPopulation` is its one-chip case.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -137,11 +138,11 @@ class _PopulationState:
 class CyclePhase:
     """One leg of a repeating bias cycle, in ``evolve`` terms.
 
-    ``stress_voltage`` and ``relax_voltage`` follow the same per-owner
-    (or scalar) convention as :meth:`TrapPopulation.evolve`; the fleet
-    engine also takes ``(k, n_owners)`` voltages and ``(k,)``
-    temperatures.  The phase is piecewise constant, so its occupancy
-    update is an exact affine map.
+    ``stress_voltage`` and ``relax_voltage`` follow the same scalar,
+    per-owner or ``(k, n_owners)`` convention as :meth:`FleetTraps.evolve`,
+    and ``temperature`` is one kelvin value or ``(k,)`` per chip.  The
+    phase is piecewise constant, so its occupancy update is an exact
+    affine map.
     """
 
     duration: float
@@ -155,14 +156,15 @@ class CyclePhase:
 
 
 # ---------------------------------------------------------------------- #
-# the trap-physics kernel, shared by TrapPopulation and the fleet engines
+# the trap-physics kernel, shared by FleetTraps and the binned fleet engine
 # ---------------------------------------------------------------------- #
 
 
-def _draw_population(
+def draw_population(
     params: TrapParameters, n_owners: int, rng: np.random.Generator
 ) -> TrapDraws:
-    """Draw one population's constants: counts, tau_c0, tau_e0, impacts."""
+    """Draw one chip's constants for one polarity: counts, tau_c0, tau_e0,
+    impacts (traps stored owner by owner)."""
     counts = rng.poisson(params.mean_trap_count, size=n_owners)
     owner = np.repeat(np.arange(n_owners), counts)
     n_traps = int(counts.sum())
@@ -224,21 +226,22 @@ def _combined_rates(
     v_relax: np.ndarray | None,
     inv_tau_c: np.ndarray,
     inv_tau_e: np.ndarray,
-    gather: np.ndarray,
+    repeats: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Temperature-free, duty-averaged per-trap rates.
 
-    The voltage factor is computed at owner resolution and expanded by
-    the ``gather`` index: ``exp(x)[owner]`` equals ``exp(x[owner])`` bit
-    for bit at a fraction of the exp cost, since owners are ~100x fewer
-    than traps.  The scalar Arrhenius factors are common to both legs of
-    the duty average, so they distribute over the mix and are applied by
-    the caller.
+    The voltage factor is computed at owner resolution and expanded to
+    the traps, which are stored owner by owner: ``repeats[j]`` is owner
+    ``j``'s trap count, so ``np.repeat(exp(x), repeats)`` equals
+    ``exp(x[owner])`` bit for bit at a fraction of the exp and gather
+    cost, since owners are ~100x fewer than traps.  The scalar Arrhenius
+    factors are common to both legs of the duty average, so they
+    distribute over the mix and are applied by the caller.
     """
 
     def bases(voltage: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vfac_c, vfac_e = _voltage_factors(params, voltage)
-        return inv_tau_c * vfac_c[gather], inv_tau_e * vfac_e[gather]
+        return inv_tau_c * np.repeat(vfac_c, repeats), inv_tau_e * np.repeat(vfac_e, repeats)
 
     base_c, base_e = bases(v_stress)
     if duty >= 1.0:  # callers validate duty <= 1.0, so this is pure DC
@@ -318,7 +321,7 @@ def _rate_entry(
     v_relax: np.ndarray | None,
     inv_tau_c: np.ndarray,
     inv_tau_e: np.ndarray,
-    gather: np.ndarray,
+    repeats: np.ndarray,
     bounds: Sequence[int],
 ) -> tuple:
     """A :class:`RateMemo` entry: ``(comb_c, comb_e, extrema)``.
@@ -329,7 +332,7 @@ def _rate_entry(
     into the ``bti.rate`` verdict without touching the trap arrays.
     """
     comb_c, comb_e = _combined_rates(
-        params, v_stress, duty, v_relax, inv_tau_c, inv_tau_e, gather
+        params, v_stress, duty, v_relax, inv_tau_c, inv_tau_e, repeats
     )
     starts = np.asarray(bounds[:-1])
     filled = np.asarray(bounds[1:]) > starts
@@ -460,13 +463,413 @@ def _compose_cycles(
     return np.exp(-n * exponent) * occupancy + offset * ratio, period  # repro: noqa[RPR006]
 
 
+def _reference_rates(
+    params: TrapParameters,
+    inv_tau_c: np.ndarray,
+    inv_tau_e: np.ndarray,
+    voltage: np.ndarray,
+    temperature: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uncached per-trap capture and emission rates (1/s) at a bias point.
+
+    ``voltage`` is already per trap.  The reference the memoised path is
+    tested against, and the equilibrium and CET-map observables' rates.
+    """
+    arr_c, arr_e = _arrhenius(params, temperature)
+    vfac_c, vfac_e = _voltage_factors(params, voltage)
+    return inv_tau_c * arr_c * vfac_c, inv_tau_e * arr_e * vfac_e
+
+
+def contiguous_chips(chips: slice, n_chips: int) -> tuple[int, int]:
+    """``(lo, hi)`` of a chip slice; strided or empty slices are refused."""
+    lo, hi, step = chips.indices(n_chips)
+    if step != 1 or hi <= lo:
+        raise ConfigurationError("fleet chip slices must be contiguous and non-empty")
+    return lo, hi
+
+
+def advance_clocks(clocks: np.ndarray, chips: slice, seconds: float) -> None:
+    """``clocks[chips] += seconds``; one chip, the usual span, as a scalar add."""
+    if chips.stop - chips.start == 1:
+        clocks[chips.start] += seconds
+    else:
+        clocks[chips] += seconds
+
+
+class _Span(NamedTuple):
+    """A contiguous chip span's views into the flat trap arrays."""
+
+    chips: slice
+    lo: int
+    k: int
+    traps: slice
+    #: Chip trap blocks local to the span: ``bounds[i]:bounds[i + 1]``.
+    bounds: list
+    #: Owner index local to the span's flat ``(k * n_owners)`` block.
+    gather: np.ndarray
+    #: Trap count of each owner of that block (traps are owner-sorted).
+    repeats: np.ndarray
+    occupancy: np.ndarray
+    scratch_total: np.ndarray
+    scratch_pinf: np.ndarray
+    scratch_weights: np.ndarray
+
+
+class FleetTraps:
+    """Exact struct-of-arrays ensemble: N same-netlist chips, one polarity.
+
+    Per-chip trap arrays are concatenated into flat state with a global
+    owner index, so one elementwise update advances every trap of a
+    contiguous chip span.  Numpy's elementwise kernels give the same
+    value whatever the slicing, so each chip's row is bit-identical
+    whether its span holds one chip or many: a one-chip fleet is
+    :class:`TrapPopulation`.
+
+    Parameters
+    ----------
+    params:
+        Shared :class:`TrapParameters` (all chips are the same process).
+    n_owners:
+        Owners *per chip* for this polarity.
+    draws:
+        One :class:`TrapDraws` per chip, in fleet order.
+    guard:
+        Contract checker for the updates; defaults to the ambient guard.
+    tracer:
+        Telemetry sink of the rate memo and cycle counters.
+    """
+
+    def __init__(
+        self,
+        params: TrapParameters,
+        n_owners: int,
+        draws: Sequence[TrapDraws],
+        guard=None,
+        tracer=None,
+    ) -> None:
+        if n_owners <= 0:
+            raise ConfigurationError(f"n_owners must be positive, got {n_owners}")
+        if not draws:
+            raise ConfigurationError("a fleet needs at least one chip")
+        self.params = params
+        self.n_owners = n_owners
+        self.n_chips = len(draws)
+        trap_counts = np.array([d.n_traps for d in draws], dtype=np.int64)
+        #: trap_offsets[i]:trap_offsets[i+1] is chip i's span in the flat arrays.
+        self.trap_offsets = np.concatenate(([0], np.cumsum(trap_counts)))
+        if self.n_chips == 1:  # nothing to concatenate: share the draws' arrays
+            (only,) = draws
+            self.owner_global, self.impact = only.owner, only.impact
+            tau_c0, tau_e0 = only.tau_c0, only.tau_e0
+        else:
+            self.owner_global = np.concatenate(
+                [d.owner + index * n_owners for index, d in enumerate(draws)]
+            )
+            self.impact = np.concatenate([d.impact for d in draws])
+            tau_c0 = np.concatenate([d.tau_c0 for d in draws])
+            tau_e0 = np.concatenate([d.tau_e0 for d in draws])
+        self._inv_tau_c0 = 1.0 / tau_c0
+        self._inv_tau_e0 = 1.0 / tau_e0
+        n_total = int(trap_counts.sum())
+        self.occupancy = np.zeros(n_total)
+        #: Per-chip simulated seconds.
+        self.elapsed = np.zeros(self.n_chips)
+        self._scratch_total = np.empty(n_total)
+        self._scratch_pinf = np.empty(n_total)
+        self._scratch_weights = np.empty(n_total)
+        self._guard = guard if guard is not None else get_guard()
+        tracer = tracer if tracer is not None else get_tracer()
+        self._memo = RateMemo(tracer)
+        self._cycles_compressed = tracer.counter(
+            "bti.cycles_compressed", "schedule cycles folded by evolve_cycles"
+        )
+        #: Spans by their slice's (start, stop, step).
+        self._spans: dict[tuple, _Span] = {}
+
+    # ------------------------------------------------------------------ #
+    # spans
+    # ------------------------------------------------------------------ #
+
+    @property
+    def rate_cache_entries(self) -> int:
+        """Live entries in the rate memo (introspection)."""
+        return len(self._memo)
+
+    def _span(self, chips: slice) -> _Span:
+        """The (cached) :class:`_Span` of a contiguous chip slice."""
+        key = (chips.start, chips.stop, chips.step)
+        span = self._spans.get(key)
+        if span is None:
+            lo, hi = contiguous_chips(chips, self.n_chips)
+            traps = slice(int(self.trap_offsets[lo]), int(self.trap_offsets[hi]))
+            gather = self.owner_global[traps]
+            if lo:
+                gather = gather - lo * self.n_owners
+            span = self._spans[key] = _Span(
+                chips=slice(lo, hi),
+                lo=lo,
+                k=hi - lo,
+                traps=traps,
+                bounds=(self.trap_offsets[lo : hi + 1] - traps.start).tolist(),
+                gather=gather,
+                repeats=np.bincount(gather, minlength=(hi - lo) * self.n_owners),
+                occupancy=self.occupancy[traps],
+                scratch_total=self._scratch_total[traps],
+                scratch_pinf=self._scratch_pinf[traps],
+                scratch_weights=self._scratch_weights[traps],
+            )
+        return span
+
+    # ------------------------------------------------------------------ #
+    # physics
+    # ------------------------------------------------------------------ #
+
+    def _owner_block(self, voltage, k: int) -> np.ndarray:
+        """A scalar, per-owner or ``(k, n_owners)`` bias as one flat block."""
+        block = np.asarray(voltage, dtype=float)
+        if block.shape != (k, self.n_owners):
+            try:
+                block = np.broadcast_to(block, (k, self.n_owners))
+            except ValueError:
+                raise ConfigurationError(
+                    f"voltages must broadcast to ({k}, {self.n_owners}), "
+                    f"got shape {np.shape(voltage)}"
+                ) from None
+        return block.reshape(-1)
+
+    def _rates(
+        self, v_stress, temperatures, duty: float, v_relax, span: _Span
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Duty-averaged per-trap rates for a contiguous chip span.
+
+        Temperatures are per chip (a scalar applies to the whole span);
+        each chip's scalar Arrhenius factors scale its trap block.  The
+        span goes through the kernel's rate memo, keyed by its first chip
+        and flat bias block, and the rates are written into the span's
+        scratch buffers (capture into ``scratch_pinf``, emission into
+        ``scratch_total``), valid until the next rate lookup.
+        """
+        k = span.k
+        temperatures = np.asarray(temperatures, dtype=float)
+        if temperatures.ndim == 0:
+            factors = [_arrhenius(self.params, float(temperatures))] * k
+        elif temperatures.shape == (k,):
+            factors = [_arrhenius(self.params, t) for t in temperatures.tolist()]
+        else:
+            raise ConfigurationError(
+                f"temperatures must have shape ({k},), got {temperatures.shape}"
+            )
+        v_stress = self._owner_block(v_stress, k)
+        if duty >= 1.0:  # callers validate duty <= 1.0, so this is pure DC
+            v_relax = None
+        else:
+            v_relax = self._owner_block(0.0 if v_relax is None else v_relax, k)
+        traps = span.traps
+        entry = self._memo.lookup(
+            _rate_key(span.lo, v_stress, duty, v_relax),
+            lambda: _rate_entry(
+                self.params, v_stress, duty, v_relax,
+                self._inv_tau_c0[traps], self._inv_tau_e0[traps],
+                span.repeats, span.bounds,
+            ),
+        )
+        return _rates_into(
+            entry,
+            span.bounds,
+            factors,
+            span.scratch_pinf,
+            span.scratch_total,
+            self._guard,
+            lambda: {"duty": float(duty), "fleet_chips": int(k)},
+        )
+
+    def _check_occupancy(self, span: _Span, inputs: Callable[[], dict], extra: dict) -> None:
+        """The ``bti.occupancy`` contract on a span; a bundle adds the ``extra`` arrays."""
+        traps = span.traps
+
+        def arrays() -> dict:
+            bundle = {
+                "occupancy": span.occupancy,
+                # Reciprocals of the stored rates, within an ulp of the draws.
+                "tau_c0": 1.0 / self._inv_tau_c0[traps],
+                "tau_e0": 1.0 / self._inv_tau_e0[traps],
+                "impact": self.impact[traps],
+                "owner": span.gather,
+            }
+            bundle.update((name, np.asarray(value, dtype=float)) for name, value in extra.items())
+            return bundle
+
+        self._guard.check_array(
+            "bti.occupancy",
+            span.occupancy,
+            0.0,
+            1.0,
+            inputs=lambda: {
+                **inputs(),
+                "fleet_chips": int(span.k),
+                "elapsed": float(self.elapsed[span.lo]),
+            },
+            arrays=arrays,
+        )
+
+    def evolve(
+        self,
+        duration: float,
+        v_stress,
+        temperatures,
+        duty: float = 1.0,
+        v_relax=None,
+        chips: slice = slice(None),
+    ) -> None:
+        """Advance every trap of a chip span through one phase.
+
+        ``v_stress`` / ``v_relax`` are scalars, per-owner vectors or
+        ``(k, n_owners)`` per-chip voltage patterns (``v_relax`` is the
+        off fraction's bias when ``duty < 1``; default 0 V), and
+        ``temperatures`` the per-chip kelvin (or one for the span).  The
+        update is the exact solution of the occupancy ODE with
+        duty-averaged rates: ``p' = p_inf + (p - p_inf) * exp(-(rc+re)*dt)``.
+        """
+        _check_phase(duration, duty)
+        if duration <= 0.0:  # zero-length phase is a no-op (negatives raise above)
+            return
+        span = self._span(chips)
+        capture, emission = self._rates(v_stress, temperatures, duty, v_relax, span)
+        _affine_step(
+            span.occupancy, capture, emission, duration,
+            span.scratch_total, span.scratch_pinf,
+        )
+        advance_clocks(self.elapsed, span.chips, duration)
+        if self._guard.checking:
+            self._check_occupancy(
+                span,
+                lambda: {"op": "evolve", "duration": float(duration), "duty": float(duty)},
+                {
+                    "stress_voltage": v_stress,
+                    "relax_voltage": 0.0 if v_relax is None else v_relax,
+                    "temperatures": temperatures,
+                },
+            )
+
+    def evolve_cycles(
+        self, phases: Sequence[CyclePhase], n: int, chips: slice = slice(None)
+    ) -> None:
+        """``n`` repetitions of a fixed phase sequence, O(1) in ``n``.
+
+        The exact closed form of repeated :meth:`evolve` calls (see
+        :func:`_compose_cycles`), so long periodic schedules cost one
+        cycle's rate lookups.  Phases carry voltages and temperatures in
+        :meth:`evolve`'s shapes.
+        """
+        _check_cycles(phases, n)
+        if n == 0:
+            return
+        span = self._span(chips)
+        span.occupancy[:], period = _compose_cycles(
+            span.occupancy,
+            phases,
+            n,
+            lambda phase: self._rates(
+                phase.stress_voltage, phase.temperature, phase.duty,
+                phase.relax_voltage, span,
+            ),
+        )
+        advance_clocks(self.elapsed, span.chips, n * period)
+        self._cycles_compressed.inc(n * span.k)
+        if self._guard.checking:
+            self._check_occupancy(
+                span,
+                lambda: {"op": "evolve_cycles", "n": int(n), "period": float(period)},
+                {},
+            )
+
+    # ------------------------------------------------------------------ #
+    # observables
+    # ------------------------------------------------------------------ #
+
+    def _per_owner(self, span: _Span, weights: np.ndarray) -> np.ndarray:
+        """Per-chip per-owner sums of per-trap ``weights``, ``(k, n_owners)``."""
+        counts = np.bincount(span.gather, weights=weights, minlength=span.k * self.n_owners)
+        return counts.reshape(span.k, self.n_owners)
+
+    def delta_vth(self, chips: slice = slice(None)) -> np.ndarray:
+        """Per-chip per-owner expected threshold shift, ``(k, n_owners)``."""
+        span = self._span(chips)
+        weights = np.multiply(
+            span.occupancy, self.impact[span.traps], out=span.scratch_weights
+        )
+        return self._per_owner(span, weights)
+
+    def max_delta_vth(self, chips: slice = slice(None)) -> np.ndarray:
+        """Per-chip per-owner ceiling on :meth:`delta_vth` (all traps occupied)."""
+        span = self._span(chips)
+        return self._per_owner(span, self.impact[span.traps])
+
+    def sample_delta_vth(
+        self, rng: np.random.Generator, chips: slice = slice(None)
+    ) -> np.ndarray:
+        """One stochastic per-owner shift per chip: each trap occupied or not."""
+        span = self._span(chips)
+        occupied = rng.random(span.occupancy.size) < span.occupancy
+        return self._per_owner(span, occupied * self.impact[span.traps])
+
+    def equilibrium_delta_vth(
+        self, condition: BiasCondition, chips: slice = slice(None)
+    ) -> np.ndarray:
+        """Per-chip per-owner shift if the span equilibrated at ``condition``."""
+        span = self._span(chips)
+        traps = span.traps
+        voltage = np.repeat(self._owner_block(condition.stress_voltage, span.k), span.repeats)
+        capture, emission = _reference_rates(
+            self.params, self._inv_tau_c0[traps], self._inv_tau_e0[traps],
+            voltage, condition.temperature,
+        )
+        p_inf = capture / (capture + emission)
+        return self._per_owner(span, p_inf * self.impact[traps])
+
+    # ------------------------------------------------------------------ #
+    # per-chip state
+    # ------------------------------------------------------------------ #
+
+    def occupancy_row(self, index: int) -> np.ndarray:
+        """Copy of one chip's occupancy slice (checkpoint/export form)."""
+        return self._span(slice(index, index + 1)).occupancy.copy()
+
+    def set_occupancy_row(self, index: int, occupancy: np.ndarray, elapsed: float) -> None:
+        """Restore one chip's occupancy slice (checkpoint/import form).
+
+        Drops the rate memo: a state transition must not observe entries
+        built for a previous trajectory.
+        """
+        row = self._span(slice(index, index + 1)).occupancy
+        occupancy = np.asarray(occupancy, dtype=float)
+        if occupancy.shape != row.shape:
+            raise ConfigurationError("snapshot does not match this fleet population")
+        row[:] = occupancy
+        self.elapsed[index] = float(elapsed)
+        self._memo.clear()
+
+    def inject_upset(self, index: int, value: float, n_traps: int = 64) -> None:
+        """Fault-injection hook: overwrite one chip's first ``n_traps`` occupancies.
+
+        Bypasses the physics on purpose — campaigns use this (via
+        ``FaultKind.TRAP_UPSET``) to model a corrupted state upset and
+        exercise the guard's detect/clamp/quarantine path.  The poked
+        values (NaN, >1, <0 ...) are caught by the ``bti.occupancy``
+        contract on the next evolve.
+        """
+        self._span(slice(index, index + 1)).occupancy[: int(n_traps)] = value
+
+
 class TrapPopulation:
     """Trap ensemble shared by a group of transistors ("owners").
 
     Each owner is one aging transistor; the population tracks which traps
     belong to which owner so that a phase can apply a *different* stress
     voltage per owner (the LUT model decides who is stressed) while the
-    whole chip still evolves in one vectorised update.
+    whole chip still evolves in one vectorised update.  It is the
+    one-chip case of :class:`FleetTraps`, which holds its state and does
+    its physics.
     """
 
     def __init__(
@@ -483,67 +886,45 @@ class TrapPopulation:
             rng = np.random.default_rng(rng)
         self.params = params
         self.n_owners = n_owners
-        draws = _draw_population(params, n_owners, rng)
-        self.owner = draws.owner
-        self.tau_c0 = draws.tau_c0
-        self.tau_e0 = draws.tau_e0
-        self.impact = draws.impact
-        n_traps = draws.n_traps
-        self._state = _PopulationState(occupancy=np.zeros(n_traps))
-
-        # The population is a one-chip span of the shared rate kernel:
-        # memoised temperature-free rates, scaled per lookup by the scalar
-        # Arrhenius factors into the update's scratch buffers.
-        self._inv_tau_c0 = 1.0 / self.tau_c0
-        self._inv_tau_e0 = 1.0 / self.tau_e0
-        self._bounds = (0, n_traps)
-        self._scratch_total = np.empty(n_traps)
-        self._scratch_pinf = np.empty(n_traps)
-        self._scratch_weights = np.empty(n_traps)
-        self._guard = guard if guard is not None else get_guard()
-        tracer = tracer if tracer is not None else get_tracer()
-        self._memo = RateMemo(tracer)
-        self._cycles_compressed = tracer.counter(
-            "bti.cycles_compressed", "schedule cycles folded by evolve_cycles"
+        draws = draw_population(params, n_owners, rng)
+        #: The frozen draws (the fleet state shares owner and impact).
+        self.owner, self.tau_c0, self.tau_e0, self.impact = (
+            draws.owner, draws.tau_c0, draws.tau_e0, draws.impact
         )
+        self.n_traps = draws.n_traps
+        self._fleet = FleetTraps(params, n_owners, [draws], guard=guard, tracer=tracer)
 
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
 
     @property
-    def n_traps(self) -> int:
-        """Total trap count across all owners."""
-        return self.owner.size
-
-    @property
     def elapsed(self) -> float:
         """Simulated wall-clock seconds accumulated by ``evolve`` calls."""
-        return self._state.elapsed
+        return float(self._fleet.elapsed[0])
 
     @property
     def occupancy(self) -> np.ndarray:
         """Per-trap occupancy probabilities (read-only view)."""
-        view = self._state.occupancy.view()
+        view = self._fleet.occupancy.view()
         view.flags.writeable = False
         return view
+
+    @property
+    def rate_cache_entries(self) -> int:
+        """Live entries in the rate memo (introspection)."""
+        return self._fleet.rate_cache_entries
 
     # ------------------------------------------------------------------ #
     # physics
     # ------------------------------------------------------------------ #
 
     def _rates(self, stress_voltage: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-trap capture and emission rates (1/s) at a bias point.
-
-        ``stress_voltage`` is broadcast per trap (already expanded from the
-        per-owner vector by the caller).  This is the uncached reference
-        path; hot loops go through :meth:`_effective_rates`.
-        """
-        arr_c, arr_e = _arrhenius(self.params, temperature)
-        vfac_c, vfac_e = _voltage_factors(self.params, stress_voltage)
-        capture = (1.0 / self.tau_c0) * arr_c * vfac_c
-        emission = (1.0 / self.tau_e0) * arr_e * vfac_e
-        return capture, emission
+        """Uncached per-trap rates at a per-trap bias (see :func:`_reference_rates`)."""
+        fleet = self._fleet
+        return _reference_rates(
+            self.params, fleet._inv_tau_c0, fleet._inv_tau_e0, stress_voltage, temperature
+        )
 
     def _canonical_bias(self, per_owner: np.ndarray | float) -> np.ndarray:
         """Normalise a bias argument to its canonical array form.
@@ -572,6 +953,10 @@ class TrapPopulation:
             return np.full(self.n_owners, float(canonical))
         return canonical
 
+    def _expand(self, per_owner: np.ndarray | float) -> np.ndarray:
+        """Broadcast a per-owner vector (or scalar) to per-trap."""
+        return self._owner_voltages(self._canonical_bias(per_owner))[self.owner]
+
     def _effective_rates(
         self,
         stress_voltage: np.ndarray | float,
@@ -579,39 +964,12 @@ class TrapPopulation:
         duty: float,
         relax_voltage: np.ndarray | float,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Duty-averaged per-trap rates for one piecewise-constant phase.
-
-        Written into the scratch buffers :func:`_affine_step` consumes
-        (capture into ``_scratch_pinf``, emission into ``_scratch_total``),
-        so they are valid until the next rate lookup.
-        """
-        v_stress = self._owner_voltages(self._canonical_bias(stress_voltage))
-        v_relax = None
-        if duty < 1.0:  # callers validate duty <= 1.0, so else pure DC
-            v_relax = self._owner_voltages(self._canonical_bias(relax_voltage))
-        entry = self._memo.lookup(
-            _rate_key(0, v_stress, duty, v_relax),
-            lambda: _rate_entry(
-                self.params, v_stress, duty, v_relax,
-                self._inv_tau_c0, self._inv_tau_e0, self.owner, self._bounds,
-            ),
+        """Duty-averaged per-trap rates for one piecewise-constant phase."""
+        fleet = self._fleet
+        return fleet._rates(
+            self._canonical_bias(stress_voltage), temperature, duty,
+            self._canonical_bias(relax_voltage), fleet._span(slice(None)),
         )
-        return _rates_into(
-            entry,
-            self._bounds,
-            (_arrhenius(self.params, temperature),),
-            self._scratch_pinf,
-            self._scratch_total,
-            self._guard,
-            lambda: {"temperature": float(temperature), "duty": float(duty)},
-        )
-
-    def _expand(self, per_owner: np.ndarray | float) -> np.ndarray:
-        """Broadcast a per-owner vector (or scalar) to per-trap."""
-        arr = self._canonical_bias(per_owner)
-        if arr.ndim == 0:
-            return np.full(self.n_traps, float(arr))
-        return arr[self.owner]
 
     def evolve(
         self,
@@ -625,74 +983,22 @@ class TrapPopulation:
 
         ``stress_voltage`` may be a scalar or a per-owner vector; with a
         duty cycle below 1.0 the off fraction sits at ``relax_voltage``.
-        The update is the exact solution of the occupancy ODE with
-        duty-averaged rates: ``p' = p_inf + (p - p_inf) * exp(-(rc+re)*dt)``.
+        See :meth:`FleetTraps.evolve`.
         """
-        _check_phase(duration, duty)
-        if duration <= 0.0:  # zero-length phase is a no-op (negatives raise above)
-            return
-        capture, emission = self._effective_rates(
-            stress_voltage, temperature, duty, relax_voltage
+        self._fleet.evolve(
+            duration,
+            self._canonical_bias(stress_voltage),
+            temperature,
+            duty,
+            self._canonical_bias(relax_voltage),
         )
-        state = self._state
-        _affine_step(
-            state.occupancy, capture, emission, duration,
-            self._scratch_total, self._scratch_pinf,
-        )
-        state.elapsed += duration
-        guard = self._guard
-        if guard.checking:
-            guard.check_array(
-                "bti.occupancy",
-                state.occupancy,
-                0.0,
-                1.0,
-                inputs=lambda: {
-                    "op": "evolve",
-                    "duration": float(duration),
-                    "temperature": float(temperature),
-                    "duty": float(duty),
-                    "elapsed": float(state.elapsed),
-                },
-                arrays=lambda: self._bundle_arrays(stress_voltage, relax_voltage),
-            )
 
     def evolve_cycles(self, phases: Sequence[CyclePhase], n: int) -> None:
         """Advance through ``n`` repetitions of a fixed phase sequence, O(1) in ``n``.
 
-        The exact closed form of repeated :meth:`evolve` calls (see
-        :func:`_compose_cycles`), so long periodic schedules cost one
-        cycle's rate lookups.
+        See :meth:`FleetTraps.evolve_cycles`.
         """
-        _check_cycles(phases, n)
-        if n == 0:
-            return
-        state = self._state
-        state.occupancy, period = _compose_cycles(
-            state.occupancy,
-            phases,
-            n,
-            lambda phase: self._effective_rates(
-                phase.stress_voltage, phase.temperature, phase.duty, phase.relax_voltage
-            ),
-        )
-        state.elapsed += n * period
-        self._cycles_compressed.inc(n)
-        guard = self._guard
-        if guard.checking:
-            guard.check_array(
-                "bti.occupancy",
-                state.occupancy,
-                0.0,
-                1.0,
-                inputs=lambda: {
-                    "op": "evolve_cycles",
-                    "n": int(n),
-                    "period": float(period),
-                    "elapsed": float(state.elapsed),
-                },
-                arrays=lambda: self._bundle_arrays(None, None),
-            )
+        self._fleet.evolve_cycles(phases, n)
 
     def evolve_phase(self, phase: BiasPhase, stress_mask: np.ndarray | None = None) -> None:
         """Advance through a :class:`BiasPhase`.
@@ -728,14 +1034,7 @@ class TrapPopulation:
 
     def delta_vth(self) -> np.ndarray:
         """Expected per-owner threshold-voltage shift (volts, mean-field)."""
-        weights = np.multiply(
-            self._state.occupancy, self.impact, out=self._scratch_weights
-        )
-        return np.bincount(self.owner, weights=weights, minlength=self.n_owners)
-
-    def max_delta_vth(self) -> np.ndarray:
-        """Per-owner ceiling on :meth:`delta_vth` (every trap occupied)."""
-        return np.bincount(self.owner, weights=self.impact, minlength=self.n_owners)
+        return self._fleet.delta_vth()[0]
 
     def sample_delta_vth(self, rng: np.random.Generator | int | None = None) -> np.ndarray:
         """One stochastic per-owner shift: each trap is occupied or not.
@@ -745,77 +1044,28 @@ class TrapPopulation:
         """
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
-        occupied = rng.random(self.n_traps) < self._state.occupancy
-        return np.bincount(
-            self.owner, weights=occupied * self.impact, minlength=self.n_owners
-        )
+        return self._fleet.sample_delta_vth(rng)[0]
 
-    def equilibrium_delta_vth(
-        self, condition: BiasCondition
-    ) -> np.ndarray:
+    def equilibrium_delta_vth(self, condition: BiasCondition) -> np.ndarray:
         """Per-owner shift if the population equilibrated at ``condition``."""
-        v = self._expand(condition.stress_voltage)
-        capture, emission = self._rates(v, condition.temperature)
-        p_inf = capture / (capture + emission)
-        return np.bincount(self.owner, weights=p_inf * self.impact, minlength=self.n_owners)
+        return self._fleet.equilibrium_delta_vth(condition)[0]
 
     # ------------------------------------------------------------------ #
     # state management
     # ------------------------------------------------------------------ #
 
-    def _bundle_arrays(self, stress_voltage, relax_voltage) -> dict:
-        """Model arrays for a guard repro bundle (violation slow path)."""
-        arrays = {
-            "occupancy": self._state.occupancy,
-            "tau_c0": self.tau_c0,
-            "tau_e0": self.tau_e0,
-            "impact": self.impact,
-            "owner": self.owner,
-        }
-        if stress_voltage is not None:
-            arrays["stress_voltage"] = np.asarray(stress_voltage, dtype=float)
-        if relax_voltage is not None:
-            arrays["relax_voltage"] = np.asarray(relax_voltage, dtype=float)
-        return arrays
-
-    def inject_upset(self, value: float, n_traps: int = 64) -> None:
-        """Fault-injection hook: overwrite the first ``n_traps`` occupancies.
-
-        Bypasses the physics on purpose — campaigns use this (via
-        ``FaultKind.TRAP_UPSET``) to model a corrupted readout/state
-        upset and exercise the guard's detect/clamp/quarantine path.  The
-        poked values (NaN, >1, <0 ...) are caught by the ``bti.occupancy``
-        contract on the next ``evolve``.
-        """
-        count = min(int(n_traps), self.n_traps)
-        self._state.occupancy[:count] = value
-
     def reset(self) -> None:
         """Return every trap to the fresh (empty) state and zero the clock."""
-        self._state = _PopulationState(occupancy=np.zeros(self.n_traps))
-        self._invalidate_rate_cache()
+        self._fleet.set_occupancy_row(0, np.zeros(self.n_traps), 0.0)
 
     def snapshot(self) -> _PopulationState:
         """Capture the mutable state for later :meth:`restore` (what-if runs)."""
-        return _PopulationState(
-            occupancy=self._state.occupancy.copy(), elapsed=self._state.elapsed
-        )
+        return _PopulationState(occupancy=self._fleet.occupancy_row(0), elapsed=self.elapsed)
 
     def restore(self, state: _PopulationState) -> None:
         """Restore a state captured by :meth:`snapshot`."""
-        if state.occupancy.shape != (self.n_traps,):
-            raise ConfigurationError("snapshot does not match this population")
-        self._state = _PopulationState(
-            occupancy=state.occupancy.copy(), elapsed=state.elapsed
-        )
-        self._invalidate_rate_cache()
+        self._fleet.set_occupancy_row(0, state.occupancy, state.elapsed)
 
     def _invalidate_rate_cache(self) -> None:
-        """Drop every memoised rate array (state transitions must not
-        observe entries built for a previous trajectory)."""
-        self._memo.clear()
-
-    @property
-    def rate_cache_entries(self) -> int:
-        """Live entries in the rate memo (introspection)."""
-        return len(self._memo)
+        """Drop every memoised rate array."""
+        self._fleet._memo.clear()

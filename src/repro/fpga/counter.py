@@ -10,6 +10,8 @@ noise.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ConfigurationError, CounterOverflowError, MeasurementError
@@ -62,8 +64,8 @@ class ReadoutCounter:
 
     def ideal_count(self, fosc: float) -> int:
         """Noise-free count for an oscillator frequency (paper Eq. 14 inverted)."""
-        if fosc <= 0.0:
-            raise ConfigurationError(f"fosc must be positive, got {fosc}")
+        if not (fosc > 0.0 and math.isfinite(fosc)):
+            raise ConfigurationError(f"fosc must be positive and finite, got {fosc}")
         return int(round(fosc / (2.0 * self.fref)))
 
     def read(self, fosc: float, rng: np.random.Generator | int | None = None) -> int:

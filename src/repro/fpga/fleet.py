@@ -1,30 +1,30 @@
-"""A wafer lot of virtual FPGA chips behind one batched state.
+"""Virtual FPGA chips of one process behind one batched state.
 
 :class:`FleetChip` owns N same-process chips as struct-of-arrays state
 (:mod:`repro.bti.fleet`) plus per-chip variation columns (stage delay
-multipliers, Vth offsets, fresh delays), so one call ages the whole lot.
-Two fidelities:
+multipliers, Vth offsets, fresh delays, delay models), so one call ages
+a span of the lot.  Two fidelities:
 
-* ``"exact"`` — flat per-trap state; every chip's trajectory is
-  bit-identical to a standalone :class:`~repro.fpga.chip.FpgaChip` built
-  from the same seed (the facade-equivalence contract, enforced by
-  :meth:`FleetChip.view`'s :class:`ChipView` and the fleet test suite).
+* ``"exact"`` — flat per-trap state.  A chip's trajectory is the same
+  bit for bit whatever span it is driven in, so a standalone
+  :class:`~repro.fpga.chip.FpgaChip` is a view of a one-chip exact fleet
+  and :meth:`FleetChip.view` binds the same facade to one lot position.
 * ``"binned"`` — CET-grid quantised populations for 10k-chip lots;
   statistically faithful, not bit-identical (see
   :class:`~repro.bti.fleet.BinnedFleetTraps`).  Owners with identical
   voltage histories form one bias class, and only one representative
   owner per class is biased.
 
-Chip construction consumes each seed's generator in
-:class:`FpgaChip.__init__`'s order (variation sample, then the two
-population spawns, drawn by the same kernel), and both classes turn a
-stress or recovery into per-owner voltages with one rule,
-:func:`~repro.fpga.chip.bias_pattern`, so an exact-fidelity fleet chip
-and a standalone chip from the same seed hold identical constants and
-see identical biases.
+Each seed's generator is consumed in one order (variation sample, then
+the two population spawns), and a stress or recovery becomes per-owner
+voltages through one rule, :func:`bias_pattern`, so a chip's constants
+and biases depend only on its seed and schedule.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -36,10 +36,12 @@ from repro.bti.fleet import (
     contiguous_chips,
     draw_population,
 )
+from repro.bti.traps import CyclePhase, _check_cycles, advance_clocks
+from repro.device.delay import AlphaPowerDelayModel, FirstOrderDelayShift
 from repro.device.technology import TechnologyParameters, TECH_40NM
 from repro.device.variation import ProcessVariation
 from repro.errors import ConfigurationError
-from repro.fpga.chip import bias_pattern, cycle_phases
+from repro.fpga.fabric import Fabric, Location
 from repro.fpga.netlist import InverterChainNetlist
 from repro.fpga.ring_oscillator import StressMode
 from repro.guard import get_guard
@@ -47,6 +49,117 @@ from repro.obs import get_tracer
 
 #: Fidelity names accepted by :class:`FleetChip`.
 FIDELITIES = ("exact", "binned")
+
+#: Gate-delay models accepted by :class:`FleetChip` (``delay_model=``).
+DELAY_MODELS = {"first-order": FirstOrderDelayShift, "alpha-power": AlphaPowerDelayModel}
+
+
+@dataclass(frozen=True)
+class CycleSegment:
+    """One leg of a repeating chip schedule, in :meth:`FleetChip.apply_stress`
+    / :meth:`FleetChip.apply_recovery` terms.
+
+    Build with :meth:`active` (stress) or :meth:`sleep` (recovery); a
+    sequence of segments repeated ``n`` times feeds
+    :meth:`FleetChip.apply_cycles`.
+    """
+
+    duration: float
+    temperature: float
+    supply_voltage: float | None
+    stress: bool
+    mode: StressMode = StressMode.DC
+    chain_input: int = 1
+
+    def __post_init__(self) -> None:
+        if self.duration < 0.0:
+            raise ConfigurationError(
+                f"segment duration must be non-negative, got {self.duration}"
+            )
+
+    @classmethod
+    def active(
+        cls,
+        duration: float,
+        temperature: float,
+        supply_voltage: float | None = None,
+        mode: StressMode = StressMode.DC,
+        chain_input: int = 1,
+    ) -> "CycleSegment":
+        """A stress leg; ``supply_voltage`` ``None`` means the nominal rail."""
+        return cls(
+            duration=duration,
+            temperature=temperature,
+            supply_voltage=supply_voltage,
+            stress=True,
+            mode=mode,
+            chain_input=chain_input,
+        )
+
+    @classmethod
+    def sleep(
+        cls, duration: float, temperature: float, supply_voltage: float = 0.0
+    ) -> "CycleSegment":
+        """A recovery leg (power-gated at 0 V or a negative rail)."""
+        return cls(
+            duration=duration,
+            temperature=temperature,
+            supply_voltage=supply_voltage,
+            stress=False,
+        )
+
+
+def bias_pattern(
+    netlist: InverterChainNetlist,
+    tech: TechnologyParameters,
+    stress: bool,
+    supplies,
+    temperatures,
+    mode: StressMode = StressMode.DC,
+    chain_input: int = 1,
+    owners: np.ndarray | None = None,
+) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """Validated per-owner ``(v_stress, duty, v_relax)`` of one bias, for k chips.
+
+    ``supplies`` and ``temperatures`` are scalars or ``(k,)`` arrays; a
+    ``None`` supply is the nominal rail under stress and 0 V (power
+    gated) in recovery.  Voltages come back as ``(k, n_owners)``: a DC
+    stress freezes the ring at ``chain_input``, an AC stress toggles at
+    50 % duty between the two complementary static patterns (``v_relax``
+    is the off pattern), and a recovery biases every device uniformly.
+    An ``owners`` index returns only those owners' columns, bit for bit
+    the same as selecting them from the full pattern.
+    """
+    if supplies is None:
+        supplies = tech.vdd_nominal if stress else 0.0
+    supplies = np.atleast_1d(np.asarray(supplies, dtype=float))
+    if stress:
+        if np.any(supplies <= 0.0):
+            raise ConfigurationError("stress requires a positive supply; use apply_recovery")
+    else:
+        # Vectorised range checks; the first failing element, in order,
+        # raises through the scalar checks' messages.
+        bad = (supplies > 0.0) | (supplies < tech.min_recovery_voltage)
+        if bad.any():
+            supply = float(supplies[bad.argmax()])
+            if supply > 0.0:
+                raise ConfigurationError("recovery needs a non-positive supply voltage")
+            tech.check_recovery_voltage(supply)
+    kelvin = np.atleast_1d(np.asarray(temperatures, dtype=float))
+    hot = kelvin > tech.max_accelerated_temperature
+    if hot.any():
+        tech.check_temperature(float(kelvin[hot.argmax()]))
+    column = supplies[:, None]
+    select = slice(None) if owners is None else owners
+    if not stress:
+        width = netlist.n_owners if owners is None else len(owners)
+        return np.repeat(column, width, axis=1), 1.0, None
+    if mode is StressMode.DC:
+        return column * netlist.dc_stress_fractions(chain_input)[select], 1.0, None
+    if mode is StressMode.AC:
+        pattern_a, pattern_b = netlist.ac_stress_fractions()
+        return column * pattern_a[select], 0.5, column * pattern_b[select]
+    raise ConfigurationError(f"unknown stress mode {mode!r}")
 
 
 class FleetChip:
@@ -56,16 +169,33 @@ class FleetChip:
     ----------
     chip_ids / seeds:
         Parallel sequences naming each lot position and seeding its
-        variation + trap draws (exactly like ``FpgaChip(seed=...)``).
+        variation + trap draws, so a chip is fully reproducible.
+    tech:
+        Process constants.
+    variation:
+        Statistical process spread; each chip samples its own instance so
+        fresh frequencies differ chip to chip, as the paper observes.
+    n_stages:
+        Ring-oscillator length (paper: 75 LUT inverters).
+    fabric / location:
+        Optional placement of the CUT on the fabric; adds the systematic
+        delay gradient of the location to every chip.
+    delay_model:
+        "first-order" for the paper's Eq. (6) linearisation (default) or
+        "alpha-power" for the ablation model (exact fidelity only).
+    enable_gated:
+        Build the ring with its enable NAND gate.
     fidelity:
         ``"exact"`` (per-trap, bit-identical) or ``"binned"``
         (CET-grid, population-scale).
     bins_per_decade:
         Grid density of the binned fidelity; ignored for exact.
     guard:
-        Fleet-level contract checker for batched calls; per-chip guards
-        can still be threaded through the ``guard=`` argument of each
-        method (the :class:`ChipView` facade does exactly that).
+        The chips' contract checker (shared with their trap engines);
+        defaults to the ambient process guard.
+    tracer:
+        Telemetry sink counting trap-state updates; defaults to the
+        process tracer (a no-op unless one was installed).
     """
 
     def __init__(
@@ -76,6 +206,10 @@ class FleetChip:
         tech: TechnologyParameters = TECH_40NM,
         variation: ProcessVariation | None = None,
         n_stages: int = 75,
+        fabric: Fabric | None = None,
+        location: Location | None = None,
+        delay_model: str = "first-order",
+        enable_gated: bool = False,
         fidelity: str = "exact",
         bins_per_decade: float = 3.0,
         guard=None,
@@ -85,42 +219,63 @@ class FleetChip:
             raise ConfigurationError("chip_ids and seeds must be equal-length, non-empty")
         if fidelity not in FIDELITIES:
             raise ConfigurationError(f"fidelity must be one of {FIDELITIES}, got {fidelity!r}")
+        if delay_model not in DELAY_MODELS:
+            raise ConfigurationError(
+                f"delay_model must be 'first-order' or 'alpha-power', got {delay_model!r}"
+            )
+        if fidelity == "binned" and delay_model != "first-order":
+            raise ConfigurationError(
+                "the binned fidelity reads the first-order delay model only, "
+                f"got delay_model={delay_model!r}"
+            )
+        systematic = 1.0
+        if fabric is not None:
+            location = location if location is not None else fabric.center
+            systematic = fabric.systematic_multiplier(location)
+        elif location is not None:
+            raise ConfigurationError("a location requires a fabric")
         self.chip_ids = list(chip_ids)
         self.n_chips = len(self.chip_ids)
         self.tech = tech
         self.fidelity = fidelity
         self.guard = guard if guard is not None else get_guard()
         self.tracer = tracer if tracer is not None else get_tracer()
-        self.netlist = InverterChainNetlist(n_stages=n_stages)
+        self.netlist = InverterChainNetlist(n_stages=n_stages, enable_gated=enable_gated)
         variation = variation if variation is not None else ProcessVariation()
 
         is_pmos = self.netlist.owner_is_pmos
         self._pmos_owners = np.flatnonzero(is_pmos)
         self._nmos_owners = np.flatnonzero(~is_pmos)
-        n_owners = self.netlist.n_owners
         base_weights = self.netlist.delay_weights(tech)
 
-        self._weights = np.empty((self.n_chips, n_owners))
+        self._weights = np.empty((self.n_chips, self.netlist.n_owners))
         self.fresh_path_delays = np.empty(self.n_chips)
-        self._div_pmos = np.empty(self.n_chips)  # vdd - vth0_pmos per chip
-        self._div_nmos = np.empty(self.n_chips)
+        #: Per chip, the (pMOS, nMOS) gate-delay models.
+        self._delay_models: list[tuple] = []
+        model = DELAY_MODELS[delay_model]
         draws_p: list[TrapDraws] = []
         draws_n: list[TrapDraws] = []
         for index, seed in enumerate(seeds):
-            # Replays FpgaChip.__init__'s draw order: variation sample
-            # first, then the two population child streams.
+            # Draw order: variation sample first, then the two population
+            # child streams.
             rng = np.random.default_rng(seed)
             sample = variation.sample(n_stages, rng=rng)
-            stage_multiplier = sample.local_delay_multipliers * sample.delay_multiplier
+            stage_multiplier = (
+                sample.local_delay_multipliers * sample.delay_multiplier * systematic
+            )
             self._weights[index] = base_weights * stage_multiplier[self.netlist.owner_stage]
             self.fresh_path_delays[index] = float(tech.stage_delay * stage_multiplier.sum())
-            self._div_pmos[index] = tech.vdd_nominal - (tech.vth0_pmos + sample.vth_offset)
-            self._div_nmos[index] = tech.vdd_nominal - (tech.vth0_nmos + sample.vth_offset)
+            self._delay_models.append(
+                (
+                    model(tech.vdd_nominal, tech.vth0_pmos + sample.vth_offset),
+                    model(tech.vdd_nominal, tech.vth0_nmos + sample.vth_offset),
+                )
+            )
             pop_rng_p, pop_rng_n = rng.spawn(2)
             draws_p.append(draw_population(tech.nbti_traps, self._pmos_owners.size, pop_rng_p))
             draws_n.append(draw_population(tech.pbti_traps, self._nmos_owners.size, pop_rng_n))
 
-        #: Per-chip simulated seconds (the ``FpgaChip.elapsed`` clock).
+        #: Per-chip simulated seconds (each chip's ``FpgaChip.elapsed``).
         self.elapsed = np.zeros(self.n_chips)
         self._trap_updates = self.tracer.counter(
             "bti.trap_updates", "per-transistor trap-population evolutions"
@@ -134,10 +289,13 @@ class FleetChip:
                 tech.pbti_traps, self._nmos_owners.size, draws_n,
                 guard=self.guard, tracer=self.tracer,
             )
-            caps = np.zeros((self.n_chips, n_owners))
-            caps[:, self._pmos_owners] = self._pmos.max_delta_vth()
-            caps[:, self._nmos_owners] = self._nmos.max_delta_vth()
-            self._dvth_caps = caps
+            # Per-owner ceiling on delta_vth (every trap occupied), in
+            # polarity order — the bound of the device.delta_vth contract.
+            self._dvth_caps = np.concatenate(
+                [self._pmos.max_delta_vth(), self._nmos.max_delta_vth()], axis=1
+            )
+            self._weights_pmos = self._weights[:, self._pmos_owners]
+            self._weights_nmos = self._weights[:, self._nmos_owners]
             bias_p, bias_n = self._pmos_owners, self._nmos_owners
         else:
             # Every owner of a bias class shares its fraction row, so one
@@ -154,24 +312,32 @@ class FleetChip:
                 self.n_chips,
                 guard=self.guard,
             )
-            for index in range(self.n_chips):
+            # A cell's readout weight is the first-order delay sensitivity
+            # td0 / (vdd - vth0) of its owners.
+            for index, (model_p, model_n) in enumerate(self._delay_models):
                 self._pmos.add_chip(
                     index,
                     draws_p[index],
                     class_of_owner_p,
-                    self._weights[index, self._pmos_owners] / self._div_pmos[index],
+                    self._weights[index, self._pmos_owners] / (model_p.vdd - model_p.vth0),
                 )
                 self._nmos.add_chip(
                     index,
                     draws_n[index],
                     class_of_owner_n,
-                    self._weights[index, self._nmos_owners] / self._div_nmos[index],
+                    self._weights[index, self._nmos_owners] / (model_n.vdd - model_n.vth0),
                 )
         #: The owners whose voltages a phase needs: every owner (exact) or
         #: one per bias class (binned), pMOS first, then nMOS from column
         #: ``_bias_split`` on.
         self._bias_owners = np.concatenate([bias_p, bias_n])
         self._bias_split = bias_p.size
+        #: Global owner order from the exact fidelity's polarity order.
+        self._owner_order = np.argsort(self._bias_owners)
+        self._polarities = (
+            (self._pmos, slice(None, self._bias_split)),
+            (self._nmos, slice(self._bias_split, None)),
+        )
 
     def _owner_classes(self, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bias classes of one polarity's owners.
@@ -191,171 +357,221 @@ class FleetChip:
         )
         return owners[first], inverse
 
+    def _exact(self, what: str) -> None:
+        if self.fidelity != "exact":
+            raise ConfigurationError(f"{what} needs the exact fidelity")
+
     # ------------------------------------------------------------------ #
-    # bias application (lock-step groups)
+    # bias application (lock-step spans)
     # ------------------------------------------------------------------ #
 
     def apply_stress(
         self,
         duration: float,
-        temperatures: np.ndarray,
-        supplies: np.ndarray,
+        temperatures,
+        supplies,
         mode: StressMode = StressMode.DC,
         chain_input: int = 1,
         chips: slice = slice(None),
-        guard=None,
     ) -> None:
         """Stress a contiguous chip span for ``duration`` seconds.
 
-        ``temperatures`` (kelvin) and ``supplies`` (volts) are per-chip
-        delivered values; the bias pattern (DC freeze or AC oscillation)
-        is shared — lock-step groups always run the same phase.
+        ``temperatures`` (kelvin) and ``supplies`` (volts; ``None`` is the
+        nominal rail) are scalars or per-chip delivered values.  DC mode
+        freezes the ring at ``chain_input``; AC mode lets it oscillate
+        (50 % duty between the two complementary static patterns).  The
+        bias pattern is shared: a span always runs one phase.
         """
         lo, hi = contiguous_chips(chips, self.n_chips)
         pattern = bias_pattern(
             self.netlist, self.tech, True, supplies, temperatures, mode, chain_input,
             owners=self._bias_owners,
         )
-        self._evolve_span(duration, temperatures, *pattern, lo, hi, guard)
+        self._evolve_span(duration, temperatures, *pattern, lo, hi)
 
     def apply_recovery(
         self,
         duration: float,
-        temperatures: np.ndarray,
-        supplies: np.ndarray,
+        temperatures,
+        supplies,
         chips: slice = slice(None),
-        guard=None,
     ) -> None:
-        """Recover a contiguous chip span (0 V passive or negative rail)."""
+        """Let a contiguous chip span recover for ``duration`` seconds.
+
+        A supply of 0 is passive recovery (power gated); a negative value
+        is the paper's accelerated recovery.  Every device sees the
+        recovery bias uniformly.
+        """
         lo, hi = contiguous_chips(chips, self.n_chips)
         pattern = bias_pattern(
             self.netlist, self.tech, False, supplies, temperatures, owners=self._bias_owners
         )
-        self._evolve_span(duration, temperatures, *pattern, lo, hi, guard)
+        self._evolve_span(duration, temperatures, *pattern, lo, hi)
 
     def _evolve_span(
         self,
         duration: float,
-        temperatures: np.ndarray,
+        temperatures,
         voltages: np.ndarray,
         duty: float,
         relax_voltages: np.ndarray | None,
         lo: int,
         hi: int,
-        guard,
     ) -> None:
         """Age both populations; voltages are ``(k, _bias_owners)`` columns."""
         span = slice(lo, hi)
-        temperatures = np.asarray(temperatures, dtype=float)
-        split = self._bias_split
-        for pop, columns in ((self._pmos, slice(None, split)), (self._nmos, slice(split, None))):
+        for pop, columns in self._polarities:
             relax = None if relax_voltages is None else relax_voltages[:, columns]
-            if self.fidelity == "exact":
-                pop.evolve(
-                    duration, voltages[:, columns], temperatures,
-                    duty=duty, v_relax=relax, chips=span, guard=guard,
-                )
-            else:
-                pop.evolve(
-                    duration, voltages[:, columns], temperatures,
-                    duty=duty, v_class_relax=relax, chips=span,
-                )
+            pop.evolve(
+                duration, voltages[:, columns], temperatures,
+                duty=duty, v_relax=relax, chips=span,
+            )
         self._trap_updates.inc(self.netlist.n_owners * (hi - lo))
-        self.elapsed[span] += duration
+        advance_clocks(self.elapsed, span, duration)
+
+    def apply_cycles(
+        self, segments: Sequence[CycleSegment], n: int, chips: slice = slice(None)
+    ) -> None:
+        """Advance a chip span through ``n`` repetitions of a segment sequence.
+
+        Uses the closed-form affine composition of
+        :meth:`~repro.bti.traps.FleetTraps.evolve_cycles` — exact (the
+        same piecewise-constant physics as calling :meth:`apply_stress` /
+        :meth:`apply_recovery` in a loop) but O(1) in ``n``.  Only valid
+        when every cycle really is identical: any per-cycle feedback
+        (adaptive duty, jittered instruments) must stay on the loop path.
+        """
+        self._exact("apply_cycles")
+        lo, hi = contiguous_chips(chips, self.n_chips)
+        # Every segment's bias is validated before any state moves.
+        _check_cycles(segments, n)
+        legs: list[list[CyclePhase]] = [[] for _ in self._polarities]
+        for segment in segments:
+            v_stress, duty, v_relax = bias_pattern(
+                self.netlist, self.tech, segment.stress, segment.supply_voltage,
+                segment.temperature, segment.mode, segment.chain_input,
+                owners=self._bias_owners,
+            )
+            v_relax = np.zeros_like(v_stress) if v_relax is None else v_relax
+            for (_, columns), phases in zip(self._polarities, legs):
+                phases.append(
+                    CyclePhase(
+                        duration=segment.duration,
+                        stress_voltage=v_stress[0, columns],
+                        temperature=segment.temperature,
+                        duty=duty,
+                        relax_voltage=v_relax[0, columns],
+                    )
+                )
+        if n == 0:
+            return
+        span = slice(lo, hi)
+        for (pop, _), phases in zip(self._polarities, legs):
+            pop.evolve_cycles(phases, n, chips=span)
+        self._trap_updates.inc(self.netlist.n_owners * len(segments) * n * (hi - lo))
+        advance_clocks(self.elapsed, span, n * sum(segment.duration for segment in segments))
 
     # ------------------------------------------------------------------ #
     # observables
     # ------------------------------------------------------------------ #
 
-    def delta_vth_all(self, chips: slice = slice(None), guard=None) -> np.ndarray:
-        """Per-chip per-owner threshold shifts, ``(k, n_owners)`` (exact only)."""
-        if self.fidelity != "exact":
-            raise ConfigurationError("per-owner delta_vth needs the exact fidelity")
-        lo, hi = contiguous_chips(chips, self.n_chips)
+    def _shifts(self, lo: int, hi: int, guard) -> np.ndarray:
+        """Checked ``(k, n_owners)`` threshold shifts, pMOS owners first.
+
+        Contract: each shift lives in ``[0, sum of that owner's trap
+        impacts]`` — BTI only raises Vth, and a fully occupied population
+        is the worst case.
+        """
         span = slice(lo, hi)
-        shifts = np.zeros((hi - lo, self.netlist.n_owners))
-        shifts[:, self._pmos_owners] = self._pmos.delta_vth(span)
-        shifts[:, self._nmos_owners] = self._nmos.delta_vth(span)
-        guard = guard if guard is not None else self.guard
+        shifts = np.concatenate(
+            [self._pmos.delta_vth(span), self._nmos.delta_vth(span)], axis=1
+        )
         if guard.checking:
             shifts = guard.check_array(
                 "device.delta_vth",
                 shifts,
                 0.0,
                 self._dvth_caps[span],
-                inputs=lambda: {"fleet_chips": hi - lo, "first_chip": self.chip_ids[lo]},
+                inputs=lambda: {
+                    "chip": self.chip_ids[lo],
+                    "fleet_chips": hi - lo,
+                    "elapsed": float(self.elapsed[lo]),
+                },
             )
         return shifts
 
-    def path_delays(self, chips: slice = slice(None), guard=None) -> np.ndarray:
-        """Per-chip CUT delay in seconds, ``(k,)``.
+    def delta_vth_all(self, chips: slice = slice(None)) -> np.ndarray:
+        """Per-chip per-owner threshold shifts (volts), ``(k, n_owners)``,
+        in global owner order (exact only)."""
+        self._exact("per-owner delta_vth")
+        lo, hi = contiguous_chips(chips, self.n_chips)
+        return self._shifts(lo, hi, self.guard).take(self._owner_order, axis=1)
 
-        Exact fidelity replicates ``FpgaChip.path_delay`` operation for
-        operation (including both guard contracts); binned fidelity reads
-        the pooled linear observable of each population.
+    def path_delays(self, chips: slice = slice(None), guard=None) -> np.ndarray:
+        """Per-chip CUT delay in seconds (half the oscillation period), ``(k,)``.
+
+        Exact fidelity maps each chip's shifts through its gate-delay
+        models, which check the ``device.dvth`` domain against the
+        ambient guard; binned fidelity reads the pooled linear observable
+        of each population.  Contract: finite and never below the fresh
+        delay — aging only slows the CUT, and a full recovery
+        asymptotically returns to (but never overshoots) the fresh chip.
         """
         lo, hi = contiguous_chips(chips, self.n_chips)
         span = slice(lo, hi)
         guard = guard if guard is not None else self.guard
+        fresh = self.fresh_path_delays[span]
         if self.fidelity == "exact":
-            shifts = self.delta_vth_all(chips, guard=guard)
-            dv_p = shifts[:, self._pmos_owners]
-            dv_n = shifts[:, self._nmos_owners]
-            if guard.checking:
-                dv_p = guard.check_array(
-                    "device.dvth", dv_p, 0.0,
-                    np.broadcast_to(self._div_pmos[span, None], dv_p.shape),
+            shifts = self._shifts(lo, hi, guard)
+            split = self._bias_split
+            delays = np.empty(hi - lo)
+            for row, (model_p, model_n) in enumerate(self._delay_models[span]):
+                pmos_shift = np.sum(
+                    model_p.delay_shift(self._weights_pmos[lo + row], shifts[row, :split])
                 )
-                dv_n = guard.check_array(
-                    "device.dvth", dv_n, 0.0,
-                    np.broadcast_to(self._div_nmos[span, None], dv_n.shape),
+                nmos_shift = np.sum(
+                    model_n.delay_shift(self._weights_nmos[lo + row], shifts[row, split:])
                 )
-            shift_p = np.sum(
-                self._weights[span][:, self._pmos_owners] * dv_p
-                / self._div_pmos[span, None],
-                axis=1,
-            )
-            shift_n = np.sum(
-                self._weights[span][:, self._nmos_owners] * dv_n
-                / self._div_nmos[span, None],
-                axis=1,
-            )
+                delays[row] = float(fresh[row]) + float(pmos_shift) + float(nmos_shift)
         else:
-            shift_p = self._pmos.readout_shift(span)
-            shift_n = self._nmos.readout_shift(span)
-        delays = self.fresh_path_delays[span] + shift_p + shift_n
-        if guard.checking:
-            fresh = self.fresh_path_delays[span]
-            delays = guard.check_array(
-                "fpga.path_delay",
-                delays,
-                0.0,
-                np.inf,
-                tol=0.0,
-                inputs=lambda: {"fleet_chips": hi - lo, "first_chip": self.chip_ids[lo]},
-            )
-            if np.any(delays < fresh - 1e-9 * fresh):
-                bad = int(np.argmax(delays < fresh - 1e-9 * fresh))
-                guard.check_scalar(
+            delays = fresh + self._pmos.readout_shift(span) + self._nmos.readout_shift(span)
+        if guard.checking and not (
+            bool(np.isfinite(delays).all()) and bool((delays >= fresh - 1e-9 * fresh).all())
+        ):
+            # The vectorised verdict is check_scalar's; only a violating
+            # span pays for one check per chip.
+            for row, index in enumerate(range(lo, hi)):
+                floor = float(fresh[row])
+                delays[row] = guard.check_scalar(
                     "fpga.path_delay",
-                    float(delays[bad]),
-                    float(fresh[bad]),
+                    float(delays[row]),
+                    floor,
                     np.inf,
-                    tol=1e-9 * float(fresh[bad]),
-                    inputs=lambda: {"chip": self.chip_ids[lo + bad]},
+                    tol=1e-9 * floor,
+                    inputs=lambda: {
+                        "chip": self.chip_ids[index],
+                        "fresh": floor,
+                        "elapsed": float(self.elapsed[index]),
+                    },
                 )
         return delays
 
-    def frequencies(self, chips: slice = slice(None), guard=None) -> np.ndarray:
+    def frequencies(self, chips: slice = slice(None)) -> np.ndarray:
         """Per-chip noise-free RO frequency ``1 / (2 * path_delay)``."""
-        return 1.0 / (2.0 * self.path_delays(chips, guard=guard))
+        return 1.0 / (2.0 * self.path_delays(chips))
 
     # ------------------------------------------------------------------ #
     # per-chip state (checkpoint / sanitizer / fault surface)
     # ------------------------------------------------------------------ #
 
     def export_chip_state(self, index: int) -> dict:
-        """One chip's mutable state, key-compatible with ``FpgaChip.export_state``."""
+        """One chip's aging state as plain arrays/floats, for checkpoints.
+
+        Everything mutable lives here: the two trap occupancies and the
+        three clocks.  The immutable parts (variation sample, netlist,
+        weights) are reproduced exactly by rebuilding the chip from the
+        same seed, so a checkpoint never stores them.
+        """
         return {
             "pmos_occupancy": self._pmos.occupancy_row(index),
             "pmos_elapsed": float(self._pmos.elapsed[index]),
@@ -365,7 +581,11 @@ class FleetChip:
         }
 
     def import_chip_state(self, index: int, state: dict) -> None:
-        """Restore one chip's mutable state from :meth:`export_chip_state`."""
+        """Restore one chip's state from :meth:`export_chip_state`.
+
+        The chip must have been built from the same seed/technology — the
+        occupancy shapes are validated against this chip's populations.
+        """
         self._pmos.set_occupancy_row(
             index, state["pmos_occupancy"], float(state["pmos_elapsed"])
         )
@@ -374,142 +594,31 @@ class FleetChip:
         )
         self.elapsed[index] = float(state["elapsed"])
 
+    def reset_chip(self, index: int) -> None:
+        """Return one lot position to the fresh, unaged state."""
+        for pop in (self._pmos, self._nmos):
+            pop.set_occupancy_row(index, np.zeros_like(pop.occupancy_row(index)), 0.0)
+        self.elapsed[index] = 0.0
+
     def inject_trap_upset_chip(self, index: int, value: float, n_traps: int = 64) -> None:
-        """Corrupt the leading trap occupancies of one chip's populations."""
+        """Corrupt the leading trap occupancies of one chip's populations.
+
+        Fault-injection hook for the lab's ``TRAP_UPSET`` events: writes
+        ``value`` (typically NaN or an out-of-domain occupancy) straight
+        into the state, bypassing the physics.  The corruption surfaces at
+        the next evolve step through the :mod:`repro.guard` contracts.
+        """
         self._pmos.inject_upset(index, value, n_traps)
         self._nmos.inject_upset(index, value, n_traps)
 
-    def view(self, index: int) -> "ChipView":
-        """An :class:`FpgaChip`-compatible facade onto one lot position."""
-        if self.fidelity != "exact":
-            raise ConfigurationError("ChipView requires the exact fidelity")
+    def view(self, index: int):
+        """The :class:`~repro.fpga.chip.FpgaChip` facade of one lot position.
+
+        On a binned lot the per-owner reads (``delta_vth``,
+        ``apply_cycles``) refuse with :class:`ConfigurationError`.
+        """
+        from repro.fpga.chip import FpgaChip  # the facade module imports this one
+
         if not 0 <= index < self.n_chips:
             raise ConfigurationError(f"chip index {index} outside this fleet")
-        return ChipView(self, index)
-
-
-class ChipView:
-    """One fleet position exposed through the :class:`FpgaChip` surface.
-
-    Everything the campaign, guard, fault-injection, sanitizer and
-    checkpoint layers call on a chip works unchanged here; the state it
-    reads and writes is the fleet's batched arrays.  Exact fidelity only
-    — views exist to *prove* facade equivalence and to host the
-    resilience paths, not for throughput.
-    """
-
-    def __init__(self, fleet: FleetChip, index: int, guard=None) -> None:
-        self._fleet = fleet
-        self._index = index
-        self.chip_id = fleet.chip_ids[index]
-        self.tech = fleet.tech
-        self.netlist = fleet.netlist
-        self.guard = guard if guard is not None else fleet.guard
-        self.fresh_path_delay = float(fleet.fresh_path_delays[index])
-
-    @property
-    def _span(self) -> slice:
-        return slice(self._index, self._index + 1)
-
-    @property
-    def elapsed(self) -> float:
-        return float(self._fleet.elapsed[self._index])
-
-    @property
-    def n_owners(self) -> int:
-        return self._fleet.netlist.n_owners
-
-    # observables ------------------------------------------------------- #
-
-    def delta_vth(self) -> np.ndarray:
-        """Per-owner threshold shift of this chip, as ``FpgaChip.delta_vth``."""
-        return self._fleet.delta_vth_all(self._span, guard=self.guard)[0]
-
-    def path_delay(self) -> float:
-        """Current CUT path delay of this chip in seconds."""
-        return float(self._fleet.path_delays(self._span, guard=self.guard)[0])
-
-    def delta_path_delay(self) -> float:
-        """Delay increase versus the fresh chip."""
-        return self.path_delay() - self.fresh_path_delay
-
-    def oscillation_frequency(self) -> float:
-        """Ring-oscillator frequency ``1 / (2 Td)`` of this chip."""
-        return 1.0 / (2.0 * self.path_delay())
-
-    # bias -------------------------------------------------------------- #
-
-    def apply_stress(
-        self,
-        duration: float,
-        temperature: float,
-        supply_voltage: float | None = None,
-        mode: StressMode = StressMode.DC,
-        chain_input: int = 1,
-    ) -> None:
-        """Apply a stress phase to this chip only (``FpgaChip.apply_stress``)."""
-        self._fleet.apply_stress(
-            duration,
-            np.array([float(temperature)]),
-            supply_voltage,
-            mode=mode,
-            chain_input=chain_input,
-            chips=self._span,
-            guard=self.guard,
-        )
-
-    def apply_recovery(
-        self, duration: float, temperature: float, supply_voltage: float = 0.0
-    ) -> None:
-        """Apply a recovery phase to this chip only (``FpgaChip.apply_recovery``)."""
-        self._fleet.apply_recovery(
-            duration,
-            np.array([float(temperature)]),
-            supply_voltage,
-            chips=self._span,
-            guard=self.guard,
-        )
-
-    def apply_cycles(self, segments, n: int) -> None:
-        """Closed-form N-cycle fast-forward through the fleet engine."""
-        fleet = self._fleet
-        phases_p, phases_n = cycle_phases(
-            segments, n, self.netlist, self.tech, fleet._pmos_owners, fleet._nmos_owners
-        )
-        if n == 0:
-            return
-        fleet._pmos.evolve_cycles(phases_p, n, chips=self._span, guard=self.guard)
-        fleet._nmos.evolve_cycles(phases_n, n, chips=self._span, guard=self.guard)
-        fleet._trap_updates.inc(self.n_owners * len(segments) * n)
-        fleet.elapsed[self._index] += n * sum(segment.duration for segment in segments)
-
-    # state ------------------------------------------------------------- #
-
-    def export_state(self) -> dict:
-        """This chip's trap state and clock in ``FpgaChip.export_state`` form."""
-        return self._fleet.export_chip_state(self._index)
-
-    def import_state(self, state: dict) -> None:
-        """Replace this chip's state from an export/snapshot dict."""
-        self._fleet.import_chip_state(self._index, state)
-
-    def snapshot(self) -> dict:
-        """Checkpoint form; the fleet facade uses the export dict directly."""
-        return self.export_state()
-
-    def restore(self, state: dict) -> None:
-        """Rewind to a snapshot (alias of ``import_state`` on the facade)."""
-        self.import_state(state)
-
-    def reset(self) -> None:
-        """Return this lot position to the fresh, unaged state."""
-        fleet = self._fleet
-        zeros_p = np.zeros_like(fleet._pmos.occupancy_row(self._index))
-        zeros_n = np.zeros_like(fleet._nmos.occupancy_row(self._index))
-        fleet._pmos.set_occupancy_row(self._index, zeros_p, 0.0)
-        fleet._nmos.set_occupancy_row(self._index, zeros_n, 0.0)
-        fleet.elapsed[self._index] = 0.0
-
-    def inject_trap_upset(self, value: float, n_traps: int = 64) -> None:
-        """Corrupt this chip's trap occupancies in place (fault injection)."""
-        self._fleet.inject_trap_upset_chip(self._index, value, n_traps)
+        return FpgaChip._of(self, index)

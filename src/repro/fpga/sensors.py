@@ -24,8 +24,8 @@ import numpy as np
 from repro.device.technology import TechnologyParameters, TECH_40NM
 from repro.device.variation import ProcessVariation
 from repro.errors import ConfigurationError
-from repro.fpga.chip import FpgaChip
 from repro.fpga.counter import ReadoutCounter
+from repro.fpga.fleet import FleetChip
 from repro.fpga.ring_oscillator import RingOscillator, StressMode
 from repro.units import celsius
 
@@ -80,14 +80,11 @@ class SiliconOdometer:
         variation = ProcessVariation(
             chip_vth_sigma=0.002, chip_delay_sigma=0.004, local_delay_sigma=0.01
         )
-        self._stressed = FpgaChip(
-            "odometer-stressed", n_stages=n_stages, tech=tech,
-            variation=variation, seed=seed_a,
+        self._pair = FleetChip(
+            ["odometer-stressed", "odometer-reference"], [seed_a, seed_b],
+            n_stages=n_stages, tech=tech, variation=variation,
         )
-        self._reference = FpgaChip(
-            "odometer-reference", n_stages=n_stages, tech=tech,
-            variation=variation, seed=seed_b,
-        )
+        self._stressed, self._reference = self._pair.view(0), self._pair.view(1)
         self._stressed_ro = RingOscillator(self._stressed, counter)
         self._reference_ro = RingOscillator(self._reference, counter)
         self.readout_overhead = readout_overhead
@@ -146,13 +143,9 @@ class SiliconOdometer:
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         if self.readout_overhead > 0.0:
-            for chip in (self._stressed, self._reference):
-                chip.apply_stress(
-                    self.readout_overhead,
-                    temperature=temperature,
-                    supply_voltage=self.tech.vdd_nominal,
-                    mode=StressMode.AC,
-                )
+            self._pair.apply_stress(
+                self.readout_overhead, temperature, self.tech.vdd_nominal, mode=StressMode.AC
+            )
         stressed = self._stressed_ro.measure_averaged(3, rng=rng)
         reference = self._reference_ro.measure_averaged(3, rng=rng)
         degradation = 1.0 - stressed.frequency / reference.frequency

@@ -78,23 +78,11 @@ def fleet_chip_no(index: int) -> int:
     return (index % 5) + 1
 
 
-class _FleetChipStateProxy:
-    """Duck-typed ``bench.chip`` for the determinism sanitizer."""
-
-    def __init__(self, fleet: FleetChip, index: int) -> None:
-        self._fleet = fleet
-        self._index = index
-        self.chip_id = fleet.chip_ids[index]
-
-    def export_state(self) -> dict:
-        return self._fleet.export_chip_state(self._index)
-
-
 class _FleetBenchProxy:
     """Duck-typed bench (chip + RNG state) for the sanitizer hasher."""
 
     def __init__(self, fleet: FleetChip, index: int, rng: np.random.Generator) -> None:
-        self.chip = _FleetChipStateProxy(fleet, index)
+        self.chip = fleet.view(index)
         self._rng = rng
 
     @property
@@ -300,7 +288,7 @@ class FleetBench:
                 # Stream-identical inline form of ReadoutCounter.read_many:
                 # the same single noise draw, with the clamp/overflow edge
                 # regions handed back to the instrument's exact arithmetic.
-                ideal = int(round(frequency / (2.0 * fref)))
+                ideal = self.counter.ideal_count(frequency)
                 draws = rng.integers(-noise, noise + 1, size=reads)
                 if 0 <= ideal - noise and ideal + noise <= max_count:
                     total = ideal * reads + int(draws.sum())

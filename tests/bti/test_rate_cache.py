@@ -143,15 +143,15 @@ class TestRetention:
         # draw; the readout burst (AC at the nominal rail) and the
         # power-gated 0 V recovery repeat, so exactly those two stay.
         chip = self.run_schedule(accuracy_volts=1.0e-3)
-        assert chip._pmos_population.rate_cache_entries == 2
-        assert chip._nmos_population.rate_cache_entries == 2
+        assert chip._fleet._pmos.rate_cache_entries == 2
+        assert chip._fleet._nmos.rate_cache_entries == 2
 
     def test_exact_supply_keeps_every_repeated_pattern(self):
         # Without supply jitter the stress and negative-rail chunks
         # repeat too (temperature jitter does not enter the key).
         chip = self.run_schedule(accuracy_volts=0.0)
-        assert chip._pmos_population.rate_cache_entries == 4
-        assert chip._nmos_population.rate_cache_entries == 4
+        assert chip._fleet._pmos.rate_cache_entries == 4
+        assert chip._fleet._nmos.rate_cache_entries == 4
 
 
 class TestCacheInvalidation:

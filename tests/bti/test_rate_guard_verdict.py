@@ -65,7 +65,7 @@ def _reference_rates(draws, v_stress, duty, v_relax, temperatures):
         relax = None if duty >= 1.0 else np.full(N_OWNERS, v_relax[chip])
         comb_c, comb_e = _combined_rates(
             PARAMS, np.full(N_OWNERS, v_stress[chip]), duty, relax,
-            1.0 / d.tau_c0, 1.0 / d.tau_e0, d.owner,
+            1.0 / d.tau_c0, 1.0 / d.tau_e0, np.bincount(d.owner, minlength=N_OWNERS),
         )
         arr_c, arr_e = _arrhenius(PARAMS, temperatures[chip])
         capture.append(comb_c * arr_c)

@@ -55,6 +55,17 @@ class TestReadoutCounter:
         with pytest.raises(ConfigurationError):
             ReadoutCounter().ideal_count(0.0)
 
+    @pytest.mark.parametrize("fosc", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_nonfinite_frequency(self, fosc):
+        # int(round(...)) would raise a bare ValueError / OverflowError.
+        counter = ReadoutCounter()
+        with pytest.raises(ConfigurationError):
+            counter.ideal_count(fosc)
+        with pytest.raises(ConfigurationError):
+            counter.read(fosc, rng=0)
+        with pytest.raises(ConfigurationError):
+            counter.read_many(fosc, 3, rng=0)
+
     def test_delay_rejects_zero_count_as_measurement_error(self):
         # A zero count is a noise-driven measurement outcome, not a
         # configuration mistake — it must surface as MeasurementError so

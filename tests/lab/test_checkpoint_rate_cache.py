@@ -32,21 +32,21 @@ class TestRestoreInvalidatesCaches:
         chip.apply_stress(hours(1.0), HOT)
         chip.apply_recovery(hours(0.5), HOT, supply_voltage=-0.3)
         chip.apply_stress(hours(1.0), HOT)  # a repeated pattern is admitted
-        assert chip._pmos_population.rate_cache_entries > 0
+        assert chip._fleet._pmos.rate_cache_entries > 0
         state = chip.export_state()
         chip.import_state(state)
-        assert chip._pmos_population.rate_cache_entries == 0
-        assert chip._nmos_population.rate_cache_entries == 0
+        assert chip._fleet._pmos.rate_cache_entries == 0
+        assert chip._fleet._nmos.rate_cache_entries == 0
 
     def test_restore_empties_both_populations(self):
         chip = _chip()
         snapshot = chip.snapshot()
         chip.apply_stress(hours(1.0), HOT)
         chip.apply_stress(hours(1.0), HOT)  # a repeated pattern is admitted
-        assert chip._pmos_population.rate_cache_entries > 0
+        assert chip._fleet._pmos.rate_cache_entries > 0
         chip.restore(snapshot)
-        assert chip._pmos_population.rate_cache_entries == 0
-        assert chip._nmos_population.rate_cache_entries == 0
+        assert chip._fleet._pmos.rate_cache_entries == 0
+        assert chip._fleet._nmos.rate_cache_entries == 0
 
 
 class TestResumeThenEvolveBitIdentity:
@@ -80,7 +80,7 @@ class TestResumeThenEvolveBitIdentity:
         assert loaded is not None
         _, _, completed, quarantine = loaded
         assert completed == ["CASE-A"] and quarantine is None
-        assert resumed._pmos_population.rate_cache_entries == 0
+        assert resumed._fleet._pmos.rate_cache_entries == 0
         resumed.apply_stress(hours(1.0), HOT)
         resumed.apply_recovery(hours(1.0), COLD, supply_voltage=-0.3)
         resumed_noise = resumed_rng.integers(0, 1 << 16, size=4)

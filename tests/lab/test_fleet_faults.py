@@ -16,6 +16,7 @@ from repro.lab.faults import FaultEvent, FaultKind, FaultPlan
 from repro.lab.fleet import FLEET_SUPPORTED_FAULT_KINDS, run_fleet_campaign
 from repro.lab.resilience import RetryPolicy
 from repro.obs import Tracer
+from repro.units import hours
 
 
 def upset_plan(n_chips=2, seed=11, probability=1.0):
@@ -116,6 +117,32 @@ class TestUpsetInjection:
         )
         with pytest.raises(PhysicsViolationError):
             run_fleet_campaign(seed=3, n_chips=1, fidelity="exact", faults=plan)
+
+    def test_unguarded_nan_upset_fails_alike_on_every_engine(self):
+        # Guard off: the NaN reaches the delay model, whose device.dvth
+        # check runs under the ambient (raising) guard on both exact
+        # engines; the binned readout's counter refuses the NaN frequency.
+        plan = FaultPlan(
+            [
+                FaultEvent(
+                    chip_id="chip-1",
+                    kind=FaultKind.TRAP_UPSET,
+                    start=hours(3.0),
+                    magnitude=float("nan"),
+                )
+            ]
+        )
+        kwargs = dict(
+            seed=0, n_chips=2, faults=plan, guard=GuardConfig(mode="off", dump_dir=None)
+        )
+        with pytest.raises(PhysicsViolationError) as scalar:
+            run_table1_campaign(**kwargs)
+        with pytest.raises(PhysicsViolationError) as exact:
+            run_fleet_campaign(fidelity="exact", **kwargs)
+        assert scalar.value.contract == exact.value.contract == "device.dvth"
+        assert str(scalar.value) == str(exact.value)
+        with pytest.raises(ConfigurationError, match="finite"):
+            run_fleet_campaign(fidelity="binned", **kwargs)
 
     def test_upsets_deterministic_per_seed(self):
         kwargs = dict(
