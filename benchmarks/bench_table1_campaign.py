@@ -39,21 +39,23 @@ def test_bench_table1_rate_memo_footprint(once):
     """Only reused bias patterns stay resident in the rate memos.
 
     Supply and chamber jitter make every DC-stress and negative-rail
-    chunk a pattern that never returns; the memo admits a pattern on its
-    second miss, so each population keeps at most the readout burst and
-    the power-gated recovery.  ``result.chips`` keeps every population
+    chunk a pattern that never returns; each chip's memo admits a
+    pattern on its second miss, so each chip and polarity keeps at most
+    the readout burst and the power-gated recovery.  ``result.chips``
+    holds views of the campaign's one fleet, which keeps every memo
     alive, so a memo that stored one-off patterns would show here.
     """
     tracer = Tracer()
     result = once(run_table1_campaign, seed=0, tracer=tracer)
+    (fleet,) = {id(chip._fleet): chip._fleet for chip in result.chips.values()}.values()
     entries = {
-        (chip_id, polarity): getattr(chip._fleet, f"_{polarity}").rate_cache_entries
+        (chip_id, polarity): len(getattr(fleet, f"_{polarity}")._memos[chip._index])
         for chip_id, chip in result.chips.items()
         for polarity in ("pmos", "nmos")
     }
     hits = tracer.metrics.value("bti.rate_cache.hits")
     lookups = hits + tracer.metrics.value("bti.rate_cache.misses")
-    print(f"memo entries per population: {sorted(entries.values())}; "
+    print(f"memo entries per chip and polarity: {sorted(entries.values())}; "
           f"{int(hits)} hits / {int(lookups)} lookups")
     assert len(entries) == 10
     assert max(entries.values()) <= 2

@@ -89,48 +89,27 @@ def campaign_stats(cell: SweepCell, retries: int, backoff_s: float) -> dict:
             upset_probability=cell.upset_prob,
         )
     budget = cell.guard_budget if cell.guard_mode == "clamp" and cell.guard_budget else None
-    guard = GuardConfig(mode=cell.guard_mode, violation_budget=budget, dump_dir=None)
-
-    if cell.engine == "fleet":
-        result = run_fleet_campaign(
-            seed=cell.seed,
-            n_chips=cell.n_chips,
-            include_baseline=cell.include_baseline,
-            faults=faults,
-            guard=GuardConfig(mode=cell.guard_mode, dump_dir=None),
-            tracer=tracer,
-        )
-        measurements = result.total_measurements
-    else:
-        result = run_table1_campaign(
-            seed=cell.seed,
-            n_chips=cell.n_chips,
-            include_baseline=cell.include_baseline,
-            faults=faults,
-            retry=RetryPolicy(max_attempts=retries, backoff_seconds=backoff_s)
-            if faults is not None
-            else None,
-            guard=guard,
-            tracer=tracer,
-        )
-        measurements = len(result.log)
+    run = run_fleet_campaign if cell.engine == "fleet" else run_table1_campaign
+    result = run(
+        seed=cell.seed,
+        n_chips=cell.n_chips,
+        include_baseline=cell.include_baseline,
+        faults=faults,
+        retry=RetryPolicy(max_attempts=retries, backoff_seconds=backoff_s)
+        if faults is not None
+        else None,
+        guard=GuardConfig(mode=cell.guard_mode, violation_budget=budget, dump_dir=None),
+        tracer=tracer,
+    )
 
     log_hash = hashlib.sha256()
     for record in result.log:
         log_hash.update(repr(record).encode())
     metrics = tracer.metrics.snapshot()
-    # Read after the snapshot: a closing read must not add to the counters.
-    # The fleet engine keeps no chip objects; it reports final delays.
-    if cell.engine == "fleet":
-        degradation = {
-            chip_id: final - result.fresh_delays[chip_id]
-            for chip_id, final in sorted(result.final_delays.items())
-        }
-    else:
-        degradation = {
-            chip_id: chip.delta_path_delay()
-            for chip_id, chip in sorted(result.chips.items())
-        }
+    degradation = {
+        chip_id: final - result.fresh_delays[chip_id]
+        for chip_id, final in sorted(result.final_delays.items())
+    }
     guard_violations = {
         name.removeprefix("guard.violations."): value
         for name, value in metrics.items()
@@ -140,7 +119,7 @@ def campaign_stats(cell: SweepCell, retries: int, backoff_s: float) -> dict:
         "engine": cell.engine,
         "config_digest": cell.config_digest(),
         "n_chips": cell.n_chips,
-        "measurements": measurements,
+        "measurements": result.total_measurements,
         "quarantined": sorted(result.quarantined),
         "quarantined_count": len(result.quarantined),
         "sample_retries": metrics.get("lab.sample_retries", 0.0),

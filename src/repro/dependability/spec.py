@@ -11,7 +11,7 @@ Static validation plugs into the RPR1xx descriptor pipeline:
 
 ==========  =========================================================
 RPR105      sweep grid shape (axes non-empty, no duplicates, bounded)
-RPR106      sweep value domains (probabilities, knobs, engine support)
+RPR106      sweep value domains (probabilities, knobs, engine names)
 ==========  =========================================================
 """
 
@@ -276,8 +276,7 @@ def validate_sweep_spec(spec: SweepSpec) -> list[Finding]:
         findings.append(
             _finding("RPR105", f"retry_backoff_s must be >= 0, got {spec.retry_backoff_s}")
         )
-    budget_valid = isinstance(spec.guard_budget, int) and spec.guard_budget >= 0
-    if not budget_valid:
+    if not (isinstance(spec.guard_budget, int) and spec.guard_budget >= 0):
         findings.append(
             _finding(
                 "RPR105",
@@ -388,35 +387,6 @@ def validate_sweep_spec(spec: SweepSpec) -> list[Finding]:
                 _finding(
                     "RPR106",
                     f"lifetime period must be positive hours, got {lifetime.period_hours}",
-                )
-            )
-
-    if spec.engine == "fleet":
-        # The fleet path supports only TRAP_UPSET faultloads and budget-less
-        # guards — see run_fleet_campaign's docstring for the contract.
-        if any(rate > 0.0 for rate in spec.fault_rates):
-            findings.append(
-                _finding(
-                    "RPR106",
-                    "engine 'fleet' does not support rate-driven fault kinds "
-                    "(thermal drift, supply droop, relay chatter, readout faults)",
-                    "set fault_rates to (0.0,) or use engine 'table1'",
-                )
-            )
-        if any(prob > 0.0 for prob in spec.dropout_probs):
-            findings.append(
-                _finding(
-                    "RPR106",
-                    "engine 'fleet' does not support chip dropout faults",
-                    "set dropout_probs to (0.0,) or use engine 'table1'",
-                )
-            )
-        if budget_valid and spec.guard_budget > 0:
-            findings.append(
-                _finding(
-                    "RPR106",
-                    "engine 'fleet' does not support per-chip guard violation budgets",
-                    "set guard_budget to 0 or use engine 'table1'",
                 )
             )
 

@@ -87,9 +87,9 @@ class FpgaChip:
         self.netlist = fleet.netlist
         #: Total number of aging transistors on the CUT.
         self.n_owners = fleet.netlist.n_owners
-        #: The chip's contract checker (the fleet's, shared with its trap
-        #: populations and ring oscillator).
-        self.guard = fleet.guard
+        #: The chip's contract checker (its fleet guard, shared with its
+        #: trap populations and ring oscillator).
+        self.guard = fleet.guards[index]
         self.fresh_path_delay = float(fleet.fresh_path_delays[index])
 
     # ------------------------------------------------------------------ #

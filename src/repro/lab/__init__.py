@@ -7,12 +7,7 @@ paper's Table 1 on virtual :class:`~repro.fpga.chip.FpgaChip` instances.
 """
 
 from repro.lab.clock_generator import ClockGenerator
-from repro.lab.campaign import (
-    Campaign,
-    CampaignResult,
-    run_table1_campaign,
-    table1_horizon,
-)
+from repro.lab.campaign import CampaignResult, run_table1_campaign, table1_horizon
 from repro.lab.datalog import DataLog, MeasurementRecord
 from repro.lab.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.lab.measurement import VirtualTestbench
@@ -20,7 +15,6 @@ from repro.lab.power_supply import DcPowerSupply
 from repro.lab.resilience import (
     CheckpointStore,
     QuarantineReport,
-    ResilientTestbench,
     RetryPolicy,
 )
 from repro.lab.replay import fresh_delays_from_log, result_from_csv, result_from_log
@@ -35,7 +29,6 @@ from repro.lab.schedule import (
 from repro.lab.thermal_chamber import ThermalChamber
 
 __all__ = [
-    "Campaign",
     "CampaignResult",
     "CheckpointStore",
     "ClockGenerator",
@@ -51,7 +44,6 @@ __all__ = [
     "MeasurementRecord",
     "PhaseKind",
     "QuarantineReport",
-    "ResilientTestbench",
     "RetryPolicy",
     "TABLE1_CASES",
     "TestCase",

@@ -1,25 +1,23 @@
 """Retry, quarantine and checkpoint/resume for long campaigns.
 
 Three cooperating pieces keep a multi-day virtual campaign alive on a
-flaky bench:
+flaky bench (the campaign engine, :class:`~repro.lab.fleet.FleetBench`,
+applies them chip by chip):
 
 * :class:`RetryPolicy` — bounded sample re-reads with deterministic
   backoff measured in *simulated* seconds (the operator holds the phase
   bias while re-arming the readout, so the chip keeps aging during the
   wait, exactly as on hardware);
-* :class:`ResilientTestbench` — a :class:`~repro.lab.measurement.VirtualTestbench`
-  whose delivered temperature/voltage and readout path consult a
-  :class:`~repro.lab.faults.FaultInjector`, retrying transient faults and
-  letting :class:`~repro.errors.ChipDropoutError` escape so the campaign
-  can quarantine the chip;
+* :class:`QuarantineReport` — why and when a chip that dropped out,
+  exhausted its retries or its guard budget was pulled from the bench;
 * :class:`CheckpointStore` — per-chip on-disk snapshots (trap occupancy,
   bench RNG bit-generator state, DataLog shards) written after every
   completed case, so a killed campaign resumes without replaying
-  finished chips.
+  finished cases.
 
-With no faults installed the resilient bench consumes its RNG stream in
-exactly the same order as the plain bench — resilient, checkpointed runs
-are bit-identical to unprotected ones.
+With no faults installed a chip's bench consumes its RNG stream in
+exactly the same order as with an empty fault plan — resilient,
+checkpointed runs are bit-identical to unprotected ones.
 """
 
 from __future__ import annotations
@@ -32,20 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import (
-    CheckpointError,
-    ChipDropoutError,
-    ConfigurationError,
-    CounterOverflowError,
-    InstrumentError,
-    MeasurementError,
-    RetryExhaustedError,
-)
-from repro.fpga.ring_oscillator import RoMeasurement
+from repro.errors import CheckpointError, ConfigurationError, MeasurementError
 from repro.lab.datalog import DataLog
-from repro.lab.faults import FaultInjector, FaultKind
-from repro.lab.measurement import VirtualTestbench
-from repro.lab.schedule import TestPhase
 
 
 @dataclass(frozen=True)
@@ -85,148 +71,6 @@ class QuarantineReport:
     case: str
     sim_time: float
     reason: str
-
-
-class ResilientTestbench(VirtualTestbench):
-    """A testbench that survives injected instrument faults.
-
-    Overrides the fault-injectable hooks of
-    :class:`~repro.lab.measurement.VirtualTestbench`: delivered
-    temperature/voltage pick up drift/droop windows, the readout path
-    fires pending one-shot faults, and sampling retries transient errors
-    under ``retry``.  Chip dropout is checked at every chunk and readout
-    boundary and always escapes.
-    """
-
-    #: Counts further than the last good sample that flag a corrupt readout.
-    PLAUSIBILITY_COUNTS = 64
-
-    def __init__(
-        self,
-        chip,
-        injector: FaultInjector,
-        retry: RetryPolicy | None = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(chip, **kwargs)
-        self.injector = injector
-        self.retry = retry if retry is not None else RetryPolicy()
-        self._last_good_count: int | None = None
-        #: Plain retry tally for live progress lines — counted even when
-        #: the tracer is the no-op default.
-        self.retries_taken = 0
-        self._retries = self.tracer.counter(
-            "lab.sample_retries", "readout bursts retried after a transient fault"
-        )
-
-    def _apply_chunk(self, phase, chunk, temperature, voltage) -> None:
-        now = self.chip.elapsed
-        upset = self.injector.pop_upset(now)
-        if upset is not None:
-            # A state upset lands between evolve steps: the bogus
-            # occupancy sits in the trap arrays until the next chunk's
-            # evolve, where the guard contract catches it (raise mode)
-            # or clamps it back into domain (clamp mode).
-            self.chip.inject_trap_upset(upset.magnitude)
-        super()._apply_chunk(phase, chunk, temperature, voltage)
-
-    def _delivered_temperature(self) -> float:
-        now = self.chip.elapsed
-        self.injector.check_dropout(now)
-        return super()._delivered_temperature() + self.injector.temperature_offset(now)
-
-    def _delivered_voltage(self) -> float:
-        now = self.chip.elapsed
-        self.injector.check_dropout(now)
-        voltage = super()._delivered_voltage()
-        if voltage > 0.0:
-            # Droop only sags a driven positive rail; an open relay (0 V)
-            # or the negative recovery rail is regulated differently.
-            droop = self.injector.voltage_droop(now)
-            if droop > 0.0:
-                voltage = max(voltage - droop, 0.05)
-        return voltage
-
-    def _read_measurement(self) -> RoMeasurement:
-        now = self.chip.elapsed
-        self.injector.check_dropout(now)
-        event = self.injector.pop_readout_fault(now)
-        if event is None:
-            measurement = super()._read_measurement()
-            self._last_good_count = measurement.count
-            return measurement
-        if event.kind is FaultKind.DROPPED_READOUT:
-            raise MeasurementError("counter dropped the readout burst")
-        if event.kind is FaultKind.RELAY_CHATTER:
-            raise InstrumentError("supply relay chatter during the readout burst")
-        # Stuck bit: take a real burst, then corrupt its count.
-        measurement = super()._read_measurement()
-        corrupted = measurement.count | (1 << int(event.magnitude))
-        if corrupted > self.ro.counter.max_count:
-            raise CounterOverflowError(
-                f"count {corrupted} exceeds the counter range (stuck bit "
-                f"{int(event.magnitude)})"
-            )
-        if (
-            self._last_good_count is not None
-            and abs(corrupted - self._last_good_count) > self.PLAUSIBILITY_COUNTS
-        ):
-            raise MeasurementError(
-                f"implausible count jump {self._last_good_count} -> {corrupted} "
-                f"(stuck counter bit {int(event.magnitude)}?)"
-            )
-        # Within the plausibility band the corruption goes undetected —
-        # exactly the silent data error a real stuck LSB produces.
-        fref = self.ro.counter.fref
-        return RoMeasurement(
-            count=corrupted,
-            frequency=2.0 * corrupted * fref,
-            delay=1.0 / (4.0 * corrupted * fref),
-            timestamp=measurement.timestamp,
-        )
-
-    def _record_sample(
-        self, log: DataLog, case: str, phase: TestPhase, phase_elapsed: float
-    ) -> None:
-        """Sample with bounded retries; exhausting them raises
-        :class:`~repro.errors.RetryExhaustedError` (quarantine)."""
-        attempt = 0
-        while True:
-            try:
-                record = self.take_sample(case, phase.label, phase_elapsed)
-            except ChipDropoutError:
-                raise
-            except (InstrumentError, MeasurementError) as error:
-                attempt += 1
-                if attempt >= self.retry.max_attempts:
-                    raise RetryExhaustedError(
-                        f"{self.chip.chip_id} case {case}: sample failed "
-                        f"{attempt} times, last error: {error}"
-                    ) from error
-                self.retries_taken += 1
-                self._retries.inc()
-                wait = self.retry.backoff(attempt)
-                with self.tracer.span(
-                    "sample_retry",
-                    chip_id=self.chip.chip_id,
-                    case=case,
-                    phase=phase.label,
-                    attempt=attempt,
-                    backoff_s=wait,
-                ) as span:
-                    # The operator re-arms the readout while the phase bias
-                    # stays applied: the chip keeps aging through the wait.
-                    self._apply_chunk(
-                        phase,
-                        wait,
-                        self._delivered_temperature(),
-                        self._delivered_voltage(),
-                    )
-                    span.set("sim_advanced", wait)
-                continue
-            log.append(record)
-            self._records.inc()
-            return
 
 
 def atomic_write_json(path: str | Path, payload: dict) -> None:

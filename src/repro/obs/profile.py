@@ -66,18 +66,26 @@ class CaseThroughputSampler:
             (_CACHE_HITS, _CACHE_MISSES),
         )
 
-    def finish(self, span) -> None:
-        """Fold the finished case span into the throughput histograms."""
+    def finish(self, span, chips: int = 1) -> None:
+        """Fold the finished case span into the throughput histograms.
+
+        A case run by ``chips`` chips in lock step counts as that many
+        chip-cases, each at the per-chip share of the span's throughput.
+        """
         tracer = self._tracer
         if not tracer.enabled or span.duration <= 0.0:
             return
         registry = tracer.metrics
-        tracer.histogram(
-            MEAS_PER_S, "per-case measurement samples per wall second"
-        ).observe((registry.value(_SAMPLES) - self._samples0) / span.duration)
-        tracer.histogram(
-            TRAP_UPDATES_PER_S, "per-case trap updates per wall second"
-        ).observe((registry.value(_TRAP_UPDATES) - self._updates0) / span.duration)
+        per_chip = chips * span.duration
+        samples = (registry.value(_SAMPLES) - self._samples0) / per_chip
+        updates = (registry.value(_TRAP_UPDATES) - self._updates0) / per_chip
+        for _ in range(chips):
+            tracer.histogram(
+                MEAS_PER_S, "per-case measurement samples per wall second"
+            ).observe(samples)
+            tracer.histogram(
+                TRAP_UPDATES_PER_S, "per-case trap updates per wall second"
+            ).observe(updates)
 
 
 class HotPathProfile:

@@ -73,7 +73,7 @@ class TestCanonicalBias:
     def test_uniform_spellings_share_one_cache_key(self):
         pop = make_population()
         keys = {
-            _rate_key(0, pop._owner_voltages(pop._canonical_bias(s)), 1.0, None)
+            _rate_key(pop._owner_voltages(pop._canonical_bias(s)), 1.0, None)
             for s in uniform_spellings(pop.n_owners)
         }
         # The memo keys the expanded per-owner block, so every spelling,

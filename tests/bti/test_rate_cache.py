@@ -154,6 +154,25 @@ class TestRetention:
         assert chip._fleet._nmos.rate_cache_entries == 4
 
 
+class TestGroupingIndependence:
+    """Each chip has its own memo, so its counts never depend on its span."""
+
+    def test_counts_equal_for_one_and_two_shards(self):
+        from repro.lab.fleet import run_fleet_campaign
+
+        counts = []
+        for shards in (1, 2):
+            tracer = Tracer()
+            run_fleet_campaign(
+                seed=0, n_chips=4, fidelity="exact", shards=shards, tracer=tracer
+            )
+            counts.append(
+                [tracer.metrics.value(f"bti.rate_cache.{kind}") for kind in ("hits", "misses")]
+            )
+        assert counts[0] == counts[1]
+        assert counts[0][0] > 0
+
+
 class TestCacheInvalidation:
     """The stale-cache class: state changes must drop the rate memo."""
 

@@ -156,13 +156,13 @@ class TestValidation:
         )
 
     def test_fleet_restrictions(self):
+        # None are left: the fleet engine runs every faultload and guard
+        # budget the table1 engine does, its defaults included.
+        assert validate_sweep_spec(SweepSpec(engine="fleet")) == []
         spec = small_spec(
-            engine="fleet", dropout_probs=(0.5,), guard_budget=2
+            engine="fleet", fault_rates=(2.0,), dropout_probs=(0.5,), guard_budget=2
         )
-        messages = " ".join(f.message for f in validate_sweep_spec(spec))
-        assert "rate-driven fault kinds" in messages
-        assert "chip dropout" in messages
-        assert "guard violation budgets" in messages
+        assert validate_sweep_spec(spec) == []
 
     def test_expand_raises_on_invalid(self):
         with pytest.raises(ConfigurationError, match="RPR106"):

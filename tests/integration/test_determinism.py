@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro.fpga.chip import FpgaChip
-from repro.lab.campaign import Campaign
+from repro.fpga.fleet import FleetChip
+from repro.lab.fleet import FleetBench
 from repro.lab.schedule import standard_case
 from repro.multicore.scheduler import HeaterAwareScheduler
 from repro.multicore.system import MulticoreSystem
@@ -16,10 +17,15 @@ from tests.multicore.test_system import fast_params
 
 class TestCampaignDeterminism:
     def _run(self, seed: int):
-        campaign = Campaign(n_chips=1, seed=seed)
-        campaign.run_case(standard_case("AS110DC24", chip_no=1))
-        campaign.run_case(standard_case("AR110N6", chip_no=1))
-        return [(r.timestamp, r.count) for r in campaign.log]
+        master = np.random.default_rng(seed)
+        chip_stream, bench_stream = master.spawn(2)
+        fleet = FleetChip(["chip-1"], [int(chip_stream.integers(2**31))])
+        bench = FleetBench(fleet, [bench_stream])
+        logs = {0: []}
+        for name in ("AS110DC24", "AR110N6"):
+            case = standard_case(name, chip_no=1)
+            bench.run_case([0], [case.name], case.phases, logs)
+        return [(r.timestamp, r.count) for r in logs[0]]
 
     def test_same_seed_identical_logs(self):
         assert self._run(5) == self._run(5)

@@ -4,31 +4,36 @@ import numpy as np
 import pytest
 
 from repro.errors import ScheduleError
-from repro.lab.campaign import Campaign
+from repro.fpga.fleet import FleetChip
+from repro.lab.campaign import run_table1_campaign
+from repro.lab.fleet import FleetBench
 from repro.lab.schedule import standard_case
 
 
 class TestCampaignUnit:
-    def test_chip_numbering(self):
-        campaign = Campaign(n_chips=3, seed=0)
-        assert campaign.chip_id(1) == "chip-1"
+    def test_chip_numbering(self, campaign_result):
+        assert sorted(campaign_result.fresh_delays) == [f"chip-{n}" for n in range(1, 6)]
         with pytest.raises(ScheduleError):
-            campaign.chip_id(4)
+            campaign_result.delay_change_series("AS110DC24", chip_no=6)
 
-    def test_chips_have_distinct_fresh_delays(self):
-        campaign = Campaign(n_chips=5, seed=0)
-        delays = set(campaign.fresh_delays.values())
+    def test_chips_have_distinct_fresh_delays(self, campaign_result):
+        delays = set(campaign_result.fresh_delays.values())
         assert len(delays) == 5
 
     def test_run_case_logs_measurements(self):
-        campaign = Campaign(n_chips=2, seed=0)
-        campaign.run_case(standard_case("AS110DC24", chip_no=1))
-        assert len(campaign.log) > 50
-        assert campaign.log.cases() == ["AS110DC24"]
+        fleet = FleetChip(["chip-1", "chip-2"], [0, 1])
+        bench = FleetBench(fleet, [np.random.default_rng(seed) for seed in (2, 3)])
+        case = standard_case("AS110DC24", chip_no=1)
+        logs = {0: [], 1: []}
+        assert bench.run_case([0, 1], [case.name] * 2, case.phases, logs) == [0, 1]
+        assert all(len(records) > 50 for records in logs.values())
+        assert {record.case for records in logs.values() for record in records} == {
+            "AS110DC24"
+        }
 
     def test_rejects_nonpositive_chip_count(self):
         with pytest.raises(ScheduleError):
-            Campaign(n_chips=0)
+            run_table1_campaign(n_chips=0)
 
 
 class TestTable1Integration:

@@ -1,9 +1,12 @@
-"""Fleet faultload contract: TRAP_UPSET support, typed rejections, guard.
+"""Fleet faultload contract: every resilience option, typed rejections, guard.
 
-Satellite of the dependability sweep: ``run_fleet_campaign`` documents
-exactly which resilience options the batched path supports and raises a
-typed :class:`~repro.errors.ConfigurationError` *naming the option* for
-everything else — never silently ignoring a knob.
+``run_fleet_campaign`` is the one campaign engine, so every resilience
+option of :func:`~repro.lab.campaign.run_table1_campaign` — instrument
+faults, dropout, retries, guard budgets, sharding — gives the same
+answer through it.  The only combinations it still refuses (checkpoints
+at the binned fidelity or across shards, resume without a checkpoint)
+raise a typed :class:`~repro.errors.ConfigurationError` *naming the
+option* before any work.
 """
 
 import numpy as np
@@ -13,14 +16,14 @@ from repro.errors import ConfigurationError, PhysicsViolationError
 from repro.guard import GuardConfig
 from repro.lab.campaign import run_table1_campaign, table1_horizon
 from repro.lab.faults import FaultEvent, FaultKind, FaultPlan
-from repro.lab.fleet import FLEET_SUPPORTED_FAULT_KINDS, run_fleet_campaign
+from repro.lab.fleet import run_fleet_campaign
 from repro.lab.resilience import RetryPolicy
 from repro.obs import Tracer
 from repro.units import hours
 
 
 def upset_plan(n_chips=2, seed=11, probability=1.0):
-    """A plan containing only trap upsets (the supported faultload)."""
+    """A plan containing only trap upsets."""
     chip_ids = [f"chip-{i + 1}" for i in range(n_chips)]
     plan = FaultPlan.generate(
         seed,
@@ -33,49 +36,93 @@ def upset_plan(n_chips=2, seed=11, probability=1.0):
     return plan
 
 
-class TestTypedRejections:
-    def test_retry_rejected_by_name(self):
-        with pytest.raises(ConfigurationError, match="retry="):
-            run_fleet_campaign(seed=0, n_chips=2, retry=RetryPolicy())
+def every_kind_plan(n_chips=2, upset_probability=1.0):
+    """Instrument faults, a dropout and (by default) an upset on every chip."""
+    return FaultPlan.generate(
+        seed=1,
+        chip_ids=[f"chip-{i + 1}" for i in range(n_chips)],
+        horizon=table1_horizon(n_chips),
+        rate_per_day=2.0,
+        dropout_probability=1.0,
+        upset_probability=upset_probability,
+    )
 
+
+def outcome(result) -> tuple:
+    """What a campaign produced, in comparable form."""
+    return (
+        list(result.log),
+        {chip: report.reason for chip, report in result.quarantined.items()},
+        result.state_hashes,
+    )
+
+
+class TestTypedRejections:
     def test_checkpoint_rejected_by_name(self, tmp_path):
         with pytest.raises(ConfigurationError, match="checkpoint="):
-            run_fleet_campaign(seed=0, n_chips=2, checkpoint=str(tmp_path))
+            run_fleet_campaign(
+                seed=0, n_chips=2, fidelity="binned", checkpoint=str(tmp_path)
+            )
+        assert not any(tmp_path.iterdir())  # refused before any work
+
+    def test_checkpoint_with_shards_rejected_by_name(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="checkpoint="):
+            run_fleet_campaign(seed=0, n_chips=4, shards=2, checkpoint=str(tmp_path))
 
     def test_resume_rejected_by_name(self):
-        with pytest.raises(ConfigurationError, match="resume=True"):
+        with pytest.raises(ConfigurationError, match="resume"):
             run_fleet_campaign(seed=0, n_chips=2, resume=True)
 
-    def test_unsupported_fault_kinds_named(self):
-        plan = FaultPlan.generate(
-            seed=1,
-            chip_ids=["chip-1", "chip-2"],
-            horizon=table1_horizon(2),
-            rate_per_day=2.0,
-            dropout_probability=1.0,
+
+class TestEngineParity:
+    """Every option the per-chip campaign took gives its answer on the fleet."""
+
+    def test_retry_matches_table1(self):
+        # No upsets: the ambient guard raises on one.
+        kwargs = dict(seed=0, n_chips=2, faults=every_kind_plan(upset_probability=0.0),
+                      sanitize=True, retry=RetryPolicy(max_attempts=2, backoff_seconds=1.0))
+        assert outcome(run_fleet_campaign(fidelity="exact", **kwargs)) == outcome(
+            run_table1_campaign(**kwargs)
         )
-        with pytest.raises(ConfigurationError) as excinfo:
-            run_fleet_campaign(seed=0, n_chips=2, faults=plan)
-        message = str(excinfo.value)
-        assert "chip-dropout" in message
-        assert "trap-upset" in message  # the supported set is spelled out
 
-    def test_guard_budget_rejected(self):
-        config = GuardConfig(mode="clamp", violation_budget=2, dump_dir=None)
-        with pytest.raises(ConfigurationError, match="violation_budget"):
-            run_fleet_campaign(seed=0, n_chips=2, guard=config)
+    def test_every_fault_kind_matches_table1(self):
+        plan = every_kind_plan()
+        assert {event.kind for event in plan.events} >= {
+            FaultKind.CHIP_DROPOUT, FaultKind.TRAP_UPSET
+        }
+        kwargs = dict(seed=0, n_chips=2, faults=plan, sanitize=True,
+                      guard=GuardConfig(mode="clamp", dump_dir=None))
+        fleet = run_fleet_campaign(fidelity="exact", **kwargs)
+        assert fleet.quarantined  # the dropout took a chip off the bench
+        assert outcome(fleet) == outcome(run_table1_campaign(**kwargs))
 
-    def test_faults_with_shards_rejected(self):
-        with pytest.raises(ConfigurationError, match="shards"):
-            run_fleet_campaign(seed=0, n_chips=4, shards=2, faults=upset_plan(4))
+    def test_guard_budget_matches_table1(self):
+        kwargs = dict(seed=3, n_chips=2, faults=upset_plan(), sanitize=True,
+                      guard=GuardConfig(mode="clamp", violation_budget=1, dump_dir=None))
+        fleet = run_fleet_campaign(fidelity="exact", **kwargs)
+        assert any("budget exhausted" in r.reason for r in fleet.quarantined.values())
+        assert outcome(fleet) == outcome(run_table1_campaign(**kwargs))
 
-    def test_guard_with_shards_rejected(self):
-        config = GuardConfig(mode="clamp", dump_dir=None)
-        with pytest.raises(ConfigurationError, match="shards"):
-            run_fleet_campaign(seed=0, n_chips=4, shards=2, guard=config)
+    def test_faults_with_shards_match_one_shard(self):
+        kwargs = dict(seed=0, n_chips=4, faults=every_kind_plan(4), fidelity="exact",
+                      guard=GuardConfig(mode="clamp", dump_dir=None))
+        tracers = Tracer(), Tracer()
+        one = run_fleet_campaign(shards=1, tracer=tracers[0], **kwargs)
+        two = run_fleet_campaign(shards=2, tracer=tracers[1], **kwargs)
+        assert outcome(two) == outcome(one)
+        for name in ("lab.faults.injected", "lab.sample_retries", "campaign.quarantines"):
+            assert tracers[1].metrics.value(name) == tracers[0].metrics.value(name)
 
-    def test_supported_set_is_trap_upset_only(self):
-        assert FLEET_SUPPORTED_FAULT_KINDS == frozenset({FaultKind.TRAP_UPSET})
+    def test_guard_with_shards_matches_one_shard(self):
+        kwargs = dict(seed=3, n_chips=4, faults=upset_plan(4), fidelity="exact",
+                      guard=GuardConfig(mode="clamp", violation_budget=1, dump_dir=None))
+        tracers = Tracer(), Tracer()
+        one = run_fleet_campaign(shards=1, tracer=tracers[0], **kwargs)
+        two = run_fleet_campaign(shards=2, tracer=tracers[1], **kwargs)
+        assert outcome(two) == outcome(one)
+        assert tracers[1].metrics.value("guard.violations.bti.occupancy") == (
+            tracers[0].metrics.value("guard.violations.bti.occupancy")
+        ) > 0
 
 
 class TestUpsetInjection:

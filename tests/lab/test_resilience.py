@@ -20,8 +20,9 @@ from repro.errors import (
 from repro.lab.campaign import run_table1_campaign, table1_horizon
 from repro.lab.datalog import DataLog
 from repro.lab.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
+from repro.lab.fleet import FleetBench
 from repro.lab.measurement import VirtualTestbench
-from repro.lab.resilience import CheckpointStore, ResilientTestbench, RetryPolicy
+from repro.lab.resilience import CheckpointStore, RetryPolicy
 from repro.lab.schedule import PhaseKind, TestPhase
 from repro.units import hours, minutes
 
@@ -119,34 +120,45 @@ class TestRetryPolicy:
             RetryPolicy(**kwargs)
 
 
+def faulted_bench(chip, plan, retry=None):
+    """A one-chip bench whose delivered values and readouts consult ``plan``."""
+    return FleetBench(
+        chip._fleet,
+        [np.random.default_rng(9)],
+        injectors=[FaultInjector(plan, chip.chip_id)],
+        retry=retry if retry is not None else RetryPolicy(),
+    )
+
+
+def run_phase(bench, phase) -> list:
+    """Run ``phase`` on the bench's one chip; a dropout is raised."""
+    records = {0: []}
+    bench.run_phase(phase, [0], ["CASE"], records)
+    if 0 in bench.dropped:
+        raise bench.dropped[0]
+    return records[0]
+
+
 class TestResilientTestbench:
+    """A bench with a fault injector and a retry policy (the resilient bench)."""
+
     def test_no_faults_bit_identical_to_plain_bench(self, chip_factory):
         phase = short_stress_phase()
-        plain_log, resilient_log = DataLog(), DataLog()
+        plain_log = DataLog()
         plain = VirtualTestbench(chip_factory(seed=1), rng=9)
         plain.run_phase(phase, "CASE", plain_log)
-        bench = ResilientTestbench(
-            chip_factory(seed=1), injector=FaultInjector(FaultPlan(), "chip-seed1"),
-            rng=9,
-        )
-        bench.run_phase(phase, "CASE", resilient_log)
-        assert list(plain_log) == list(resilient_log)
+        bench = faulted_bench(chip_factory(seed=1), FaultPlan())
+        assert list(plain_log) == run_phase(bench, phase)
 
     def test_dropped_readout_retried_and_phase_completes(self, chip_factory):
         chip = chip_factory(seed=2)
         plan = FaultPlan([
             FaultEvent(FaultKind.DROPPED_READOUT, chip.chip_id, start=minutes(30.0)),
         ])
-        bench = ResilientTestbench(
-            chip,
-            injector=FaultInjector(plan, chip.chip_id),
-            retry=RetryPolicy(max_attempts=3, backoff_seconds=4.0),
-            rng=9,
-        )
-        log = DataLog()
-        bench.run_phase(short_stress_phase(), "CASE", log)
+        bench = faulted_bench(chip, plan, RetryPolicy(max_attempts=3, backoff_seconds=4.0))
+        log = run_phase(bench, short_stress_phase())
         assert len(log) == 4  # initial + 3 intervals, no sample lost
-        assert bench.injector.fired[0].kind is FaultKind.DROPPED_READOUT
+        assert bench.injectors[0].fired[0].kind is FaultKind.DROPPED_READOUT
         # 4 logged samples + 1 failed burst = 5 readout overheads, plus the
         # 4 s backoff the chip aged through while the operator re-armed.
         expected = hours(1.0) + 5 * bench.sampling_overhead + 4.0
@@ -158,14 +170,9 @@ class TestResilientTestbench:
             FaultEvent(FaultKind.DROPPED_READOUT, chip.chip_id, start=0.0),
             FaultEvent(FaultKind.DROPPED_READOUT, chip.chip_id, start=0.0),
         ])
-        bench = ResilientTestbench(
-            chip,
-            injector=FaultInjector(plan, chip.chip_id),
-            retry=RetryPolicy(max_attempts=2, backoff_seconds=1.0),
-            rng=9,
-        )
+        bench = faulted_bench(chip, plan, RetryPolicy(max_attempts=2, backoff_seconds=1.0))
         with pytest.raises(RetryExhaustedError):
-            bench.run_phase(short_stress_phase(), "CASE", DataLog())
+            run_phase(bench, short_stress_phase())
 
     def test_stuck_bit_fires_and_no_sample_is_lost(self, chip_factory):
         chip = chip_factory(seed=4)
@@ -173,11 +180,10 @@ class TestResilientTestbench:
             FaultEvent(FaultKind.STUCK_BIT, chip.chip_id, start=minutes(30.0),
                        magnitude=13),
         ])
-        injector = FaultInjector(plan, chip.chip_id)
-        bench = ResilientTestbench(chip, injector=injector, rng=9)
-        log = DataLog()
-        bench.run_phase(short_stress_phase(), "CASE", log)
-        assert injector.fired and injector.fired[0].kind is FaultKind.STUCK_BIT
+        bench = faulted_bench(chip, plan)
+        log = run_phase(bench, short_stress_phase())
+        fired = bench.injectors[0].fired
+        assert fired and fired[0].kind is FaultKind.STUCK_BIT
         assert len(log) == 4  # corruption detected (or harmless), never fatal
 
     def test_thermal_drift_perturbs_delivered_temperature(self, chip_factory):
@@ -186,12 +192,10 @@ class TestResilientTestbench:
             FaultEvent(FaultKind.THERMAL_DRIFT, chip.chip_id, start=0.0,
                        duration=hours(2.0), magnitude=3.0),
         ])
-        bench = ResilientTestbench(
-            chip, injector=FaultInjector(plan, chip.chip_id), rng=9
-        )
+        bench = faulted_bench(chip, plan)
         bench.chamber.set_temperature_celsius(110.0)
         # Beyond the chamber's +/-0.3 degC control band around the setpoint.
-        assert bench._delivered_temperature() - bench.chamber.setpoint > 0.3
+        assert bench._delivered_temperature(0) - bench.chamber.setpoint > 0.3
 
 
 class TestCampaignQuarantine:
@@ -271,8 +275,9 @@ class TestCheckpointResume:
             original(self, chip, *args, **kwargs)
             if state["armed"]:
                 state["saves"] += 1
-                # Saves run in chip order: chip-1 baseline, chip-1 case,
-                # chip-2 baseline, chip-2 first case — die after that one.
+                # Saves follow the lock-step schedule: both baselines,
+                # then chip-1's case, then chip-2's first case — die
+                # after that one, mid-way through chip-2's schedule.
                 if state["saves"] == 4:
                     raise RuntimeError("simulated power loss")
 
