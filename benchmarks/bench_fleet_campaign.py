@@ -1,12 +1,12 @@
-"""PERF — batched fleet engine vs the sequential campaign baseline.
+"""PERF — a binned wafer lot vs the paper's exact five-chip campaign.
 
 Two legs:
 
-* **bit-identity** — the 5-chip exact-fidelity fleet must reproduce the
-  sequential ``run_table1_campaign`` record stream bit-for-bit (the
-  facade contract that lets the whole lab stack run against the batch);
+* **bit-identity** — ``run_fleet_campaign`` over 5 exact-fidelity chips
+  must reproduce the ``run_table1_campaign`` record stream bit-for-bit
+  (the Table-1 entry point is that same exact lot);
 * **throughput** — a 200-chip binned-fidelity lot must clear 20x the
-  measurements/s of the sequential seed-0 five-chip campaign, both timed
+  measurements/s of the seed-0 five-chip Table-1 campaign, both timed
   in this process in alternating pairs, so the ratio does not depend on
   how fast the host is.
 

@@ -187,26 +187,18 @@ def _health_report(result, tracer, seed: int):
     return build_campaign_report(result, TraceModel.from_tracer(tracer), seed=seed)
 
 
-def _cmd_fleet_campaign(args: argparse.Namespace) -> int:
-    """The --fleet branch of `repro campaign`: batched wafer-lot run.
+def _run_lot(args: argparse.Namespace, tracer):
+    """Run the --fleet lot the flags describe; print its outcome.
 
-    Resilience flags are passed straight through to
-    :func:`~repro.lab.fleet.run_fleet_campaign`, which raises a typed
-    :class:`~repro.errors.ConfigurationError` naming any option the fleet
-    engine does not support (retry loops, checkpoints, rate-driven fault
-    kinds, guard budgets) — the CLI no longer second-guesses the contract.
+    Resilience flags pass straight through: the one combination
+    :func:`~repro.lab.fleet.run_fleet_campaign` refuses (a checkpoint at
+    the binned fidelity or across shards) is its typed error.
     """
     from repro.lab.fleet import run_fleet_campaign
-    from repro.obs import JsonlExporter, ProgressReporter, Tracer
+    from repro.obs import ProgressReporter
 
     kwargs = _resilience_kwargs(args, n_chips=args.fleet)
     kwargs.pop("sanitize", None)  # passed explicitly below
-    tracer = None
-    if args.trace:
-        tracer = Tracer(exporter=JsonlExporter(args.trace))
-    elif args.report:
-        tracer = Tracer()
-    progress = ProgressReporter(enabled=args.progress)
     print(
         f"running the Table 1 fleet campaign on {args.fleet} chips "
         f"({args.fidelity} fidelity, {args.shard} shard(s))..."
@@ -219,7 +211,7 @@ def _cmd_fleet_campaign(args: argparse.Namespace) -> int:
         sanitize=args.sanitize,
         collect=args.collect,
         tracer=tracer,
-        progress=progress,
+        progress=ProgressReporter(enabled=args.progress),
         **kwargs,
     )
     print(
@@ -227,45 +219,32 @@ def _cmd_fleet_campaign(args: argparse.Namespace) -> int:
         f"{len(result.summaries)} chips "
         f"(fidelity {result.fidelity}, {len(result.log)} records kept)"
     )
-    _print_sanitizer(result)
-    if args.csv:
-        result.log.write_csv(args.csv)
-        print(f"log written to {args.csv}")
-    if args.report:
-        from repro.obs.query import TraceModel
-        from repro.report import build_fleet_report
-
-        report = build_fleet_report(
-            result, TraceModel.from_tracer(tracer), seed=args.seed
-        )
-        _write_report(report, args.report, "fleet")
-    if tracer is not None:
-        n_spans = len(tracer.finished)
-        tracer.close()
-        if args.trace:
-            print(f"trace written to {args.trace} ({n_spans} spans)")
-    return 0
+    _print_quarantine(result)
+    return result
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.obs import JsonlExporter, Tracer
+    from repro.obs.query import TraceModel
 
-    if args.fleet is not None:
-        return _cmd_fleet_campaign(args)
     tracer = None
     if args.trace:
         tracer = Tracer(exporter=JsonlExporter(args.trace))
     elif args.report:
-        # The health report reads trace metrics; give it an in-memory tracer.
+        # The reports read trace metrics; give them an in-memory tracer.
         tracer = Tracer()
-    result = _run_campaign(args, tracer)
+    result = _run_campaign(args, tracer) if args.fleet is None else _run_lot(args, tracer)
     _print_sanitizer(result)
     if args.csv:
         result.log.write_csv(args.csv)
         print(f"log written to {args.csv}")
-    if args.report:
-        _write_report(_health_report(result, tracer, args.seed), args.report,
-                      "health")
+    if args.report and args.fleet is None:
+        _write_report(_health_report(result, tracer, args.seed), args.report, "health")
+    elif args.report:
+        from repro.report import build_fleet_report
+
+        report = build_fleet_report(result, TraceModel.from_tracer(tracer), seed=args.seed)
+        _write_report(report, args.report, "fleet")
     if tracer is not None:
         n_spans = len(tracer.finished)
         tracer.close()
@@ -669,9 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--fleet",
         type=int,
         metavar="N",
-        help="run the Table 1 schedule over an N-chip lot through the "
-        "batched fleet engine instead of the per-chip bench "
-        "(bit-identical to the sequential campaign in exact fidelity)",
+        help="run the Table 1 schedule over an N-chip lot, tiling the "
+        "paper's five-chip schedule (exact fidelity matches the "
+        "plain campaign's chips bit-for-bit)",
     )
     campaign.add_argument(
         "--shard",
@@ -686,8 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--fidelity",
         choices=["auto", "exact", "binned"],
         default="auto",
-        help="fleet physics fidelity: 'exact' matches the scalar chip "
-        "bit-for-bit, 'binned' pools traps on a (tau_c, tau_e) grid for "
+        help="fleet physics fidelity: 'exact' keeps every trap (the plain "
+        "campaign's physics), 'binned' pools traps on a (tau_c, tau_e) grid for "
         "population scale, 'auto' picks exact for small lots "
         "(default: auto; only with --fleet)",
     )

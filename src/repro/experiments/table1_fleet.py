@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.analysis.tables import Table
-from repro.lab.fleet import FleetCampaignResult, run_fleet_campaign
+from repro.lab.fleet import CampaignResult, run_fleet_campaign
 
 #: Default lot size: large enough for stable tail percentiles, small
 #: enough that `repro run TAB1F` finishes in interactive time.
@@ -24,14 +24,14 @@ DEFAULT_CHIPS = 1000
 
 
 @lru_cache(maxsize=2)
-def campaign(seed: int = 0, n_chips: int = DEFAULT_CHIPS) -> FleetCampaignResult:
+def campaign(seed: int = 0, n_chips: int = DEFAULT_CHIPS) -> CampaignResult:
     """The shared fleet campaign for ``seed`` (cached; treat read-only)."""
     return run_fleet_campaign(
         seed=seed, n_chips=n_chips, fidelity="auto", collect="summary"
     )
 
 
-def distribution_table(result: FleetCampaignResult) -> Table:
+def distribution_table(result: CampaignResult) -> Table:
     """Population statistics per Table 1 schedule position."""
     table = Table(
         f"Fleet degradation distribution ({len(result.summaries):,} chips, "
@@ -58,6 +58,6 @@ def distribution_table(result: FleetCampaignResult) -> Table:
     return table
 
 
-def run(seed: int = 0, n_chips: int = DEFAULT_CHIPS) -> FleetCampaignResult:
+def run(seed: int = 0, n_chips: int = DEFAULT_CHIPS) -> CampaignResult:
     """Execute (or fetch) the fleet campaign — the TAB1F runner."""
     return campaign(seed, n_chips)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.series import Series
-from repro.lab.fleet import FleetCampaignResult
+from repro.lab.fleet import CampaignResult
 from repro.obs.query import TraceModel
 from repro.report import html as H
 from repro.report.builder import CampaignHealthReport, summary_with_ci
@@ -39,7 +39,7 @@ _METRICS = (
 _THROUGHPUT = "campaign.fleet_measurements_per_second"
 
 
-def _by_chip_no(result: FleetCampaignResult, metric: str) -> dict[int, list[float]]:
+def _by_chip_no(result: CampaignResult, metric: str) -> dict[int, list[float]]:
     """``metric`` of every chip, grouped by schedule position (chip_no)."""
     by_no: dict[int, list[float]] = {}
     for chip in result.summaries:
@@ -52,7 +52,7 @@ def _by_chip_no(result: FleetCampaignResult, metric: str) -> dict[int, list[floa
 _MAD_TO_SIGMA = 1.4826
 
 
-def _outliers(result: FleetCampaignResult, metric: str) -> list[dict]:
+def _outliers(result: CampaignResult, metric: str) -> list[dict]:
     """Chips beyond ``OUTLIER_SIGMA`` robust deviations on ``metric``.
 
     Two deliberate choices: the fence is computed per schedule position
@@ -89,7 +89,7 @@ def _outliers(result: FleetCampaignResult, metric: str) -> list[dict]:
     return rows[:MAX_OUTLIER_ROWS]
 
 
-def _histogram_series(result: FleetCampaignResult, metric: str) -> list[Series]:
+def _histogram_series(result: CampaignResult, metric: str) -> list[Series]:
     """Per-schedule-position histograms of ``metric`` as plottable series."""
     by_no = _by_chip_no(result, metric)
     lo = min(min(v) for v in by_no.values())
@@ -107,7 +107,7 @@ def _histogram_series(result: FleetCampaignResult, metric: str) -> list[Series]:
 
 
 def build_fleet_report(
-    result: FleetCampaignResult,
+    result: CampaignResult,
     model: TraceModel | None = None,
     title: str = "Fleet campaign report",
     seed: int | None = None,
@@ -154,7 +154,7 @@ def _group_entry(group: str, entry: dict) -> dict:
     return {"group": group, **entry, **entry.get("percentiles", {})}
 
 
-def _sections(data: dict, result: FleetCampaignResult) -> list[str]:
+def _sections(data: dict, result: CampaignResult) -> list[str]:
     """The fleet report's sections, in page order."""
     meta = data["meta"]
     throughput = meta["measurements_per_second"]

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from repro.lab.datalog import DataLog
-from repro.lab.fleet import FleetCampaignResult, FleetChipSummary, run_fleet_campaign
+from repro.lab.fleet import CampaignResult, FleetChipSummary, run_fleet_campaign
 from repro.report import build_fleet_report
 from repro.report.fleet import OUTLIER_SIGMA, _outliers
 
 
-def synthetic_result(n_chips=50, outlier_pct=9.0) -> FleetCampaignResult:
+def synthetic_result(n_chips=50, outlier_pct=9.0) -> CampaignResult:
     """A result with a tight per-group spread plus one planted outlier."""
     rng = np.random.default_rng(0)
     summaries = []
@@ -32,7 +32,7 @@ def synthetic_result(n_chips=50, outlier_pct=9.0) -> FleetCampaignResult:
                 measurements=10,
             )
         )
-    return FleetCampaignResult(
+    return CampaignResult(
         chips={}, log=DataLog(),
         fresh_delays={s.chip_id: s.fresh_delay for s in summaries},
         summaries=summaries, fidelity="binned", total_measurements=500,
