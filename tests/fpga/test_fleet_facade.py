@@ -12,7 +12,7 @@ operation tape is replayed against both.
 import numpy as np
 import pytest
 
-from repro.errors import PhysicsViolationError
+from repro.errors import ChipDropoutError, FleetDropoutError, PhysicsViolationError
 from repro.fpga.chip import CycleSegment, FpgaChip
 from repro.fpga.fleet import FleetChip
 from repro.fpga.ring_oscillator import StressMode
@@ -205,3 +205,33 @@ class TestFacadeEquivalence:
         assert_states_equal(fleet, chips)
         assert fleet.view(1).elapsed == 0.0
         assert not np.any(fleet.view(1).delta_vth())
+
+
+class TestPerChipGuardBudgets:
+    """One guard per chip: an exhausted budget drops that chip alone."""
+
+    def test_dropped_chip_stops_where_it_would_alone(self):
+        def budget():
+            return Guard(GuardConfig(mode="clamp", violation_budget=0, dump_dir=None))
+
+        fleet = FleetChip(list(CHIP_IDS), list(SEEDS), guard=[budget() for _ in SEEDS])
+        chips = [FpgaChip(c, seed=s, guard=budget()) for c, s in zip(CHIP_IDS, SEEDS)]
+        fleet.inject_trap_upset_chip(1, float("nan"))
+        chips[1].inject_trap_upset(float("nan"))
+        temperatures = celsius(110.0) + TEMPERATURE_OFFSETS
+        with pytest.raises(FleetDropoutError) as dropped:
+            fleet.apply_stress(hours(1.0), temperatures, 1.2)
+        assert set(dropped.value.errors) == {1}
+        for index, chip in enumerate(chips):
+            if index == 1:
+                with pytest.raises(ChipDropoutError):
+                    chip.apply_stress(hours(1.0), temperatures[index], 1.2)
+            else:
+                chip.apply_stress(hours(1.0), temperatures[index], 1.2)
+            # The struck chip keeps the state its failing check left (its
+            # pMOS repaired, its nMOS untouched, its clock stopped).
+            a, b = chip.export_state(), fleet.export_chip_state(index)
+            for key in a:
+                np.testing.assert_array_equal(a[key], b[key])
+        assert fleet.elapsed[1] == 0.0
+        assert "budget exhausted" in str(dropped.value)
