@@ -1,14 +1,18 @@
 """SMOKE — kill a checkpointed campaign mid-run, resume, compare logs.
 
 Guards the checkpoint/resume contract end to end, the way a real outage
-exercises it: a campaign subprocess writing checkpoints is SIGKILLed
-once its first cases have landed, then resumed in-process.  The resumed
-``DataLog`` must be bit-identical to an uninterrupted run — generation
-snapshots mean a kill at *any* instant leaves a consistent checkpoint.
+exercises it.  Two legs:
 
-If the subprocess finishes before the kill window opens (fast machine),
-the test degrades to resuming a complete checkpoint, which must still
-reproduce the reference log from its shards.
+* a one-process campaign subprocess writing checkpoints is SIGKILLed
+  once its first cases have landed, then resumed in-process;
+* a two-shard fleet lot's *parent* alone is SIGKILLed: its orphaned
+  shard workers must stop writing (the directory stays unchanged for
+  2 s), and a one-shard resume must reproduce the uninterrupted lot.
+
+Generation snapshots mean a kill at *any* instant leaves a consistent
+checkpoint.  If a subprocess finishes before the kill window opens
+(fast machine), its leg degrades to resuming a complete checkpoint,
+which must still reproduce the reference from its shards.
 
 Run directly (CI does)::
 
@@ -24,62 +28,88 @@ import time
 from pathlib import Path
 
 from repro.lab.campaign import run_table1_campaign
+from repro.lab.fleet import run_fleet_campaign
 
 ROOT = Path(__file__).resolve().parent.parent
 
 SEED = 7
 N_CHIPS = 2
+LOT_CHIPS = 10
 
 #: Checkpointed cases after which the campaign is killed (chips run in
 #: order, so chip-1's baseline + first case land first).
 KILL_AFTER_CASES = 2
 
-
-def _completed_cases(manifest_path: Path) -> int:
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        # Not written yet, or caught mid-replace — treat as no progress.
-        return 0
-    return sum(len(cases) for cases in manifest.get("completed", {}).values())
+#: How long an orphaned shard worker is given to finish a save already
+#: under way when its parent died; after that the directory must freeze.
+SETTLE_S = 0.25
 
 
-def test_kill_mid_campaign_then_resume(tmp_path):
-    checkpoint = tmp_path / "checkpoint"
-    manifest = checkpoint / "manifest.json"
+def _completed_cases(checkpoint: Path) -> int:
+    total = 0
+    for path in checkpoint.glob("chip-*.json"):
+        try:
+            total += len(json.loads(path.read_text())["completed"])
+        except (OSError, json.JSONDecodeError, KeyError):
+            pass  # caught mid-replace — count it at the next poll
+    return total
+
+
+def _snapshot(checkpoint: Path) -> dict:
+    """Every file in the directory with its size and modification time."""
+    return {
+        path.name: (stat.st_size, stat.st_mtime_ns)
+        for path in checkpoint.iterdir()
+        for stat in [path.stat()]
+    }
+
+
+def _run_and_kill(args: list[str], checkpoint: Path) -> bool:
+    """Run ``repro campaign <args> --checkpoint DIR``; SIGKILL its main
+    process once :data:`KILL_AFTER_CASES` cases are checkpointed.
+
+    Returns whether the kill happened.  After a kill, asserts that no
+    process left behind writes to the directory.  Every process of the
+    run's group is killed on the way out.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "campaign",
-            "--seed", str(SEED), "--chips", str(N_CHIPS),
-            "--checkpoint", str(checkpoint), "--quiet",
-        ],
+        [sys.executable, "-m", "repro", "campaign", "--seed", str(SEED), *args,
+         "--checkpoint", str(checkpoint), "--quiet"],
         cwd=ROOT,
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
-    killed = False
     try:
         deadline = time.monotonic() + 300.0
         while time.monotonic() < deadline:
             if process.poll() is not None:
-                break  # finished before the kill window — see module docstring
-            if _completed_cases(manifest) >= KILL_AFTER_CASES:
+                return False  # finished before the kill window — see module docstring
+            if _completed_cases(checkpoint) >= KILL_AFTER_CASES:
                 process.send_signal(signal.SIGKILL)
                 process.wait(timeout=30.0)
-                killed = True
-                break
+                time.sleep(SETTLE_S)
+                before = _snapshot(checkpoint)
+                time.sleep(2.0)
+                assert _snapshot(checkpoint) == before, "checkpoint written after the kill"
+                return True
             time.sleep(0.05)
-        else:
-            raise AssertionError("campaign made no checkpoint progress in 300 s")
+        raise AssertionError("campaign made no checkpoint progress in 300 s")
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=30.0)
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.wait(timeout=30.0)
 
-    cases_at_resume = _completed_cases(manifest)
+
+def test_kill_mid_campaign_then_resume(tmp_path):
+    checkpoint = tmp_path / "checkpoint"
+    killed = _run_and_kill(["--chips", str(N_CHIPS)], checkpoint)
+    cases_at_resume = _completed_cases(checkpoint)
     resumed = run_table1_campaign(
         seed=SEED, n_chips=N_CHIPS, checkpoint=str(checkpoint), resume=True
     )
@@ -91,4 +121,23 @@ def test_kill_mid_campaign_then_resume(tmp_path):
         f"{'killed' if killed else 'completed'} with {cases_at_resume} "
         f"checkpointed cases; resumed log matches the uninterrupted run "
         f"({len(resumed.log)} records)"
+    )
+
+
+def test_kill_sharded_lot_parent_then_resume_on_one_shard(tmp_path):
+    checkpoint = tmp_path / "checkpoint"
+    killed = _run_and_kill(["--fleet", str(LOT_CHIPS), "--shard", "2"], checkpoint)
+    cases_at_resume = _completed_cases(checkpoint)
+    resumed = run_fleet_campaign(
+        seed=SEED, n_chips=LOT_CHIPS, shards=1, checkpoint=str(checkpoint), resume=True
+    )
+    reference = run_fleet_campaign(seed=SEED, n_chips=LOT_CHIPS)
+    assert list(resumed.log) == list(reference.log)
+    assert resumed.final_delays == reference.final_delays
+    assert resumed.summaries == reference.summaries
+    assert resumed.total_measurements == reference.total_measurements
+    print(
+        f"{'parent killed' if killed else 'completed'} with {cases_at_resume} "
+        f"checkpointed cases; one-shard resume matches the uninterrupted lot "
+        f"({resumed.total_measurements} measurements)"
     )

@@ -77,8 +77,8 @@ class TrapGrid:
     ) -> None:
         if n_classes <= 0:
             raise ConfigurationError(f"n_classes must be positive, got {n_classes}")
-        if bins_per_decade <= 0.0:
-            raise ConfigurationError("bins_per_decade must be positive")
+        if not bins_per_decade > 0.0:
+            raise ConfigurationError(f"bins_per_decade must be positive, got {bins_per_decade}")
         self.params = params
         self.n_classes = n_classes
         self.bins_per_decade = bins_per_decade

@@ -190,9 +190,9 @@ def _health_report(result, tracer, seed: int):
 def _run_lot(args: argparse.Namespace, tracer):
     """Run the --fleet lot the flags describe; print its outcome.
 
-    Resilience flags pass straight through: the one combination
-    :func:`~repro.lab.fleet.run_fleet_campaign` refuses (a checkpoint at
-    the binned fidelity or across shards) is its typed error.
+    Resilience flags, checkpoints included, pass straight through to
+    :func:`~repro.lab.fleet.run_fleet_campaign` at any fidelity and
+    shard count.
     """
     from repro.lab.fleet import run_fleet_campaign
     from repro.obs import ProgressReporter

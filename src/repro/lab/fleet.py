@@ -28,6 +28,7 @@ chip ``(i % 5) + 1`` — the five-row schedule tiled across the lot.  For
 from __future__ import annotations
 
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
@@ -54,7 +55,7 @@ from repro.lab.clock_generator import ClockGenerator
 from repro.lab.datalog import DataLog, MeasurementRecord
 from repro.lab.faults import FaultInjector, FaultKind, FaultPlan
 from repro.lab.power_supply import DcPowerSupply
-from repro.lab.resilience import CheckpointStore, QuarantineReport, RetryPolicy
+from repro.lab.resilience import CheckpointStore, ChipProgress, QuarantineReport, RetryPolicy
 from repro.lab.sanitizer import DeterminismSanitizer, NULL_SANITIZER
 from repro.lab.schedule import (
     CHIP_SEQUENCES,
@@ -766,16 +767,21 @@ def _run_batch(options: _Options, batch, streams, tracer, progress, keep_chips):
     completed = {position: [] for position in positions}
     taken = dict.fromkeys(positions, 0)
     quarantined: dict[int, QuarantineReport] = {}
+    last_counts: dict[int, int | None] = {}
     store = options.store
     for position in positions if store is not None else ():
         # Resume: the chip was rebuilt from its seed; its trap state and
         # bench stream are rewound, so only its unfinished tail runs.
         restored = store.load_chip(fleet.view(position), rngs[position])
         if restored is not None:
-            baseline, cases, completed[position], quarantine = restored
+            baseline, cases, saved = restored
             baselines[position], logs[position] = list(baseline), list(cases)
-            if quarantine is not None:
-                quarantined[position] = quarantine
+            completed[position], taken[position] = saved.completed, saved.measurements
+            last_counts[position] = saved.last_good_count
+            if guards is not None:
+                guards[position].violations = saved.guard_violations
+            if saved.quarantine is not None:
+                quarantined[position] = saved.quarantine
     injectors = None
     if options.faults is not None:
         injectors = [
@@ -783,6 +789,8 @@ def _run_batch(options: _Options, batch, streams, tracer, progress, keep_chips):
             for position, chip_id in enumerate(chip_ids)
         ]
     bench = FleetBench(fleet, rngs, tracer=tracer, injectors=injectors, retry=options.retry)
+    for position, count in last_counts.items():
+        bench._last_good_count[position] = count
     sanitizer = DeterminismSanitizer() if options.sanitize else NULL_SANITIZER
     quarantines = tracer.counter("campaign.quarantines", "chips pulled from the bench mid-campaign")
     offset = 1 if options.include_baseline else 0
@@ -826,7 +834,12 @@ def _run_batch(options: _Options, batch, streams, tracer, progress, keep_chips):
             if store is not None:
                 store.save_chip(
                     fleet.view(position), rngs[position], _as_log(baselines[position]),
-                    _as_log(logs[position]), completed[position], quarantined.get(position),
+                    _as_log(logs[position]),
+                    ChipProgress(
+                        completed[position], quarantined.get(position),
+                        bench._last_good_count[position], taken[position],
+                        guards[position].violations if guards is not None else 0,
+                    ),
                 )
             if position in quarantined:
                 progress.chip_finished(quarantined[position])
@@ -940,18 +953,16 @@ def _run_campaign(
     shards = min(shards, n_chips)
     store = None
     if checkpoint is not None:
-        if fidelity != "exact" or shards > 1:
-            raise ConfigurationError(
-                "checkpoint= needs the exact fidelity and one shard "
-                f"(got fidelity={fidelity!r}, shards={shards})"
-            )
         store = CheckpointStore(checkpoint)
         if store.read_manifest() is not None and not resume:
             raise CheckpointError(
                 f"{checkpoint} already holds a campaign checkpoint; pass "
                 "resume=True (--resume) to continue it or use a fresh directory"
             )
-        store.init_manifest(seed, n_chips, include_baseline)
+        store.init_manifest(
+            seed=seed, n_chips=n_chips, include_baseline=include_baseline, fidelity=fidelity,
+            bins_per_decade=bins_per_decade, collect=collect,
+        )
     elif resume:
         raise ConfigurationError("resume requires a checkpoint directory")
     tracer = tracer if tracer is not None else get_tracer()
@@ -980,7 +991,12 @@ def _run_campaign(
             jobs = [
                 (options, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi
             ]
-            with ProcessPoolExecutor(max_workers=shards) as pool:
+            # Workers must be the campaign's own children: a checkpoint
+            # admits no other writer, so a fork server gives way to spawn.
+            context = multiprocessing.get_context()
+            if context.get_start_method() == "forkserver":
+                context = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=shards, mp_context=context) as pool:
                 parts = list(pool.map(_shard_worker, jobs))
             for _, _, worker_tracer in parts:
                 if worker_tracer is not None:
@@ -1050,10 +1066,10 @@ def run_fleet_campaign(
     1`` fans contiguous chip ranges out to worker processes, with the
     same result and counters as one shard.  ``collect="summary"`` keeps
     only phase-boundary records per chip; summaries and hashes always
-    cover the full stream.  ``faults``, ``retry``, ``guard`` and
-    ``sanitize`` work as for ``run_table1_campaign`` at any fidelity and
-    shard count; ``checkpoint`` / ``resume`` need the exact fidelity and
-    one shard, else :class:`ConfigurationError` is raised before any work.
+    cover the full stream.  ``faults``, ``retry``, ``guard``,
+    ``checkpoint`` / ``resume`` and ``sanitize`` work as for
+    ``run_table1_campaign`` at any fidelity and shard count; a resume may
+    use another shard count or ``batch_size`` than the run it continues.
     """
     return _run_campaign(
         seed, n_chips, include_baseline, fidelity, batch_size, shards, sanitize, collect,

@@ -11,9 +11,11 @@ applies them chip by chip):
 * :class:`QuarantineReport` — why and when a chip that dropped out,
   exhausted its retries or its guard budget was pulled from the bench;
 * :class:`CheckpointStore` — per-chip on-disk snapshots (trap occupancy,
-  bench RNG bit-generator state, DataLog shards) written after every
-  completed case, so a killed campaign resumes without replaying
-  finished cases.
+  DataLog shards and a :class:`ChipProgress` file with the bench RNG
+  state) written after every completed case, so a killed campaign
+  resumes without replaying finished cases.  Every chip's files are its
+  own, so a checkpoint works at either fidelity and across shard
+  workers, and a resume may use another shard count or batch size.
 
 With no faults installed a chip's bench consumes its RNG stream in
 exactly the same order as with an empty fault plan — resilient,
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +124,21 @@ def discard_orphan_tmp(directory: str | Path, pattern: str = "*.tmp") -> list[Pa
 
 
 #: On-disk checkpoint layout version (bump on incompatible changes).
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+
+@dataclass
+class ChipProgress:
+    """What a chip's checkpoint records besides its trap state and logs."""
+
+    completed: list[str]
+    quarantine: QuarantineReport | None = None
+    #: The bench's last plausible counter reading (the stuck-bit check's reference).
+    last_good_count: int | None = None
+    #: Records taken, before summary-mode trimming.
+    measurements: int = 0
+    #: Violations the chip's own guard has counted against its budget.
+    guard_violations: int = 0
 
 
 class CheckpointStore:
@@ -130,20 +146,24 @@ class CheckpointStore:
 
     Layout::
 
-        manifest.json           seed/shape of the campaign + per-chip progress
+        manifest.json           campaign shape (seed, lot size, fidelity, ...)
+        <chip>.json             snapshot generation, ChipProgress, bench RNG state
         <chip>.<g>.state.npz    trap occupancies and clocks (FpgaChip.export_state)
-        <chip>.<g>.rng.json     bench RNG bit-generator state
         <chip>.<g>.baseline.csv baseline DataLog shard
         <chip>.<g>.cases.csv    case DataLog shard
 
-    ``<g>`` is a per-chip generation number recorded in the manifest.
-    Writes are crash-safe against SIGKILL: each save lands in fresh
-    generation files, then the manifest is atomically replaced to point
-    at them, then older generations are pruned — a kill at any instant
-    leaves the manifest referencing a fully-written snapshot.
-    """
+    The campaign writes the manifest once; every other file belongs to
+    one chip, so shard workers write disjoint files and a resume may cut
+    the lot into any shards or batches.  Writes are crash-safe against
+    SIGKILL: each save lands in fresh generation files, then
+    ``<chip>.json`` is atomically replaced to point at them, then older
+    generations are pruned — a kill at any instant leaves every progress
+    file referencing a fully-written snapshot.
 
-    MANIFEST = "manifest.json"
+    Only the process that opened the store and its children (the shard
+    pool's workers) may save: a worker orphaned by a killed campaign
+    stops at its next save instead of racing a resumed run.
+    """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
@@ -152,67 +172,49 @@ class CheckpointStore:
         # so any .tmp here is an orphan from an interrupted save — warn
         # and drop it before a reader can mistake it for state.
         discard_orphan_tmp(self.directory)
+        self.manifest_path = self.directory / "manifest.json"
+        self._owner = os.getpid()
+        #: Per chip, the snapshot generation its progress file references.
+        self._generations: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # manifest
     # ------------------------------------------------------------------ #
 
-    def _manifest_path(self) -> Path:
-        return self.directory / self.MANIFEST
-
     def read_manifest(self) -> dict | None:
         """The manifest dict, or ``None`` if no checkpoint exists yet."""
-        path = self._manifest_path()
-        if not path.exists():
+        if not self.manifest_path.exists():
             return None
         try:
-            with open(path) as handle:
+            with open(self.manifest_path) as handle:
                 return json.load(handle)
         except (OSError, json.JSONDecodeError) as error:
-            raise CheckpointError(f"{path}: unreadable manifest ({error})") from error
+            raise CheckpointError(
+                f"{self.manifest_path}: unreadable manifest ({error})"
+            ) from error
 
-    def init_manifest(self, seed: int | None, n_chips: int, include_baseline: bool) -> dict:
-        """Create (or validate and return) the manifest for this campaign.
+    def init_manifest(self, **shape) -> None:
+        """Create, or validate against, the manifest of a campaign's ``shape``.
 
-        Resuming with a different seed or campaign shape would silently
-        splice incompatible data, so a mismatch is a hard error.
+        Resuming with another layout version, seed or campaign shape
+        would silently splice incompatible data, so a mismatch is a hard
+        error.
         """
+        expected = {"version": CHECKPOINT_VERSION, **shape}
         manifest = self.read_manifest()
         if manifest is None:
-            manifest = {
-                "version": CHECKPOINT_VERSION,
-                "seed": seed,
-                "n_chips": n_chips,
-                "include_baseline": include_baseline,
-                "completed": {},
-                "generations": {},
-                "quarantined": {},
-            }
-            self._write_manifest(manifest)
-            return manifest
-        if manifest.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{self._manifest_path()}: checkpoint version "
-                f"{manifest.get('version')} != {CHECKPOINT_VERSION}"
-            )
-        shape = {"seed": seed, "n_chips": n_chips, "include_baseline": include_baseline}
-        for key, value in shape.items():
+            atomic_write_json(self.manifest_path, expected)
+            return
+        for key, value in expected.items():
             if manifest.get(key) != value:
                 raise CheckpointError(
-                    f"{self._manifest_path()}: checkpoint was taken with "
+                    f"{self.manifest_path}: checkpoint was taken with "
                     f"{key}={manifest.get(key)!r}, cannot resume with {value!r}"
                 )
-        return manifest
-
-    def _write_manifest(self, manifest: dict) -> None:
-        atomic_write_json(self._manifest_path(), manifest)
 
     # ------------------------------------------------------------------ #
     # per-chip state
     # ------------------------------------------------------------------ #
-
-    def _generation_of(self, manifest: dict, chip_id: str) -> int:
-        return int(manifest.get("generations", {}).get(chip_id, 0))
 
     def _prune_generations(self, chip_id: str, keep: int) -> None:
         """Best-effort removal of snapshot files older than ``keep``."""
@@ -231,83 +233,64 @@ class CheckpointStore:
         bench_rng: np.random.Generator,
         baseline_log: DataLog,
         case_log: DataLog,
-        completed: list[str],
-        quarantine: QuarantineReport | None = None,
+        progress: ChipProgress,
     ) -> None:
         """Snapshot one chip after a completed case (or at quarantine).
 
         The snapshot is written to a fresh generation of files and only
-        then referenced from the manifest, so a kill mid-save never
-        corrupts the previous checkpoint.
+        then referenced from the chip's progress file, so a kill mid-save
+        never corrupts the previous checkpoint.
         """
-        chip_id = chip.chip_id
-        manifest = self.read_manifest()
-        if manifest is None:
+        if self._owner not in (os.getpid(), os.getppid()):
             raise CheckpointError(
-                f"{self._manifest_path()}: manifest vanished mid-campaign"
+                f"{self.directory}: process {os.getpid()} neither opened this "
+                "checkpoint nor is a child of the campaign that did; refusing "
+                "to write where a resumed run may be writing"
             )
-        generation = self._generation_of(manifest, chip_id) + 1
+        chip_id = chip.chip_id
+        generation = self._generations.get(chip_id, 0) + 1
         prefix = f"{chip_id}.{generation}"
         np.savez(self.directory / f"{prefix}.state.npz", **chip.export_state())
-        with open(self.directory / f"{prefix}.rng.json", "w") as handle:
-            json.dump(bench_rng.bit_generator.state, handle)
         baseline_log.write_csv(self.directory / f"{prefix}.baseline.csv")
         case_log.write_csv(self.directory / f"{prefix}.cases.csv")
-        manifest = self.read_manifest()
-        if manifest is None:
-            raise CheckpointError(
-                f"{self._manifest_path()}: manifest vanished mid-campaign"
-            )
-        manifest["completed"][chip_id] = list(completed)
-        manifest.setdefault("generations", {})[chip_id] = generation
-        if quarantine is not None:
-            manifest["quarantined"][chip_id] = {
-                "case": quarantine.case,
-                "sim_time": quarantine.sim_time,
-                "reason": quarantine.reason,
-            }
-        self._write_manifest(manifest)
+        atomic_write_json(
+            self.directory / f"{chip_id}.json",
+            {"generation": generation, "rng": bench_rng.bit_generator.state, **asdict(progress)},
+        )
+        self._generations[chip_id] = generation
         self._prune_generations(chip_id, keep=generation)
 
     def load_chip(
         self, chip, bench_rng: np.random.Generator
-    ) -> tuple[DataLog, DataLog, list[str], QuarantineReport | None] | None:
+    ) -> tuple[DataLog, DataLog, ChipProgress] | None:
         """Restore a chip in place; return its shards and progress.
 
         ``None`` means no checkpoint exists for this chip (it starts
         fresh).  On success the chip's trap state and the bench RNG are
         rewound to the end of the last completed case.
         """
-        manifest = self.read_manifest()
         chip_id = chip.chip_id
-        if manifest is None or chip_id not in manifest["completed"]:
+        path = self.directory / f"{chip_id}.json"
+        if not path.exists():
             return None
-        generation = self._generation_of(manifest, chip_id)
-        if generation < 1:
-            raise CheckpointError(
-                f"{self.directory}: manifest lists {chip_id} as checkpointed "
-                "but records no snapshot generation for it"
-            )
-        prefix = f"{chip_id}.{generation}"
         try:
+            with open(path) as handle:
+                entry = json.load(handle)
+            generation = int(entry.pop("generation"))
+            prefix = f"{chip_id}.{generation}"
             with np.load(self.directory / f"{prefix}.state.npz") as data:
                 chip.import_state({key: data[key] for key in data.files})
-            with open(self.directory / f"{prefix}.rng.json") as handle:
-                bench_rng.bit_generator.state = json.load(handle)
+            bench_rng.bit_generator.state = entry.pop("rng")
             baseline_log = DataLog.read_csv(self.directory / f"{prefix}.baseline.csv")
             case_log = DataLog.read_csv(self.directory / f"{prefix}.cases.csv")
-        except (OSError, KeyError, ValueError, MeasurementError) as error:
+            quarantine = entry.pop("quarantine")
+            progress = ChipProgress(
+                quarantine=None if quarantine is None else QuarantineReport(**quarantine),
+                **entry,
+            )
+        except (OSError, KeyError, TypeError, ValueError, MeasurementError) as error:
             raise CheckpointError(
                 f"{self.directory}: corrupt checkpoint for {chip_id} ({error})"
             ) from error
-        completed = list(manifest["completed"][chip_id])
-        quarantine = None
-        entry = manifest.get("quarantined", {}).get(chip_id)
-        if entry is not None:
-            quarantine = QuarantineReport(
-                chip_id=chip_id,
-                case=entry["case"],
-                sim_time=float(entry["sim_time"]),
-                reason=entry["reason"],
-            )
-        return baseline_log, case_log, completed, quarantine
+        self._generations[chip_id] = generation
+        return baseline_log, case_log, progress

@@ -73,6 +73,29 @@ def campaign_result():
 
 
 @pytest.fixture
+def power_loss(monkeypatch):
+    """``power_loss(chip_id, steps)`` makes a checkpointed campaign die
+    right after ``chip_id`` checkpoints its ``steps``-th finished step (a
+    forked shard worker inherits it); ``power_loss()`` disarms it so a
+    resume runs through."""
+    from repro.lab.resilience import CheckpointStore
+
+    original = CheckpointStore.save_chip
+    armed: dict = {}
+
+    def save_then_die(self, chip, bench_rng, baseline_log, case_log, progress):
+        original(self, chip, bench_rng, baseline_log, case_log, progress)
+        if armed.get("at") == (chip.chip_id, len(progress.completed)):
+            raise RuntimeError("simulated power loss")
+
+    def arm(chip_id: str | None = None, steps: int = 0) -> None:
+        armed["at"] = (chip_id, steps)
+
+    monkeypatch.setattr(CheckpointStore, "save_chip", save_then_die)
+    return arm
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic generator for noise-consuming tests."""
     return np.random.default_rng(2024)

@@ -78,7 +78,8 @@ class TestCheckpointStoreResume:
         with pytest.warns(RuntimeWarning, match="orphaned temp file"):
             store = CheckpointStore(checkpoint)
         manifest = store.read_manifest()
-        assert manifest is not None and manifest["completed"]
+        progress = json.loads((checkpoint / "chip-1.json").read_text())
+        assert manifest is not None and progress["completed"]
 
     def test_store_open_never_raises_on_orphans(self, tmp_path):
         directory = tmp_path / "fresh"

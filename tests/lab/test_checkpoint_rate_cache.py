@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.fpga.chip import FpgaChip
 from repro.lab.datalog import DataLog
-from repro.lab.resilience import CheckpointStore
+from repro.lab.resilience import CheckpointStore, ChipProgress
 from repro.units import hours
 
 HOT = 110.0
@@ -57,13 +57,14 @@ class TestResumeThenEvolveBitIdentity:
         reference.apply_stress(hours(2.0), HOT)
         continued_rng = np.random.default_rng(42)
         store = CheckpointStore(tmp_path)
-        store.init_manifest(seed=0, n_chips=1, include_baseline=True)
+        store.init_manifest(seed=0, n_chips=1, include_baseline=True, fidelity="exact",
+                            bins_per_decade=3.0, collect="records")
         store.save_chip(
             reference,
             continued_rng,
             DataLog(),
             DataLog(),
-            completed=["CASE-A"],
+            ChipProgress(completed=["CASE-A"]),
         )
         reference.apply_stress(hours(1.0), HOT)
         reference.apply_recovery(hours(1.0), COLD, supply_voltage=-0.3)
@@ -78,8 +79,8 @@ class TestResumeThenEvolveBitIdentity:
         resumed_rng = np.random.default_rng(7)
         loaded = store.load_chip(resumed, resumed_rng)
         assert loaded is not None
-        _, _, completed, quarantine = loaded
-        assert completed == ["CASE-A"] and quarantine is None
+        _, _, progress = loaded
+        assert progress.completed == ["CASE-A"] and progress.quarantine is None
         assert resumed._fleet._pmos.rate_cache_entries == 0
         resumed.apply_stress(hours(1.0), HOT)
         resumed.apply_recovery(hours(1.0), COLD, supply_voltage=-0.3)

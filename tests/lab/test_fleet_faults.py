@@ -2,22 +2,27 @@
 
 ``run_fleet_campaign`` is the one campaign engine, so every resilience
 option of :func:`~repro.lab.campaign.run_table1_campaign` — instrument
-faults, dropout, retries, guard budgets, sharding — gives the same
-answer through it.  The only combinations it still refuses (checkpoints
-at the binned fidelity or across shards, resume without a checkpoint)
-raise a typed :class:`~repro.errors.ConfigurationError` *naming the
+faults, dropout, retries, guard budgets, sharding, checkpoints — gives
+the same answer through it, at either fidelity and any shard count.  A
+malformed option (resume without a checkpoint, a NaN grid density)
+raises a typed :class:`~repro.errors.ConfigurationError` *naming the
 option* before any work.
 """
+
+import multiprocessing
+import shutil
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, PhysicsViolationError
+from repro.errors import CheckpointError, ConfigurationError, PhysicsViolationError
 from repro.guard import GuardConfig
 from repro.lab.campaign import run_table1_campaign, table1_horizon
+from repro.lab.datalog import DataLog
 from repro.lab.faults import FaultEvent, FaultKind, FaultPlan
 from repro.lab.fleet import run_fleet_campaign
-from repro.lab.resilience import RetryPolicy
+from repro.lab.resilience import CheckpointStore, ChipProgress, RetryPolicy
 from repro.obs import Tracer
 from repro.units import hours
 
@@ -57,21 +62,85 @@ def outcome(result) -> tuple:
     )
 
 
+def resumed_outcome(result) -> tuple:
+    """What a resumed campaign must reproduce of the uninterrupted one."""
+    return (
+        list(result.log),
+        result.final_delays,
+        result.summaries,
+        result.total_measurements,
+        set(result.quarantined),
+    )
+
+
 class TestTypedRejections:
-    def test_checkpoint_rejected_by_name(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="checkpoint="):
-            run_fleet_campaign(
-                seed=0, n_chips=2, fidelity="binned", checkpoint=str(tmp_path)
-            )
-        assert not any(tmp_path.iterdir())  # refused before any work
-
-    def test_checkpoint_with_shards_rejected_by_name(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="checkpoint="):
-            run_fleet_campaign(seed=0, n_chips=4, shards=2, checkpoint=str(tmp_path))
-
     def test_resume_rejected_by_name(self):
         with pytest.raises(ConfigurationError, match="resume"):
             run_fleet_campaign(seed=0, n_chips=2, resume=True)
+
+    def test_nan_grid_density_rejected_by_name(self):
+        with pytest.raises(ConfigurationError, match="bins_per_decade"):
+            run_fleet_campaign(
+                seed=0, n_chips=2, fidelity="binned", bins_per_decade=float("nan")
+            )
+
+
+class TestCheckpointParity:
+    def test_binned_lot_killed_and_resumed_matches_plain(self, tmp_path, power_loss):
+        kwargs = dict(seed=0, n_chips=6, fidelity="binned")
+        plain = run_fleet_campaign(**kwargs)
+        directory = str(tmp_path / "ck")
+        power_loss("chip-2", 2)
+        with pytest.raises(RuntimeError, match="power loss"):
+            run_fleet_campaign(checkpoint=directory, batch_size=4, **kwargs)
+        power_loss()
+        resumed = run_fleet_campaign(checkpoint=directory, resume=True, batch_size=3, **kwargs)
+        assert resumed_outcome(resumed) == resumed_outcome(plain)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the simulated power loss reaches shard workers by fork",
+    )
+    def test_worker_killed_then_resumed_on_1_and_3_shards(self, tmp_path, power_loss):
+        chip_ids = [f"chip-{i + 1}" for i in range(4)]
+        plan = FaultPlan.generate(
+            4, chip_ids, table1_horizon(4), rate_per_day=2.0, dropout_probability=0.5
+        )
+        kwargs = dict(seed=0, n_chips=4, fidelity="exact", faults=plan)
+        plain = run_fleet_campaign(shards=1, **kwargs)
+        # chip-3 drops out in its second case, after the simulated loss.
+        assert plain.quarantined["chip-3"].case == "AR20N6"
+        killed = tmp_path / "killed"
+        power_loss("chip-3", 2)
+        with pytest.raises(RuntimeError, match="power loss"):
+            run_fleet_campaign(checkpoint=str(killed), shards=2, **kwargs)
+        power_loss()
+        for shards, batch_size in ((1, None), (3, 1)):
+            directory = tmp_path / f"resume-{shards}"
+            shutil.copytree(killed, directory)
+            resumed = run_fleet_campaign(
+                checkpoint=str(directory), resume=True, shards=shards,
+                batch_size=batch_size, **kwargs
+            )
+            assert resumed_outcome(resumed) == resumed_outcome(plain), shards
+
+    def test_fidelity_mismatch_on_resume_refused(self, tmp_path):
+        directory = str(tmp_path / "ck")
+        run_fleet_campaign(seed=0, n_chips=1, fidelity="binned", checkpoint=directory)
+        with pytest.raises(CheckpointError, match="fidelity"):
+            run_fleet_campaign(
+                seed=0, n_chips=1, fidelity="exact", checkpoint=directory, resume=True
+            )
+
+    def test_save_from_outside_the_owning_process_tree_refused(self, tmp_path, chip_factory):
+        # Opened in a worker, the store comes back to this process: the
+        # opener's parent, neither the opener nor one of its children.
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            store = pool.submit(CheckpointStore, tmp_path / "ck").result()
+        with pytest.raises(CheckpointError, match="neither opened"):
+            store.save_chip(chip_factory(seed=1), np.random.default_rng(0), DataLog(),
+                            DataLog(), ChipProgress(["BASELINE-x"]))
+        assert list((tmp_path / "ck").iterdir()) == []
 
 
 class TestEngineParity:

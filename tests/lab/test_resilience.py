@@ -6,8 +6,6 @@ other chip bit-identical to a fault-free run; a resumed campaign produces
 the same DataLog as an uninterrupted one.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -17,12 +15,13 @@ from repro.errors import (
     ConfigurationError,
     RetryExhaustedError,
 )
+from repro.guard import GuardConfig
 from repro.lab.campaign import run_table1_campaign, table1_horizon
 from repro.lab.datalog import DataLog
 from repro.lab.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.lab.fleet import FleetBench
 from repro.lab.measurement import VirtualTestbench
-from repro.lab.resilience import CheckpointStore, RetryPolicy
+from repro.lab.resilience import CheckpointStore, ChipProgress, RetryPolicy
 from repro.lab.schedule import PhaseKind, TestPhase
 from repro.units import hours, minutes
 
@@ -242,15 +241,12 @@ class TestCheckpointResume:
         assert list(plain.log) == list(checkpointed.log)
 
     def test_resume_after_losing_a_whole_chip_matches_uninterrupted(self, tmp_path):
-        """Drop chip-2's progress from the manifest (as if the campaign died
-        before its first checkpoint): resume replays it from scratch while
-        chip-1 is restored from its shards — the merged log must match."""
+        """Delete chip-2's progress file (as if the campaign died before
+        its first checkpoint): resume replays it from scratch while chip-1
+        is restored from its shards — the merged log must match."""
         directory = tmp_path / "ck"
         uninterrupted = run_table1_campaign(seed=42, n_chips=2, checkpoint=str(directory))
-        manifest_path = directory / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        del manifest["completed"]["chip-2"]
-        manifest_path.write_text(json.dumps(manifest))
+        (directory / "chip-2.json").unlink()
         resumed = run_table1_campaign(
             seed=42, n_chips=2, checkpoint=str(directory), resume=True
         )
@@ -260,37 +256,69 @@ class TestCheckpointResume:
             assert resumed.chips[chip_id].delta_path_delay() == chip.delta_path_delay()
             assert resumed.chips[chip_id].elapsed == chip.elapsed
 
-    def test_kill_mid_schedule_then_resume_round_trips_rng_and_datalog(
-        self, tmp_path, monkeypatch
-    ):
-        """SIGKILL model: die right after chip-2's first case checkpoint.
-        The resumed tail must replay from the restored trap + RNG state so
-        the final DataLog is bit-identical to an uninterrupted run."""
-        directory = str(tmp_path / "ck")
-        uninterrupted = run_table1_campaign(seed=43, n_chips=2)
-        original = CheckpointStore.save_chip
-        state = {"armed": True, "saves": 0}
-
-        def save_then_die(self, chip, *args, **kwargs):
-            original(self, chip, *args, **kwargs)
-            if state["armed"]:
-                state["saves"] += 1
-                # Saves follow the lock-step schedule: both baselines,
-                # then chip-1's case, then chip-2's first case — die
-                # after that one, mid-way through chip-2's schedule.
-                if state["saves"] == 4:
-                    raise RuntimeError("simulated power loss")
-
-        monkeypatch.setattr(CheckpointStore, "save_chip", save_then_die)
+    @staticmethod
+    def killed_then_resumed(power_loss, chip_id: str, steps: int, **kwargs):
+        """Run a checkpointed campaign that dies right after ``chip_id``
+        checkpoints its ``steps``-th step, then resume it."""
+        power_loss(chip_id, steps)
         with pytest.raises(RuntimeError, match="power loss"):
-            run_table1_campaign(seed=43, n_chips=2, checkpoint=directory)
-        state["armed"] = False
-        resumed = run_table1_campaign(
-            seed=43, n_chips=2, checkpoint=directory, resume=True
+            run_table1_campaign(**kwargs)
+        power_loss()
+        return run_table1_campaign(resume=True, **kwargs)
+
+    def test_kill_mid_schedule_then_resume_round_trips_rng_and_datalog(
+        self, tmp_path, power_loss
+    ):
+        """SIGKILL model: die right after chip-2's first case checkpoint,
+        mid-way through its schedule.  The resumed tail must replay from
+        the restored trap + RNG state so the final DataLog is
+        bit-identical to an uninterrupted run."""
+        uninterrupted = run_table1_campaign(seed=43, n_chips=2)
+        resumed = self.killed_then_resumed(
+            power_loss, "chip-2", 2, seed=43, n_chips=2, checkpoint=str(tmp_path / "ck")
         )
         assert list(resumed.log) == list(uninterrupted.log)
         for chip_id, chip in uninterrupted.chips.items():
             assert resumed.chips[chip_id].delta_path_delay() == chip.delta_path_delay()
+        # Records taken before the kill count too.
+        assert resumed.total_measurements == uninterrupted.total_measurements
+
+    def test_resumed_stuck_bit_still_checked_against_last_good_count(
+        self, tmp_path, power_loss
+    ):
+        """A stuck bit right after the resume point is judged against the
+        count read before the kill, so it is retried as in one run."""
+        plan = FaultPlan([
+            FaultEvent(FaultKind.STUCK_BIT, "chip-1", start=7222.0, magnitude=12),
+        ])
+        kwargs = dict(seed=43, n_chips=2, faults=plan)
+        uninterrupted = run_table1_campaign(**kwargs)
+        assert uninterrupted.complete
+        # Die after both baseline checkpoints, just before the fault.
+        resumed = self.killed_then_resumed(
+            power_loss, "chip-2", 1, checkpoint=str(tmp_path / "ck"), **kwargs
+        )
+        assert list(resumed.log) == list(uninterrupted.log)
+
+    def test_resumed_guard_budget_keeps_violations_counted_before_the_kill(
+        self, tmp_path, power_loss
+    ):
+        plan = FaultPlan([
+            FaultEvent(FaultKind.TRAP_UPSET, "chip-1", start=hours(1.0), magnitude=2.0),
+            FaultEvent(FaultKind.TRAP_UPSET, "chip-1", start=hours(10.0), magnitude=2.0),
+        ])
+        kwargs = dict(seed=3, n_chips=1, faults=plan,
+                      guard=GuardConfig(mode="clamp", violation_budget=3, dump_dir=None))
+        uninterrupted = run_table1_campaign(**kwargs)
+        # Each upset costs two violations: only the second one exhausts
+        # the budget.
+        assert uninterrupted.quarantined["chip-1"].case == "AS110AC24"
+        # Die after the baseline, whose upset already used part of it.
+        resumed = self.killed_then_resumed(
+            power_loss, "chip-1", 1, checkpoint=str(tmp_path / "ck"), **kwargs
+        )
+        assert list(resumed.log) == list(uninterrupted.log)
+        assert resumed.quarantined == uninterrupted.quarantined
 
     def test_reusing_checkpoint_dir_without_resume_refused(self, tmp_path):
         directory = str(tmp_path / "ck")
@@ -311,12 +339,13 @@ class TestCheckpointResume:
     def test_corrupt_rng_state_raises_checkpoint_error(self, tmp_path, chip_factory):
         directory = tmp_path / "ck"
         store = CheckpointStore(directory)
-        store.init_manifest(seed=0, n_chips=1, include_baseline=True)
+        store.init_manifest(seed=0, n_chips=1, include_baseline=True, fidelity="exact",
+                            bins_per_decade=3.0, collect="records")
         chip = chip_factory(seed=1)
         store.save_chip(chip, np.random.default_rng(0), DataLog(), DataLog(),
-                        ["BASELINE-x"])
-        rng_file = next(directory.glob(f"{chip.chip_id}.*.rng.json"))
-        rng_file.write_text("{not json")
+                        ChipProgress(["BASELINE-x"]))
+        # The bench RNG state lives in the chip's progress file.
+        (directory / f"{chip.chip_id}.json").write_text("{not json")
         with pytest.raises(CheckpointError):
             store.load_chip(chip_factory(seed=1), np.random.default_rng(0))
 
