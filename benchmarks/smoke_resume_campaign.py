@@ -5,9 +5,10 @@ exercises it.  Two legs:
 
 * a one-process campaign subprocess writing checkpoints is SIGKILLed
   once its first cases have landed, then resumed in-process;
-* a two-shard fleet lot's *parent* alone is SIGKILLed: its orphaned
-  shard workers must stop writing (the directory stays unchanged for
-  2 s), and a one-shard resume must reproduce the uninterrupted lot.
+* a two-shard fleet lot's *parent* alone is SIGKILLed: its shard
+  children must exit within 5 s and stop writing (the directory stays
+  unchanged for 2 s), and a one-shard resume must reproduce the
+  uninterrupted lot.
 
 Generation snapshots mean a kill at *any* instant leaves a consistent
 checkpoint.  If a subprocess finishes before the kill window opens
@@ -55,6 +56,28 @@ def _completed_cases(checkpoint: Path) -> int:
     return total
 
 
+def _children(pid: int) -> list[int]:
+    """Pids of the live processes whose parent is ``pid`` (read from /proc)."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except OSError:
+            continue
+        if int(ppid) == pid and state not in "ZX":
+            found.append(int(stat.parent.name))
+    return found
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live (not exited, not zombie) process."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state not in "ZX"
+
+
 def _snapshot(checkpoint: Path) -> dict:
     """Every file in the directory with its size and modification time."""
     return {
@@ -68,9 +91,10 @@ def _run_and_kill(args: list[str], checkpoint: Path) -> bool:
     """Run ``repro campaign <args> --checkpoint DIR``; SIGKILL its main
     process once :data:`KILL_AFTER_CASES` cases are checkpointed.
 
-    Returns whether the kill happened.  After a kill, asserts that no
-    process left behind writes to the directory.  Every process of the
-    run's group is killed on the way out.
+    Returns whether the kill happened.  After a kill, asserts that the
+    main process's children exit within 5 s and that no process left
+    behind writes to the directory.  Every process of the run's group is
+    killed on the way out.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
@@ -89,8 +113,13 @@ def _run_and_kill(args: list[str], checkpoint: Path) -> bool:
             if process.poll() is not None:
                 return False  # finished before the kill window — see module docstring
             if _completed_cases(checkpoint) >= KILL_AFTER_CASES:
+                workers = _children(process.pid)
                 process.send_signal(signal.SIGKILL)
                 process.wait(timeout=30.0)
+                gone_by = time.monotonic() + 5.0
+                while any(map(_running, workers)) and time.monotonic() < gone_by:
+                    time.sleep(0.05)
+                assert not any(map(_running, workers)), "shard outlived its killed parent"
                 time.sleep(SETTLE_S)
                 before = _snapshot(checkpoint)
                 time.sleep(2.0)

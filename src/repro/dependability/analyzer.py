@@ -21,16 +21,8 @@ from repro.dependability.spec import SweepCell, SweepSpec
 from repro.dependability.store import SweepStore
 from repro.errors import ConfigurationError
 
-#: Axes a sensitivity table marginalises over (swept spec fields).
-SENSITIVITY_AXES = (
-    ("fault_rates", "fault_rate"),
-    ("dropout_probs", "dropout_prob"),
-    ("upset_probs", "upset_prob"),
-    ("guard_modes", "guard_mode"),
-    ("alphas", "alpha"),
-    ("sleep_voltages", "sleep_voltage"),
-    ("sleep_temperatures_c", "sleep_temperature_c"),
-)
+#: Axes a sensitivity table marginalises over: every swept spec field but the seed.
+SENSITIVITY_AXES = tuple(axis for axis in SweepSpec._AXES if axis != ("seeds", "seed"))
 
 
 @dataclass(frozen=True)

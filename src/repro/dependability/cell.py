@@ -2,10 +2,10 @@
 
 The imports below are every module a cell needs, and the only list of
 them.  :meth:`~repro.dependability.runner.SweepRunner.run` imports this
-module once before it forks the first cell attempt, so each forked
-attempt inherits these modules from the parent instead of importing
-them itself.  The runner imports it lazily, never at its top: importing
-:mod:`repro.dependability` alone stays cheap.
+module once before :func:`~repro.lab.resilience.run_isolated` forks the
+first cell attempt, so each forked attempt inherits these modules
+instead of importing them itself.  The runner imports it lazily, never
+at its top: importing :mod:`repro.dependability` alone stays cheap.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.lab.campaign import run_table1_campaign, table1_horizon
 from repro.lab.faults import FaultPlan
 from repro.lab.fleet import run_fleet_campaign
 from repro.lab.resilience import RetryPolicy
-from repro.obs import Tracer
+from repro.obs import NULL_TRACER, Tracer
 from repro.units import SECONDS_PER_HOUR
 
 
@@ -74,9 +74,10 @@ def lifetime_stats(cell: SweepCell) -> dict:
     }
 
 
-def campaign_stats(cell: SweepCell, retries: int, backoff_s: float) -> dict:
-    """Run the cell's campaign and fold it into a deterministic stats dict."""
-    tracer = Tracer()
+def campaign_stats(cell: SweepCell, retries: int, backoff_s: float, tracer=NULL_TRACER) -> dict:
+    """Run the cell's campaign into ``tracer`` (a private one when it is
+    disabled) and fold it into a deterministic stats dict."""
+    tracer = tracer if tracer.enabled else Tracer()
     chip_ids = [f"chip-{number}" for number in range(1, cell.n_chips + 1)]
     faults = None
     if cell.has_faults:

@@ -3,9 +3,11 @@
 The runner walks the cell grid in index order and executes each cell's
 campaign with three layers of protection:
 
-* **process isolation** (default): the cell runs in a forked child and
-  reports back over a pipe, so a hard crash (segfault, OOM kill, an
-  injected SIGKILL) loses one cell, not the sweep;
+* **process isolation** (default): each attempt runs in a forked child
+  (:func:`~repro.lab.resilience.run_isolated`) that sends its stats (and,
+  in a traced sweep, its campaign spans, as an inline attempt keeps them)
+  back over a pipe, so a hard crash (segfault, OOM kill, an injected
+  SIGKILL) loses one cell, not the sweep;
 * **wall-clock timeout**: a hung cell is killed and recorded as
   ``timeout`` after ``timeout_s`` seconds;
 * **bounded per-cell retries**: transient crashes get ``cell_retries``
@@ -24,16 +26,19 @@ resumed sweep is bit-identical on every cell that already ran.
 from __future__ import annotations
 
 import hashlib
+import json
 import multiprocessing
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 from repro.dependability.spec import SweepCell, SweepSpec
 from repro.dependability.store import SweepStore
 from repro.errors import ConfigurationError
+from repro.lab.resilience import run_isolated
 from repro.obs import NULL_PROGRESS, NULL_TRACER
 from repro.units import hours
 
@@ -63,28 +68,13 @@ class CellOutcome:
 
     def to_dict(self) -> dict:
         """JSON-serialisable form for the cell store."""
-        return {
-            "cell_id": self.cell_id,
-            "status": self.status,
-            "attempts": self.attempts,
-            "error": self.error,
-            "wall_s": self.wall_s,
-            "stats": self.stats,
-            "digest": self.digest,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> CellOutcome:
-        """Rehydrate a persisted outcome."""
-        return cls(
-            cell_id=payload["cell_id"],
-            status=payload["status"],
-            attempts=payload.get("attempts", 1),
-            error=payload.get("error", ""),
-            wall_s=payload.get("wall_s", 0.0),
-            stats=payload.get("stats", {}),
-            digest=payload.get("digest", ""),
-        )
+        """Rehydrate a persisted outcome (a missing field takes its default)."""
+        known = {f.name for f in fields(cls)}
+        return cls(**{"attempts": 1, **{k: v for k, v in payload.items() if k in known}})
 
 
 @dataclass(frozen=True)
@@ -118,15 +108,13 @@ def _stats_digest(stats: dict) -> str:
     Wall-clock-derived fields can never be bit-identical across runs, so
     they are excluded — this digest is the resume/bit-identity contract.
     """
-    import json
-
     payload = {k: v for k, v in stats.items() if k not in ("wall_s", "sim_per_wall")}
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _execute_cell(
-    cell: SweepCell, retries: int, backoff_s: float, inject: str | None
+    cell: SweepCell, retries: int, backoff_s: float, inject: str | None, tracer
 ) -> dict:
     """One attempt at one cell, with optional failure injection."""
     if inject in ("crash", "crash-once"):
@@ -142,18 +130,7 @@ def _execute_cell(
         time.sleep(hours(1.0))
     from repro.dependability.cell import campaign_stats
 
-    return campaign_stats(cell, retries, backoff_s)
-
-
-def _child_main(connection, cell, retries, backoff_s, inject) -> None:
-    """Entry point of the forked per-cell worker."""
-    try:
-        stats = _execute_cell(cell, retries, backoff_s, inject)
-        connection.send(("ok", stats))
-    except BaseException as exc:  # report, never propagate: the pipe is the result
-        connection.send(("error", f"{type(exc).__name__}: {exc}"))
-    finally:
-        connection.close()
+    return campaign_stats(cell, retries, backoff_s, tracer)
 
 
 class SweepRunner:
@@ -170,9 +147,9 @@ class SweepRunner:
     cell_retries:
         Attempts per cell before recording it as failed.
     isolation:
-        ``"process"`` forks a worker per cell (crash/timeout-proof);
-        ``"inline"`` runs in-process (faster for tiny demo sweeps, but a
-        hard crash takes the runner with it).
+        ``"process"`` forks a child per cell attempt (crash/timeout-proof);
+        ``"inline"`` runs the same protocol in-process (faster for tiny
+        demo sweeps, but a hard crash takes the runner with it).
     inject:
         Optional ``cell_id -> mode`` failure injection (see
         :data:`INJECT_MODES`) for tests and smoke benchmarks.
@@ -213,66 +190,12 @@ class SweepRunner:
         self.progress = progress if progress is not None else NULL_PROGRESS
         self.inject = dict(inject or {})
 
-    # -- attempts ---------------------------------------------------------
-
-    def _attempt_inline(self, cell: SweepCell, inject: str | None) -> tuple[str, object]:
-        try:
-            stats = _execute_cell(cell, self.spec.retries, self.spec.retry_backoff_s, inject)
-        except Exception as exc:
-            return "error", f"{type(exc).__name__}: {exc}"
-        return "ok", stats
-
-    def _attempt_process(self, cell: SweepCell, inject: str | None) -> tuple[str, object]:
-        context = multiprocessing.get_context("fork")
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        worker = context.Process(
-            target=_child_main,
-            args=(
-                child_conn,
-                cell,
-                self.spec.retries,
-                self.spec.retry_backoff_s,
-                inject,
-            ),
-            daemon=True,
-        )
-        worker.start()
-        child_conn.close()
-        try:
-            if not parent_conn.poll(self.timeout_s):
-                worker.terminate()
-                worker.join(5.0)
-                if worker.is_alive():
-                    worker.kill()
-                    worker.join()
-                return "timeout", f"cell exceeded the {self.timeout_s:g} s wall-clock budget"
-            try:
-                kind, payload = parent_conn.recv()
-            except EOFError:
-                worker.join()
-                return (
-                    "error",
-                    f"cell worker died without reporting (exit code {worker.exitcode})",
-                )
-            worker.join()
-            return ("ok", payload) if kind == "ok" else ("error", payload)
-        finally:
-            parent_conn.close()
-            if worker.is_alive():
-                worker.kill()
-                worker.join()
-
     def _run_cell(self, cell: SweepCell) -> CellOutcome:
         """All attempts at one cell, folding to a single outcome."""
-        failures = self.tracer.counter(
-            "sweep.cell_failures", "sweep cells that exhausted their attempts"
-        )
-        timeouts = self.tracer.counter(
-            "sweep.cell_timeouts", "sweep cell attempts killed on timeout"
-        )
-        retries = self.tracer.counter(
-            "sweep.cell_retries", "extra attempts after a failed cell attempt"
-        )
+        counter = self.tracer.counter
+        failures = counter("sweep.cell_failures", "sweep cells that exhausted their attempts")
+        timeouts = counter("sweep.cell_timeouts", "sweep cell attempts killed on timeout")
+        retries = counter("sweep.cell_retries", "extra attempts after a failed cell attempt")
         started = time.monotonic()
         last_error, last_status = "", "failed"
         for attempt in range(1, self.cell_retries + 1):
@@ -281,25 +204,29 @@ class SweepRunner:
                 inject = None
             if attempt > 1:
                 retries.inc()
+            job = partial(_execute_cell, cell, self.spec.retries, self.spec.retry_backoff_s, inject)
             with self.tracer.span(
                 "sweep_cell", cell=cell.cell_id, attempt=attempt, engine=cell.engine
             ):
-                if self.isolation == "process":
-                    kind, payload = self._attempt_process(cell, inject)
-                else:
-                    kind, payload = self._attempt_inline(cell, inject)
+                ((kind, payload),) = run_isolated(
+                    [job], self.tracer, fork=self.isolation == "process",
+                    timeout_s=self.timeout_s,
+                )
             if kind == "ok":
-                stats = payload
                 return CellOutcome(
                     cell_id=cell.cell_id,
                     status="ok",
                     attempts=attempt,
                     wall_s=time.monotonic() - started,
-                    stats=stats,
-                    digest=_stats_digest(stats),
+                    stats=payload,
+                    digest=_stats_digest(payload),
                 )
-            last_error = str(payload)
             last_status = "timeout" if kind == "timeout" else "failed"
+            last_error = {
+                "error": f"{type(payload).__name__}: {payload}",
+                "died": f"cell worker died without reporting (exit code {payload})",
+                "timeout": f"cell exceeded the {self.timeout_s:g} s wall-clock budget",
+            }[kind]
             if kind == "timeout":
                 timeouts.inc()
         failures.inc()

@@ -53,6 +53,9 @@ class FleetDropoutError(ChipDropoutError):
         self.values = values
         super().__init__("; ".join(str(error) for error in self.errors.values()))
 
+    def __reduce__(self):  # pickle the arguments, not the joined message
+        return type(self), (self.errors, self.values), self.__dict__
+
 
 class RetryExhaustedError(MeasurementError):
     """A retried measurement kept failing past the policy's attempt budget."""

@@ -14,11 +14,13 @@ a chip's records, trap state and digests depend only on its seed and its
 faults, never on the chips it ran beside.
 
 Scale-out is layered on top: a lot larger than ``batch_size`` runs in
-consecutive memory-bounded chip windows, and ``shards`` dispatches
-contiguous chip ranges to worker processes.  Every worker re-derives the
+consecutive memory-bounded chip windows, and ``shards`` forks one child
+per contiguous chip range through
+:func:`~repro.lab.resilience.run_isolated`.  Every shard re-derives the
 full per-chip stream table from the master seed, so the shard cut never
-moves a stream, and the parent merges per-chip results (and each
-worker's trace) in chip order.
+moves a stream, and the parent merges per-chip results (and, in a traced
+run, each shard's trace) in chip order.  A shard that dies without
+reporting is a :class:`~repro.errors.SimulationError` naming its chips.
 
 Schedule: fleet chip ``i`` (0-based) runs the Table 1 sequence of paper
 chip ``(i % 5) + 1`` — the five-row schedule tiled across the lot.  For
@@ -28,9 +30,8 @@ chip ``(i % 5) + 1`` — the five-row schedule tiled across the lot.  For
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,6 +47,7 @@ from repro.errors import (
     MeasurementError,
     RetryExhaustedError,
     ScheduleError,
+    SimulationError,
 )
 from repro.fpga.counter import ReadoutCounter
 from repro.fpga.fleet import FleetChip
@@ -55,7 +57,9 @@ from repro.lab.clock_generator import ClockGenerator
 from repro.lab.datalog import DataLog, MeasurementRecord
 from repro.lab.faults import FaultInjector, FaultKind, FaultPlan
 from repro.lab.power_supply import DcPowerSupply
-from repro.lab.resilience import CheckpointStore, ChipProgress, QuarantineReport, RetryPolicy
+from repro.lab.resilience import (
+    CheckpointStore, ChipProgress, QuarantineReport, RetryPolicy, run_isolated,
+)
 from repro.lab.sanitizer import DeterminismSanitizer, NULL_SANITIZER
 from repro.lab.schedule import (
     CHIP_SEQUENCES,
@@ -66,7 +70,7 @@ from repro.lab.schedule import (
     standard_case,
 )
 from repro.lab.thermal_chamber import ThermalChamber
-from repro.obs import NULL_PROGRESS, Tracer, get_tracer
+from repro.obs import NULL_PROGRESS, get_tracer
 from repro.obs.profile import CaseThroughputSampler
 
 #: Memory-budget defaults: flat per-trap state is ~350k doubles per chip,
@@ -687,9 +691,6 @@ class _Options:
     store: CheckpointStore | None
     #: Per-case progress lines (the Table-1 entry point) or per-batch ones.
     case_progress: bool
-    #: Whether a shard worker records a trace, and keeps its spans.
-    traced: bool = False
-    keep_spans: bool = True
 
 
 @dataclass
@@ -918,20 +919,6 @@ def _run_fleet_range(options: _Options, chip_lo: int, chip_hi: int, tracer, prog
     return chips, hashes
 
 
-def _shard_worker(args) -> tuple[dict, dict, Tracer | None]:
-    """Process-pool entry point: run one contiguous fleet shard.
-
-    A traced campaign's worker records into a tracer of its own, handed
-    back for the parent to absorb in shard order.
-    """
-    options, chip_lo, chip_hi = args
-    tracer = Tracer(keep_spans=options.keep_spans) if options.traced else get_tracer()
-    chips, hashes = _run_fleet_range(
-        options, chip_lo, chip_hi, tracer, _Progress(NULL_PROGRESS, options), keep_chips=False
-    )
-    return chips, hashes, tracer if options.traced else None
-
-
 def _run_campaign(
     seed, n_chips, include_baseline, fidelity, batch_size, shards, sanitize, collect,
     bins_per_decade, tracer, progress, faults, retry, checkpoint, resume, guard,
@@ -980,31 +967,32 @@ def _run_campaign(
     with tracer.span("campaign", **span_fields) as span:
         if shards == 1:
             reporter = progress if progress is not None else NULL_PROGRESS
-            parts = [(*_run_fleet_range(
+            parts = [_run_fleet_range(
                 options, 0, n_chips, tracer, _Progress(reporter, options), keep_chips=True
-            ), None)]
+            )]
         else:
-            options = replace(
-                options, traced=tracer.enabled, keep_spans=getattr(tracer, "keep_spans", True)
-            )
-            bounds = np.linspace(0, n_chips, shards + 1).astype(int)
-            jobs = [
-                (options, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi
-            ]
-            # Workers must be the campaign's own children: a checkpoint
-            # admits no other writer, so a fork server gives way to spawn.
-            context = multiprocessing.get_context()
-            if context.get_start_method() == "forkserver":
-                context = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(max_workers=shards, mp_context=context) as pool:
-                parts = list(pool.map(_shard_worker, jobs))
-            for _, _, worker_tracer in parts:
-                if worker_tracer is not None:
-                    tracer.absorb(worker_tracer)
-            (progress or NULL_PROGRESS).line(f"{len(jobs)} fleet shards merged")
+            bounds = np.linspace(0, n_chips, shards + 1).astype(int).tolist()
+            ranges = list(zip(bounds[:-1], bounds[1:]))
+            shard_progress = _Progress(NULL_PROGRESS, options)
+            outcomes = run_isolated([
+                partial(_run_fleet_range, options, lo, hi, progress=shard_progress,
+                        keep_chips=False)
+                for lo, hi in ranges
+            ], tracer)
+            parts = []
+            for (lo, hi), (kind, value) in zip(ranges, outcomes):
+                if kind == "error":
+                    raise value
+                if kind == "died":
+                    raise SimulationError(
+                        f"fleet shard chip-{lo + 1}..chip-{hi} died without reporting "
+                        f"(exit code {value})"
+                    )
+                parts.append(value)
+            (progress or NULL_PROGRESS).line(f"{len(ranges)} fleet shards merged")
         chips: dict[int, _Chip] = {}
         hashes: dict[str, str] = {}
-        for part_chips, part_hashes, _ in parts:
+        for part_chips, part_hashes in parts:
             chips.update(part_chips)
             hashes.update(part_hashes)
         ordered = [(f"chip-{index + 1}", chips[index]) for index in sorted(chips)]
@@ -1063,7 +1051,7 @@ def run_fleet_campaign(
     ``fidelity="auto"`` picks ``"exact"`` (per-trap state, identical to
     :func:`~repro.lab.campaign.run_table1_campaign`) up to
     :data:`AUTO_EXACT_LIMIT` chips and ``"binned"`` above.  ``shards >
-    1`` fans contiguous chip ranges out to worker processes, with the
+    1`` forks one child process per contiguous chip range, with the
     same result and counters as one shard.  ``collect="summary"`` keeps
     only phase-boundary records per chip; summaries and hashes always
     cover the full stream.  ``faults``, ``retry``, ``guard``,

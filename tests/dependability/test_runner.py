@@ -18,6 +18,7 @@ from repro.dependability import (
 )
 from repro.errors import ConfigurationError, SweepError
 from repro.obs import Tracer
+from repro.obs.query import TraceModel, diff_traces
 
 
 def tiny_spec(**overrides) -> SweepSpec:
@@ -204,3 +205,19 @@ class TestStoreRobustness:
         manifest = json.loads((tmp_path / "sweep.json").read_text())
         assert manifest["name"] == "tiny"
         assert manifest["n_cells"] == 2
+
+
+class TestTraceParity:
+    def test_traced_sweep_keeps_every_cell_campaign_inline_and_forked(self, tmp_path):
+        models = {}
+        for isolation in ("inline", "process"):
+            tracer = Tracer()
+            SweepRunner(tiny_spec(), tmp_path / isolation, isolation=isolation,
+                        tracer=tracer).run()
+            model = models[isolation] = TraceModel.from_tracer(tracer)
+            cells = model.spans_named("sweep_cell")
+            assert len(cells) == 2, isolation
+            for cell in cells:
+                assert [child.name for child in cell.children] == ["campaign"], isolation
+        diff = diff_traces(models["inline"], models["process"])
+        assert [row.key for row in diff.rows if row.category == "exact" and row.delta] == []

@@ -6,21 +6,34 @@ faults, dropout, retries, guard budgets, sharding, checkpoints — gives
 the same answer through it, at either fidelity and any shard count.  A
 malformed option (resume without a checkpoint, a NaN grid density)
 raises a typed :class:`~repro.errors.ConfigurationError` *naming the
-option* before any work.
+option* before any work.  Shards are forked child processes that report
+back or fail typed, and never outlive their campaign.
 """
 
-import multiprocessing
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.errors import CheckpointError, ConfigurationError, PhysicsViolationError
+from repro.errors import (
+    CheckpointError,
+    ConfigurationError,
+    PhysicsViolationError,
+    SimulationError,
+)
 from repro.guard import GuardConfig
 from repro.lab.campaign import run_table1_campaign, table1_horizon
 from repro.lab.datalog import DataLog
 from repro.lab.faults import FaultEvent, FaultKind, FaultPlan
+from repro.lab import fleet
 from repro.lab.fleet import run_fleet_campaign
 from repro.lab.resilience import CheckpointStore, ChipProgress, RetryPolicy
 from repro.obs import Tracer
@@ -97,10 +110,6 @@ class TestCheckpointParity:
         resumed = run_fleet_campaign(checkpoint=directory, resume=True, batch_size=3, **kwargs)
         assert resumed_outcome(resumed) == resumed_outcome(plain)
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the simulated power loss reaches shard workers by fork",
-    )
     def test_worker_killed_then_resumed_on_1_and_3_shards(self, tmp_path, power_loss):
         chip_ids = [f"chip-{i + 1}" for i in range(4)]
         plan = FaultPlan.generate(
@@ -141,6 +150,103 @@ class TestCheckpointParity:
             store.save_chip(chip_factory(seed=1), np.random.default_rng(0), DataLog(),
                             DataLog(), ChipProgress(["BASELINE-x"]))
         assert list((tmp_path / "ck").iterdir()) == []
+
+
+def _children(pid: int) -> list[int]:
+    """Pids of the live processes whose parent is ``pid`` (read from /proc)."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except OSError:
+            continue
+        if int(ppid) == pid and state not in "ZX":
+            found.append(int(stat.parent.name))
+    return found
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live (not exited, not zombie) process."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state not in "ZX"
+
+
+def _break_second_shard(monkeypatch, fault) -> None:
+    """Make the shard that starts past chip-1 call ``fault`` first; shards
+    are forked, so they inherit the patch."""
+    run_range = fleet._run_fleet_range
+
+    def second_shard_breaks(options, chip_lo, *args, **kwargs):
+        if chip_lo > 0:
+            fault()
+        return run_range(options, chip_lo, *args, **kwargs)
+
+    monkeypatch.setattr(fleet, "_run_fleet_range", second_shard_breaks)
+
+
+class TestShardProcesses:
+    def test_shard_dying_without_reporting_raises_typed_error(self, monkeypatch):
+        _break_second_shard(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(SimulationError, match=r"chip-3\.\.chip-4 .*exit code -9"):
+            run_fleet_campaign(seed=0, n_chips=4, shards=2, fidelity="binned")
+
+    def test_shard_error_is_raised_with_the_shards_traceback(self, monkeypatch):
+        def bad_range():
+            raise ValueError("bad range")
+
+        _break_second_shard(monkeypatch, bad_range)
+        with pytest.raises(ValueError, match="bad range") as caught:
+            run_fleet_campaign(seed=0, n_chips=4, shards=2, fidelity="binned")
+        assert "in bad_range" in "".join(getattr(caught.value, "__notes__", []))
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_parent_sigkill_takes_its_shards_down(self, tmp_path):
+        checkpoint = tmp_path / "ck"
+        # Each shard stalls after its first save, so both are mid-lot
+        # when the parent is killed.
+        script = textwrap.dedent(
+            f"""
+            import time
+            from repro.lab.fleet import run_fleet_campaign
+            from repro.lab.resilience import CheckpointStore
+
+            save = CheckpointStore.save_chip
+
+            def save_then_stall(self, *args):
+                save(self, *args)
+                time.sleep(60.0)
+
+            CheckpointStore.save_chip = save_then_stall
+            run_fleet_campaign(seed=7, n_chips=10, shards=2, checkpoint={str(checkpoint)!r})
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(fleet.__file__).resolve().parents[2])
+        process = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, start_new_session=True
+        )
+        try:
+            deadline = time.monotonic() + 120.0
+            while len(list(checkpoint.glob("chip-*.json"))) < 2:
+                assert process.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            workers = _children(process.pid)
+            assert len(workers) == 2
+            process.kill()
+            process.wait(timeout=30.0)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers)), "shard outlived its killed campaign"
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.wait(timeout=30.0)
 
 
 class TestEngineParity:
