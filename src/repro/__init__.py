@@ -23,7 +23,6 @@ Quickstart::
 from repro.bti import (
     BiasCondition,
     BiasPhase,
-    DeviceAgingModel,
     FirstOrderBtiModel,
     FirstOrderDelayModel,
     ReactionDiffusionModel,
@@ -42,7 +41,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BiasCondition",
     "BiasPhase",
-    "DeviceAgingModel",
     "FirstOrderBtiModel",
     "FirstOrderDelayModel",
     "FpgaChip",

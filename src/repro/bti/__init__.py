@@ -24,7 +24,6 @@ from repro.bti.conditions import (
     StressPolarity,
     Waveform,
 )
-from repro.bti.device_model import DeviceAgingModel
 from repro.bti.firstorder import (
     FirstOrderBtiModel,
     FirstOrderDelayModel,
@@ -48,7 +47,6 @@ __all__ = [
     "CetMap",
     "EmissionSpectrum",
     "BiasPhase",
-    "DeviceAgingModel",
     "FirstOrderBtiModel",
     "FirstOrderDelayModel",
     "ReactionDiffusionModel",

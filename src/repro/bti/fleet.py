@@ -181,7 +181,8 @@ class BinnedFleetTraps:
         0 V) and the rates are duty-averaged (including the AC capture
         suppression) like the exact engine's, in the state's dtype.
         """
-        _check_phase(duration, duty)
+        if isinstance(_check_phase(duration, duty), tuple):
+            raise ConfigurationError("the binned engine takes one duty per span")
         if duration <= 0.0:
             return
         lo, hi = contiguous_chips(chips, self.n_chips)

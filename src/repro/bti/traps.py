@@ -142,19 +142,19 @@ class CyclePhase:
 
     ``stress_voltage`` and ``relax_voltage`` follow the same scalar,
     per-owner or ``(k, n_owners)`` convention as :meth:`FleetTraps.evolve`,
-    and ``temperature`` is one kelvin value or ``(k,)`` per chip.  The
-    phase is piecewise constant, so its occupancy update is an exact
+    and ``temperature`` and ``duty`` are one value or ``(k,)`` per chip.
+    The phase is piecewise constant, so its occupancy update is an exact
     affine map.
     """
 
     duration: float
     stress_voltage: np.ndarray | float
     temperature: np.ndarray | float
-    duty: float = 1.0
+    duty: float | Sequence[float] = 1.0
     relax_voltage: np.ndarray | float = 0.0
 
     def __post_init__(self) -> None:
-        _check_phase(self.duration, self.duty)
+        object.__setattr__(self, "duty", _check_phase(self.duration, self.duty))
 
 
 # ---------------------------------------------------------------------- #
@@ -176,12 +176,27 @@ def draw_population(
     return TrapDraws(owner=owner, tau_c0=tau_c0, tau_e0=tau_e0, impact=impact)
 
 
-def _check_phase(duration: float, duty: float) -> None:
-    """Reject a negative phase duration or a duty outside ``[0, 1]``."""
+def _check_phase(duration: float, duty) -> float | tuple[float, ...]:
+    """Reject a negative phase duration or a duty outside ``[0, 1]``.
+
+    ``duty`` is one value or one per chip; returns it as a float or a
+    tuple of floats.
+    """
     if duration < 0.0:
         raise ConfigurationError(f"duration must be non-negative, got {duration}")
-    if not 0.0 <= duty <= 1.0:
+    if isinstance(duty, float):
+        valid = 0.0 <= duty <= 1.0
+    else:
+        duties = np.asarray(duty, dtype=float)
+        if duties.ndim > 1:
+            raise ConfigurationError(
+                f"duty must be a scalar or one value per chip, got shape {duties.shape}"
+            )
+        valid = bool(np.all((duties >= 0.0) & (duties <= 1.0)))
+        duty = tuple(duties.tolist()) if duties.ndim else float(duties)
+    if not valid:
         raise ConfigurationError(f"duty must be within [0, 1], got {duty}")
+    return duty
 
 
 def _check_cycles(phases: Sequence, n: int) -> None:
@@ -648,16 +663,17 @@ class FleetTraps:
         return block.reshape(-1)
 
     def _rates(
-        self, v_stress, temperatures, duty: float, v_relax, span: _Span
+        self, v_stress, temperatures, duty, v_relax, span: _Span
     ) -> tuple[np.ndarray, np.ndarray, dict]:
         """Duty-averaged per-trap rates for a contiguous chip span.
 
-        Temperatures are per chip (a scalar applies to the whole span).
+        Temperatures are per chip (a scalar applies to the whole span),
+        and so is a tuple ``duty`` (a float applies to the whole span).
         Each chip's block comes from that chip's rate memo, keyed by its
-        per-owner bias, scaled by its scalar Arrhenius factors into the
-        span's scratch buffers (capture into ``scratch_pinf``, emission
-        into ``scratch_total``).  Returns the two buffers and the chips
-        whose budget ran out on their ``bti.rate`` check.
+        per-owner bias and duty, scaled by its scalar Arrhenius factors
+        into the span's scratch buffers (capture into ``scratch_pinf``,
+        emission into ``scratch_total``).  Returns the two buffers and
+        the chips whose budget ran out on their ``bti.rate`` check.
         """
         k = span.k
         temperatures = np.asarray(temperatures, dtype=float)
@@ -669,8 +685,14 @@ class FleetTraps:
             raise ConfigurationError(
                 f"temperatures must have shape ({k},), got {temperatures.shape}"
             )
+        if not isinstance(duty, tuple):
+            duties = (float(duty),) * k
+        elif len(duty) == k:
+            duties = duty
+        else:
+            raise ConfigurationError(f"duty must have shape ({k},), got ({len(duty)},)")
         v_stress = self._owner_block(v_stress, k)
-        if duty >= 1.0:  # callers validate duty <= 1.0, so this is pure DC
+        if min(duties) >= 1.0:  # callers validate duty <= 1.0, so this is pure DC
             v_relax = None
         else:
             v_relax = self._owner_block(0.0 if v_relax is None else v_relax, k)
@@ -679,13 +701,14 @@ class FleetTraps:
         for offset, index in enumerate(range(span.lo, span.lo + k)):
             owners = slice(offset * n, (offset + 1) * n)
             stress = v_stress[owners]
-            relax = None if v_relax is None else v_relax[owners]
+            chip_duty = duties[offset]
+            relax = None if chip_duty >= 1.0 else v_relax[owners]
             block = slice(span.bounds[offset], span.bounds[offset + 1])
             traps = slice(span.traps.start + block.start, span.traps.start + block.stop)
             entry = self._memos[index].lookup(
-                _rate_key(stress, duty, relax),
+                _rate_key(stress, chip_duty, relax),
                 partial(
-                    _rate_entry, self.params, stress, duty, relax,
+                    _rate_entry, self.params, stress, chip_duty, relax,
                     self._inv_tau_c0[traps], self._inv_tau_e0[traps], span.repeats[owners],
                 ),
             )
@@ -696,14 +719,14 @@ class FleetTraps:
                     span.scratch_pinf[block],
                     span.scratch_total[block],
                     self._guards[index],
-                    lambda: {"duty": float(duty), "fleet_chips": 1},
+                    lambda: {"duty": chip_duty, "fleet_chips": 1},
                 )
             except ChipDropoutError as error:
                 failed[index] = error
         return span.scratch_pinf, span.scratch_total, failed
 
     def _checked_rates(
-        self, v_stress, temperatures, duty: float, v_relax, span: _Span
+        self, v_stress, temperatures, duty, v_relax, span: _Span
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`_rates` for callers that stop at any chip's exhausted budget."""
         capture, emission, failed = self._rates(v_stress, temperatures, duty, v_relax, span)
@@ -755,7 +778,7 @@ class FleetTraps:
         duration: float,
         v_stress,
         temperatures,
-        duty: float = 1.0,
+        duty: float | Sequence[float] = 1.0,
         v_relax=None,
         chips: slice = slice(None),
     ) -> None:
@@ -764,11 +787,12 @@ class FleetTraps:
         ``v_stress`` / ``v_relax`` are scalars, per-owner vectors or
         ``(k, n_owners)`` per-chip voltage patterns (``v_relax`` is the
         off fraction's bias when ``duty < 1``; default 0 V), and
-        ``temperatures`` the per-chip kelvin (or one for the span).  The
-        update is the exact solution of the occupancy ODE with
-        duty-averaged rates: ``p' = p_inf + (p - p_inf) * exp(-(rc+re)*dt)``.
+        ``temperatures`` and ``duty`` one value for the span or ``(k,)``
+        per chip (kelvin; on-fraction).  The update is the exact solution
+        of the occupancy ODE with duty-averaged rates:
+        ``p' = p_inf + (p - p_inf) * exp(-(rc+re)*dt)``.
         """
-        _check_phase(duration, duty)
+        duty = _check_phase(duration, duty)
         if duration <= 0.0:  # zero-length phase is a no-op (negatives raise above)
             return
         span = self._span(chips)
@@ -794,7 +818,7 @@ class FleetTraps:
             failed.update(
                 self._check_occupancy(
                     span,
-                    lambda: {"op": "evolve", "duration": float(duration), "duty": float(duty)},
+                    lambda: {"op": "evolve", "duration": float(duration), "duty": duty},
                     {
                         "stress_voltage": v_stress,
                         "relax_voltage": 0.0 if v_relax is None else v_relax,

@@ -8,7 +8,7 @@ cores heat their sleeping neighbours, and a family of schedulers from
 naive (fixed active set) to heater-aware circadian.
 """
 
-from repro.multicore.core_model import CoreAgingModel, CoreParameters, CoreSegment
+from repro.multicore.core_model import CoreAgingModel, CoreBank, CoreParameters, CoreSegment
 from repro.multicore.lifetime import MulticoreLifetime, compare_scheduler_lifetimes, project_multicore_lifetime
 from repro.multicore.metrics import SystemMetrics, compute_metrics
 from repro.multicore.scheduler import (
@@ -28,6 +28,7 @@ __all__ = [
     "CircadianScheduler",
     "ConstantWorkload",
     "CoreAgingModel",
+    "CoreBank",
     "CoreParameters",
     "CoreSegment",
     "DiurnalWorkload",

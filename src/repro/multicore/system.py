@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.multicore.core_model import CoreAgingModel, CoreParameters, CoreSegment
+from repro.multicore.core_model import CoreBank, CoreParameters, CoreSegment
 from repro.multicore.scheduler import Scheduler
 from repro.multicore.thermal import ThermalGrid
 from repro.obs import get_tracer
@@ -55,6 +55,9 @@ class SystemHistory:
 class MulticoreSystem:
     """Cores + thermal grid + scheduler, stepped epoch by epoch.
 
+    The cores are one :class:`~repro.multicore.core_model.CoreBank`, so
+    each epoch ages all of them in one trap update per polarity.
+
     Parameters
     ----------
     grid:
@@ -63,7 +66,7 @@ class MulticoreSystem:
     core_params:
         Shared per-core electrical parameters.
     seed:
-        Seeds the per-core trap populations (each core gets a child
+        Seeds the cores' trap draws (each core gets a child
         stream, so cores differ the way real dies do).
     tracer:
         Telemetry sink for run spans and epoch counters; defaults to the
@@ -71,6 +74,8 @@ class MulticoreSystem:
     guard:
         Physics-contract checker shared by the cores and (when the grid
         is built here) the thermal solve; defaults to the ambient guard.
+        A core whose budget runs out raises
+        :class:`~repro.errors.FleetDropoutError` keyed by its core index.
     """
 
     def __init__(
@@ -82,12 +87,10 @@ class MulticoreSystem:
         guard=None,
     ) -> None:
         self.grid = grid if grid is not None else ThermalGrid(guard=guard)
-        params = core_params or CoreParameters()
         master = np.random.default_rng(seed)
-        self.cores = [
-            CoreAgingModel(f"core-{i + 1}", params=params, rng=child, guard=guard)
-            for i, child in enumerate(master.spawn(self.grid.n_cores))
-        ]
+        self._bank = CoreBank(
+            core_params or CoreParameters(), master.spawn(self.grid.n_cores), guard=guard
+        )
         self.tracer = tracer if tracer is not None else get_tracer()
         self._epochs = self.tracer.counter(
             "multicore.epochs", "scheduler epochs simulated"
@@ -99,15 +102,38 @@ class MulticoreSystem:
     @property
     def n_cores(self) -> int:
         """Number of cores in the system."""
-        return len(self.cores)
+        return self._bank.n_cores
 
     def delay_shifts(self) -> np.ndarray:
         """Current per-core delay shift (seconds)."""
-        return np.array([core.delta_path_delay() for core in self.cores])
+        return self._bank.delta_path_delay()
 
     def total_energy(self) -> float:
         """Energy consumed so far across all cores (joules)."""
-        return float(sum(core.energy_joules for core in self.cores))
+        return self._bank.total_energy()
+
+    def _epoch(
+        self, scheduler: Scheduler, epoch: int, demand: int, aging: np.ndarray,
+        epoch_duration: float,
+    ) -> CoreSegment:
+        """One epoch's decision, power map and temperature field as a segment."""
+        decision = scheduler.decide(epoch, demand, aging, self.grid)
+        n = self.n_cores
+        active = np.zeros(n, dtype=bool)
+        for index in decision.active:
+            if not 0 <= index < n:
+                raise ConfigurationError(
+                    f"scheduler activated core {index}, but cores are 0..{n - 1}"
+                )
+            active[index] = True
+        params = self._bank.params
+        powers = np.where(active, params.active_power, params.sleep_power)
+        return CoreSegment(
+            duration=epoch_duration,
+            temperature=self.grid.steady_state(powers),
+            active=active,
+            sleep_voltage=decision.sleep_voltage,
+        )
 
     def run(
         self,
@@ -146,35 +172,13 @@ class MulticoreSystem:
         ) as span:
             for epoch in range(n_epochs):
                 logical_epoch = epoch_offset + epoch
-                demand = workload.demand(logical_epoch)
-                decision = scheduler.decide(
-                    logical_epoch, demand, shifts[epoch], self.grid
+                segment = self._epoch(
+                    scheduler, logical_epoch, workload.demand(logical_epoch),
+                    shifts[epoch], epoch_duration,
                 )
-                active = set(decision.active)
-                if len(active) > n:
-                    raise ConfigurationError(
-                        "scheduler activated more cores than exist"
-                    )
-                powers = np.array(
-                    [
-                        self.cores[i].params.active_power
-                        if i in active
-                        else self.cores[i].params.sleep_power
-                        for i in range(n)
-                    ]
-                )
-                temperatures = self.grid.steady_state(powers)
-                for i, core in enumerate(self.cores):
-                    if i in active:
-                        core.run_active(epoch_duration, temperatures[i])
-                    else:
-                        core.sleep(
-                            epoch_duration,
-                            temperatures[i],
-                            voltage=decision.sleep_voltage,
-                        )
-                temps[epoch] = temperatures
-                active_mask[epoch] = [i in active for i in range(n)]
+                self._bank.step(segment)
+                temps[epoch] = segment.temperature
+                active_mask[epoch] = segment.active
                 shifts[epoch + 1] = self.delay_shifts()
             self._epochs.inc(n_epochs)
             self._core_steps.inc(n_epochs * n)
@@ -207,12 +211,13 @@ class MulticoreSystem:
         epochs, so each core sees a fixed periodic active/sleep pattern
         that the trap ensemble's closed-form cycle composition can
         compress.  One rotation (``n_cores`` epochs) is decided and its
-        thermal fields solved normally; every core then jumps through
-        ``n_rotations`` repetitions of its pattern.  Per-epoch history is
-        not recorded — use :meth:`run` for trajectories.  Callers that
-        resume stepping afterwards should advance their ``epoch_offset``
-        by ``n_rotations * n_cores``.  Returns the final per-core delay
-        shifts.
+        thermal fields solved normally; the cores then jump through
+        ``n_rotations`` repetitions of it in one
+        :meth:`~repro.bti.traps.FleetTraps.evolve_cycles` call per
+        polarity.  Per-epoch history is not recorded — use :meth:`run`
+        for trajectories.  Callers that resume stepping afterwards should
+        advance their ``epoch_offset`` by ``n_rotations * n_cores``.
+        Returns the final per-core delay shifts.
         """
         if not getattr(scheduler, "aging_independent", False):
             raise ConfigurationError(
@@ -226,7 +231,6 @@ class MulticoreSystem:
             raise ConfigurationError("epoch_duration must be positive")
         n = self.n_cores
         aging = self.delay_shifts()  # ignored by aging-independent policies
-        patterns: list[list[CoreSegment]] = [[] for _ in range(n)]
         with self.tracer.span(
             "multicore.fast_forward",
             scheduler=type(scheduler).__name__,
@@ -234,35 +238,11 @@ class MulticoreSystem:
             n_rotations=n_rotations,
             epoch_duration=epoch_duration,
         ) as span:
-            for k in range(n):
-                decision = scheduler.decide(
-                    epoch_offset + k, demand, aging, self.grid
-                )
-                active = set(decision.active)
-                if len(active) > n:
-                    raise ConfigurationError(
-                        "scheduler activated more cores than exist"
-                    )
-                powers = np.array(
-                    [
-                        self.cores[i].params.active_power
-                        if i in active
-                        else self.cores[i].params.sleep_power
-                        for i in range(n)
-                    ]
-                )
-                temperatures = self.grid.steady_state(powers)
-                for i in range(n):
-                    patterns[i].append(
-                        CoreSegment(
-                            duration=epoch_duration,
-                            temperature=temperatures[i],
-                            active=i in active,
-                            sleep_voltage=0.0 if i in active else decision.sleep_voltage,
-                        )
-                    )
-            for core, pattern in zip(self.cores, patterns):
-                core.run_cycles(pattern, n_rotations)
+            rotation = [
+                self._epoch(scheduler, epoch_offset + k, demand, aging, epoch_duration)
+                for k in range(n)
+            ]
+            self._bank.run_cycles(rotation, n_rotations)
             self._epochs.inc(n_rotations * n)
             self._core_steps.inc(n_rotations * n * n)
             span.set("sim_advanced", n_rotations * n * epoch_duration)

@@ -2,7 +2,9 @@
 
 The fleet engines share the per-chip kernel's checks: a duty outside
 ``[0, 1]``, a negative duration or a strided chip span is a
-:class:`ConfigurationError`, never a silent evolve.
+:class:`ConfigurationError`, never a silent evolve.  The exact engine
+also takes one duty per chip, and a span evolved that way matches its
+chips evolved one by one.
 """
 
 import numpy as np
@@ -19,10 +21,13 @@ N_CHIPS = 3
 HOT = celsius(110.0)
 
 
-def exact_fleet() -> FleetTraps:
+def chip_draws():
     rngs = np.random.default_rng(0).spawn(N_CHIPS)
-    draws = [draw_population(PARAMS, N_OWNERS, rng) for rng in rngs]
-    return FleetTraps(PARAMS, N_OWNERS, draws)
+    return [draw_population(PARAMS, N_OWNERS, rng) for rng in rngs]
+
+
+def exact_fleet() -> FleetTraps:
+    return FleetTraps(PARAMS, N_OWNERS, chip_draws())
 
 
 def binned_fleet() -> BinnedFleetTraps:
@@ -38,6 +43,12 @@ class TestBinnedFleetChecks:
         fleet = binned_fleet()
         with pytest.raises(ConfigurationError, match="duty"):
             fleet.evolve(*binned_args(), duty=1.7)
+        assert not np.any(fleet.occupancy)
+
+    def test_per_chip_duty_is_refused(self):
+        fleet = binned_fleet()
+        with pytest.raises(ConfigurationError, match="one duty per span"):
+            fleet.evolve(*binned_args(), duty=[0.5, 1.0, 0.5])
         assert not np.any(fleet.occupancy)
 
     def test_strided_chip_slice_is_refused(self):
@@ -92,3 +103,73 @@ class TestExactFleetChecks:
                                    rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(closed.elapsed, looped.elapsed, rtol=1e-12)
         assert closed.elapsed[0] == 0.0
+
+
+class TestPerChipDuty:
+    DUTY = [0.5, 1.0, 0.25]
+    STRESS = np.array([[1.2, 1.1, 0.0, 1.25], [-0.3] * N_OWNERS, [1.0, 0.0, 1.2, 0.9]])
+    TEMPS = np.array([HOT, celsius(85.0), celsius(125.0)])
+
+    def one_chip_fleets(self) -> list[FleetTraps]:
+        return [FleetTraps(PARAMS, N_OWNERS, [draws]) for draws in chip_draws()]
+
+    def test_span_evolve_equals_one_chip_evolves(self):
+        span = exact_fleet()
+        singles = self.one_chip_fleets()
+        for duration in (hours(2.0), hours(0.5)):
+            span.evolve(duration, self.STRESS, self.TEMPS, duty=self.DUTY, v_relax=-0.1)
+            for i, single in enumerate(singles):
+                single.evolve(duration, self.STRESS[i], self.TEMPS[i], duty=self.DUTY[i],
+                              v_relax=-0.1)
+        assert span.occupancy.tobytes() == b"".join(s.occupancy.tobytes() for s in singles)
+        assert span.elapsed.tobytes() == b"".join(s.elapsed.tobytes() for s in singles)
+
+    def test_span_cycles_equal_one_chip_cycles(self):
+        span = exact_fleet()
+        singles = self.one_chip_fleets()
+        span.evolve_cycles(
+            [
+                CyclePhase(hours(1.0), self.STRESS, self.TEMPS, duty=self.DUTY),
+                CyclePhase(hours(0.25), -0.3, HOT, duty=np.array(self.DUTY[::-1])),
+            ],
+            40,
+        )
+        for i, single in enumerate(singles):
+            single.evolve_cycles(
+                [
+                    CyclePhase(hours(1.0), self.STRESS[i], self.TEMPS[i], duty=self.DUTY[i]),
+                    CyclePhase(hours(0.25), -0.3, HOT, duty=self.DUTY[::-1][i]),
+                ],
+                40,
+            )
+        assert span.occupancy.tobytes() == b"".join(s.occupancy.tobytes() for s in singles)
+
+    @pytest.mark.parametrize(
+        "duty, match",
+        [
+            ([0.5, 1.0], r"shape \(3,\)"),
+            ([[0.5, 1.0, 0.25]], "shape"),
+            ([0.5, 1.5, 0.25], r"\[0, 1\]"),
+            ([0.5, float("nan"), 0.25], r"\[0, 1\]"),
+        ],
+    )
+    def test_bad_duty_is_refused_by_evolve(self, duty, match):
+        fleet = exact_fleet()
+        with pytest.raises(ConfigurationError, match=match):
+            fleet.evolve(hours(1.0), self.STRESS, self.TEMPS, duty=duty)
+        assert not np.any(fleet.occupancy) and not np.any(fleet.elapsed)
+
+    @pytest.mark.parametrize(
+        "duty",
+        [[[0.5, 1.0, 0.25]], [0.5, 1.5, 0.25], [0.5, float("nan"), 0.25]],
+    )
+    def test_bad_duty_is_refused_by_cycle_phase(self, duty):
+        with pytest.raises(ConfigurationError, match="duty"):
+            CyclePhase(hours(1.0), self.STRESS, self.TEMPS, duty=duty)
+
+    def test_duty_of_another_span_is_refused_by_evolve_cycles(self):
+        fleet = exact_fleet()
+        phase = CyclePhase(hours(1.0), 1.2, HOT, duty=[0.5, 1.0])
+        with pytest.raises(ConfigurationError, match=r"shape \(3,\)"):
+            fleet.evolve_cycles([phase], 5)
+        assert not np.any(fleet.occupancy)

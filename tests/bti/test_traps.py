@@ -233,10 +233,9 @@ class TestStateManagement:
         assert np.all(state.occupancy == 0.0)
 
     def test_restore_rejects_foreign_snapshot(self):
-        a = make_population(seed=1)
-        b = make_population(seed=2)
-        if a.n_traps == b.n_traps:
-            pytest.skip("populations coincidentally equal-sized")
+        a = make_population(n_owners=3, seed=1)
+        b = make_population(n_owners=6, seed=1)
+        assert a.n_traps != b.n_traps
         with pytest.raises(ConfigurationError):
             a.restore(b.snapshot())
 

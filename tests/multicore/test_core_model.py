@@ -1,9 +1,11 @@
 """Per-core aging model."""
 
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.multicore.core_model import CoreAgingModel, CoreParameters
+from repro.errors import ConfigurationError, FleetDropoutError
+from repro.guard import Guard, GuardConfig
+from repro.multicore.core_model import CoreAgingModel, CoreBank, CoreParameters, CoreSegment
 from repro.units import celsius, hours
 
 
@@ -126,3 +128,16 @@ class TestRunCycles:
             core.run_cycles((), 3)
         with pytest.raises(ConfigurationError):
             CoreSegment(hours(1.0), celsius(85.0), active=False, sleep_voltage=0.3)
+
+
+class TestCoreBank:
+    def test_dropout_names_the_core_after_the_others_step(self):
+        guard = Guard(GuardConfig(mode="clamp", violation_budget=0, dump_dir=None))
+        bank = CoreBank(CoreParameters(), np.random.default_rng(4).spawn(3), guard=guard)
+        pmos = bank._traps[0]
+        pmos.inject_upset(1, float("nan"))
+        with pytest.raises(FleetDropoutError) as dropped:
+            bank.step(CoreSegment(hours(1.0), celsius(80.0), active=np.array([True, True, False])))
+        assert set(dropped.value.errors) == {1}
+        assert bank.delta_path_delay()[[0, 2]].min() > 0.0
+        assert bank.energy_joules.tolist() == [36000.0, 36000.0, 1440.0]

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.bti.traps import FleetTraps, TrapPopulation
 from repro.errors import ConfigurationError
 from repro.multicore.core_model import CoreParameters
 from repro.multicore.metrics import compare_final_margin, compute_metrics
 from repro.multicore.scheduler import (
     BaselineScheduler,
+    ScheduleDecision,
     CircadianScheduler,
     HeaterAwareScheduler,
     RoundRobinScheduler,
@@ -111,6 +113,59 @@ class TestSystemRun:
             system.run(
                 RoundRobinScheduler(), ConstantWorkload(6), n_epochs=1, epoch_duration=0.0
             )
+
+
+class TestCoreSpans:
+    """Every epoch ages all cores in one trap update per polarity."""
+
+    def count_calls(self, monkeypatch, name):
+        calls = []
+        original = getattr(FleetTraps, name)
+
+        def counted(fleet, *args, **kwargs):
+            calls.append(fleet.n_chips)
+            return original(fleet, *args, **kwargs)
+
+        monkeypatch.setattr(FleetTraps, name, counted)
+        return calls
+
+    def test_run_makes_one_evolve_per_polarity_per_epoch(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "evolve")
+        run_system(CircadianScheduler(), n_epochs=5)
+        assert calls == [8] * (2 * 5)
+
+    def test_fast_forward_makes_one_cycles_call_per_polarity(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "evolve_cycles")
+        MulticoreSystem(core_params=fast_params(), seed=1).fast_forward(
+            CircadianScheduler(), demand=6, n_rotations=3
+        )
+        assert calls == [8, 8]
+
+    def test_no_trap_population_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a TrapPopulation was built")
+
+        monkeypatch.setattr(TrapPopulation, "__init__", refuse)
+        run_system(RoundRobinScheduler(), n_epochs=2)
+
+
+class NamesMissingCores:
+    aging_independent = True
+
+    def decide(self, epoch, demand, aging, grid):
+        return ScheduleDecision(active=(0, 8, -1), sleep_voltage=0.0)
+
+
+class TestScheduleDecisionChecks:
+    def test_run_refuses_a_core_that_does_not_exist(self):
+        system = MulticoreSystem(core_params=fast_params(), seed=1)
+        with pytest.raises(ConfigurationError, match="core 8"):
+            system.run(NamesMissingCores(), ConstantWorkload(3), n_epochs=1)
+
+    def test_fast_forward_refuses_a_core_that_does_not_exist(self):
+        system = MulticoreSystem(core_params=fast_params(), seed=1)
+        with pytest.raises(ConfigurationError, match="core 8"):
+            system.fast_forward(NamesMissingCores(), demand=3, n_rotations=2)
 
 
 class TestMetrics:
