@@ -29,7 +29,6 @@ def test_bench_table1_rate_cache_reuse(once):
     print(f"rate cache: {int(hits)} hits / {int(lookups)} lookups "
           f"({100.0 * reuse:.1f} % reuse)")
     assert len(result.log) > 500
-    assert metrics.value("bti.rate_cache.hit_rate") == reuse
     # Even under instrument jitter the memo is reused heavily; a cold
     # cache would make every lookup a miss.
     assert reuse > 0.3

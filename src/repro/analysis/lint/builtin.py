@@ -380,7 +380,7 @@ class MetricNameRule(Rule):
     node_types = (ast.Call,)
 
     #: Registry/tracer factory methods whose first argument is the name.
-    _FACTORIES = frozenset({"counter", "gauge", "histogram", "derived_gauge"})
+    _FACTORIES = frozenset({"counter", "gauge"})
 
     #: dotted lowercase, at least two segments.
     _NAME_PATTERN = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")

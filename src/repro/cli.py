@@ -255,19 +255,18 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs import JsonlExporter, Tracer
+    from repro.obs.query import TraceModel
 
     exporter = JsonlExporter(args.trace) if args.trace else None
     tracer = Tracer(exporter=exporter)
     result = _run_campaign(args, tracer, " (instrumented)")
     _print_sanitizer(result)
     print()
-    tracer.summary_table(
-        "Per-span timing (campaign -> case -> phase -> measurement)"
-    ).print()
-    tracer.metrics_table("Campaign run metrics").print()
-    from repro.obs.query import TraceModel
-
     model = TraceModel.from_tracer(tracer)
+    model.top(
+        n=None, by="total", title="Per-span timing (campaign -> case -> phase -> measurement)"
+    ).print()
+    tracer.metrics.table("Campaign run metrics").print()
     model.metric_family_table(TraceModel.HEALTH_FAMILIES).print()
     tracer.close()
     if args.trace:
@@ -370,7 +369,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.profile import HotPathProfile
     from repro.obs.query import TraceModel, diff_traces
 
     if args.trace_command == "diff":
@@ -409,12 +407,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(model.tree_render(max_depth=args.max_depth,
                                 min_duration=args.min_duration))
     elif args.trace_command == "flame":
-        for line in HotPathProfile(model).collapsed():
+        for line in model.collapsed():
             print(line)
     elif args.trace_command == "profile":
-        profile = HotPathProfile(model)
-        profile.phase_table().print()
-        profile.throughput_table().print()
+        model.phase_table().print()
+        model.throughput_table().print()
     return 0
 
 

@@ -17,8 +17,7 @@ fault-injection campaign manager (DAVOS) sits on top of a simulator:
   a failed or timed-out cell is *recorded*, never raised, and the sweep
   completes on the survivors;
 * :mod:`repro.dependability.cell` — one cell's campaign and lifetime
-  projection; the runner imports it before forking, so forked cells
-  inherit every module they need;
+  projection, with every module a forked cell attempt needs;
 * :mod:`repro.dependability.analyzer` — per-cell failure / quarantine /
   retry / guard-violation / lifetime statistics with bootstrap and
   Wilson confidence intervals, plus cross-cell sensitivity tables;

@@ -1,11 +1,9 @@
 """One sweep cell's work: its campaign and its lifetime projection.
 
 The imports below are every module a cell needs, and the only list of
-them.  :meth:`~repro.dependability.runner.SweepRunner.run` imports this
-module once before :func:`~repro.lab.resilience.run_isolated` forks the
-first cell attempt, so each forked attempt inherits these modules
-instead of importing them itself.  The runner imports it lazily, never
-at its top: importing :mod:`repro.dependability` alone stays cheap.
+them.  :mod:`repro.dependability.runner` imports this module at its top,
+so every forked cell attempt inherits these modules instead of importing
+them itself.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
+from repro.dependability.cell import campaign_stats
 from repro.dependability.spec import SweepCell, SweepSpec
 from repro.dependability.store import SweepStore
 from repro.errors import ConfigurationError
@@ -128,8 +129,6 @@ def _execute_cell(
                 "time out; use process isolation)"
             )
         time.sleep(hours(1.0))
-    from repro.dependability.cell import campaign_stats
-
     return campaign_stats(cell, retries, backoff_s, tracer)
 
 
@@ -260,10 +259,6 @@ class SweepRunner:
             for cell_id, payload in finished.items()
         }
         pending = [cell for cell in cells if cell.cell_id not in outcomes]
-        if self.isolation == "process" and pending:
-            # Forked attempts inherit the parent's modules: import what a
-            # cell needs once, here, rather than again in every child.
-            import repro.dependability.cell  # noqa: F401
         cells_counter = self.tracer.counter("sweep.cells", "sweep cells executed")
         with self.tracer.span(
             "sweep",

@@ -10,6 +10,7 @@ paper Eqs. (14)-(15).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,59 @@ class RoMeasurement:
     timestamp: float
 
 
+def checked_frequency(guard, frequency: float, chip_id: str, elapsed: float) -> float:
+    """A CUT's noise-free ``frequency`` under the ``fpga.frequency`` contract.
+
+    Contract: strictly positive and finite (Eqs. 14-15 divide by it).  In
+    ``clamp`` mode a violating frequency degrades to 0.0 — a dead
+    oscillator — instead of reaching the counter as NaN or a negative
+    value.  ``chip_id`` and ``elapsed`` name the chip in a violation
+    record.
+    """
+    if guard.checking and not (frequency > 0.0 and math.isfinite(frequency)):
+        return guard.positive_scalar(
+            "fpga.frequency",
+            frequency,
+            clamp_to=0.0,
+            inputs=lambda: {"chip": chip_id, "elapsed": elapsed},
+        )
+    return frequency
+
+
+def read_burst(
+    counter: ReadoutCounter, frequency: float, n_reads: int, rng: np.random.Generator, chip_id: str
+) -> float:
+    """Mean count of one burst of ``n_reads`` noisy readouts at ``frequency``.
+
+    The chip does not age between reads of one burst, so all readout
+    noise is drawn in one vectorised call: stream- and bit-identical to
+    ``np.mean(counter.read_many(frequency, n_reads, rng))``, without
+    building the count array when every count stays inside the counter
+    range.  Noise can clamp a near-zero-``fosc`` count to 0; a mean
+    count that is not positive raises :class:`MeasurementError` naming
+    ``chip_id`` rather than dividing by zero in Eqs. 14-15.
+    """
+    noise = counter.noise_counts
+    if noise > 0 and frequency > 0.0 and math.isfinite(frequency):
+        ideal = counter.ideal_count(frequency)
+        draws = rng.integers(-noise, noise + 1, size=n_reads)
+        if 0 <= ideal - noise and ideal + noise <= counter.max_count:
+            mean_count = (ideal * n_reads + int(draws.sum())) / float(n_reads)
+        else:
+            counts = ideal + draws
+            np.maximum(counts, 0, out=counts)
+            counter._check_overflow(int(counts.max()))
+            mean_count = int(counts.sum()) / float(n_reads)
+    else:
+        mean_count = float(np.mean(counter.read_many(frequency, n_reads, rng=rng)))
+    if mean_count <= 0:
+        raise MeasurementError(
+            f"chip {chip_id}: readout count {mean_count} implies no "
+            "oscillation — RO stopped or fosc below counter resolution"
+        )
+    return mean_count
+
+
 class RingOscillator:
     """Measurement façade over a chip's inverter-chain CUT.
 
@@ -71,52 +125,17 @@ class RingOscillator:
         )
 
     def frequency(self) -> float:
-        """Noise-free oscillation frequency of the CUT.
-
-        Contract: strictly positive and finite (Eqs. 14-15 divide by
-        it).  In ``clamp`` mode a violating frequency degrades to 0.0 —
-        a dead oscillator — which the readout path already reports as a
-        typed :class:`MeasurementError`, feeding the campaign's
-        retry/quarantine machinery instead of poisoning the DataLog.
-        """
-        frequency = self.chip.oscillation_frequency()
-        guard = self._guard
-        if guard.checking:
-            frequency = guard.positive_scalar(
-                "fpga.frequency",
-                frequency,
-                clamp_to=0.0,
-                inputs=lambda: {
-                    "chip": str(getattr(self.chip, "chip_id", "")),
-                    "elapsed": float(self.chip.elapsed),
-                },
-            )
-        return frequency
-
-    def _require_oscillation(self, count: float) -> None:
-        """Refuse a readout that implies the ring is not oscillating.
-
-        Noise can clamp a near-zero-``fosc`` count to 0; converting that to
-        a delay would divide by zero (or, before this guard, surface as a
-        misleading ``ConfigurationError`` deep inside a measurement).
-        """
-        if count <= 0:
-            raise MeasurementError(
-                f"chip {self.chip.chip_id}: readout count {count} implies no "
-                "oscillation — RO stopped or fosc below counter resolution"
-            )
+        """Noise-free oscillation frequency of the CUT (see :func:`checked_frequency`)."""
+        return checked_frequency(
+            self._guard,
+            self.chip.oscillation_frequency(),
+            str(getattr(self.chip, "chip_id", "")),
+            float(self.chip.elapsed),
+        )
 
     def measure(self, rng: np.random.Generator | int | None = None) -> RoMeasurement:
         """Take one counter readout (quantised, with repeatability noise)."""
-        self._evaluations.inc()
-        count = self.counter.read(self.frequency(), rng=rng)
-        self._require_oscillation(count)
-        return RoMeasurement(
-            count=count,
-            frequency=self.counter.frequency(count),
-            delay=self.counter.delay(count),
-            timestamp=self.chip.elapsed,
-        )
+        return self.measure_averaged(1, rng=rng)
 
     def measure_averaged(
         self, n_reads: int, rng: np.random.Generator | int | None = None
@@ -130,15 +149,10 @@ class RingOscillator:
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         self._evaluations.inc(n_reads)
-        # The chip does not age between reads of one burst: evaluate the
-        # noise-free frequency once and draw all readout noise in a single
-        # vectorised call (stream-identical to sequential reads).
-        counts = self.counter.read_many(self.frequency(), n_reads, rng=rng)
-        mean_count = float(np.mean(counts))
-        self._require_oscillation(mean_count)
+        mean_count = read_burst(self.counter, self.frequency(), n_reads, rng, self.chip.chip_id)
         return RoMeasurement(
             count=int(round(mean_count)),
-            frequency=2.0 * mean_count * self.counter.fref,
-            delay=1.0 / (4.0 * mean_count * self.counter.fref),
+            frequency=self.counter.frequency(mean_count),
+            delay=self.counter.delay(mean_count),
             timestamp=self.chip.elapsed,
         )

@@ -29,10 +29,8 @@ chip ``(i % 5) + 1`` — the five-row schedule tiled across the lot.  For
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,7 +49,7 @@ from repro.errors import (
 )
 from repro.fpga.counter import ReadoutCounter
 from repro.fpga.fleet import FleetChip
-from repro.fpga.ring_oscillator import StressMode
+from repro.fpga.ring_oscillator import StressMode, checked_frequency, read_burst
 from repro.guard import Guard
 from repro.lab.clock_generator import ClockGenerator
 from repro.lab.datalog import DataLog, MeasurementRecord
@@ -71,7 +69,6 @@ from repro.lab.schedule import (
 )
 from repro.lab.thermal_chamber import ThermalChamber
 from repro.obs import NULL_PROGRESS, get_tracer
-from repro.obs.profile import CaseThroughputSampler
 
 #: Memory-budget defaults: flat per-trap state is ~350k doubles per chip,
 #: binned cell state a few thousand floats — sized for a ~200 MB ceiling.
@@ -234,11 +231,15 @@ class FleetBench:
 
         ``chips`` are sorted fleet indices, ``case_names`` one name per
         chip (baselines are per-chip names), and ``logs`` maps a fleet
-        index to its record list.
+        index to its record list.  The case span carries the group's
+        ``samples`` and ``trap_updates`` counter deltas, from which
+        :meth:`~repro.obs.query.TraceModel.throughput_table` derives the
+        per-case throughput.
         """
         names = dict(zip(chips, case_names))
-        sampler = CaseThroughputSampler(self.tracer)
         first = chips[0]
+        count = self.tracer.metrics.value
+        samples, updates = count("lab.samples"), count("bti.trap_updates")
         with self.tracer.span(
             "case", case=case_names[0], chip_id=self.fleet.chip_ids[first], fleet=len(chips)
         ) as span:
@@ -248,18 +249,16 @@ class FleetBench:
                 starts = {index: len(logs[index]) for index in alive}
                 alive = self.run_phase(phase, alive, [names[index] for index in alive], logs)
                 for index in alive if sanitizer.enabled else ():
-                    # The hasher reads a bench's chip and RNG state.
-                    bench = SimpleNamespace(
-                        chip=self.fleet.view(index), rng_state=self.rngs[index].bit_generator.state
-                    )
                     sanitizer.record_phase(
-                        self.tracer, bench, names[index], phase, logs[index], starts[index]
+                        self.tracer, self.fleet.view(index), self.rngs[index].bit_generator.state,
+                        names[index], phase, logs[index], starts[index],
                     )
                 if not alive:
                     break
             span.set("sim_advanced", float(self.fleet.elapsed[first]) - sim_start)
+            span.set("samples", count("lab.samples") - samples)
+            span.set("trap_updates", count("bti.trap_updates") - updates)
         self._cases.inc(len(alive))
-        sampler.finish(span, chips=len(chips))
         return alive
 
     def run_phase(self, phase: TestPhase, chips, case_names, logs) -> list[int]:
@@ -424,8 +423,11 @@ class FleetBench:
             for index, event in zip(readers, events):
                 if index not in frequencies:
                     continue
+                elapsed = float(self.fleet.elapsed[index])
                 try:
-                    count, frequency, delay = self._read(index, frequencies[index], event)
+                    count, frequency, delay = self._read(
+                        index, frequencies[index], event, elapsed
+                    )
                 except MeasurementError as error:
                     failures[index] = self._located(index, names, label, error)
                     continue
@@ -438,7 +440,7 @@ class FleetBench:
                         chip_id=self.fleet.chip_ids[index],
                         case=names[index],
                         phase=label,
-                        timestamp=float(self.fleet.elapsed[index]),
+                        timestamp=elapsed,
                         phase_elapsed=phase_elapsed,
                         count=count,
                         frequency=frequency,
@@ -473,35 +475,25 @@ class FleetBench:
                     frequencies[index] = value
         return frequencies
 
-    def _read(self, index: int, frequency: float, event) -> tuple[int, float, float]:
+    def _read(
+        self, index: int, frequency: float, event, elapsed: float
+    ) -> tuple[int, float, float]:
         """``(count, frequency, delay)`` of one averaged readout burst.
 
-        Contract: the frequency is strictly positive and finite (Eqs.
-        14-15 divide by it); in clamp mode a violating one reads as a
-        dead oscillator.  A ``STUCK_BIT`` event corrupts the real count:
+        The burst is :func:`~repro.fpga.ring_oscillator.read_burst` at the
+        checked frequency.  A ``STUCK_BIT`` event corrupts the real count:
         out of the counter's range or implausibly far from the last good
         count it is detected, within the band it goes unnoticed — the
         silent data error a real stuck LSB produces.
         """
         chip_id = self.fleet.chip_ids[index]
-        guard = self.fleet.guards[index]
-        if guard.checking and not (frequency > 0.0 and math.isfinite(frequency)):
-            frequency = guard.positive_scalar(
-                "fpga.frequency",
-                frequency,
-                clamp_to=0.0,
-                inputs=lambda: {"chip": chip_id, "elapsed": float(self.fleet.elapsed[index])},
-            )
-        mean_count = self._mean_count(frequency, self.rngs[index])
-        if mean_count <= 0:
-            raise MeasurementError(
-                f"chip {chip_id}: readout count {mean_count} implies no "
-                "oscillation — RO stopped or fosc below counter resolution"
-            )
-        fref = self.counter.fref
+        frequency = checked_frequency(self.fleet.guards[index], frequency, chip_id, elapsed)
+        mean_count = read_burst(
+            self.counter, frequency, self.reads_per_sample, self.rngs[index], chip_id
+        )
         if event is None:
             count = self._last_good_count[index] = int(round(mean_count))
-            return count, 2.0 * mean_count * fref, 1.0 / (4.0 * mean_count * fref)
+            return count, self.counter.frequency(mean_count), self.counter.delay(mean_count)
         bit = int(event.magnitude)
         corrupted = int(round(mean_count)) | (1 << bit)
         if corrupted > self.counter.max_count:
@@ -513,24 +505,7 @@ class FleetBench:
             raise MeasurementError(
                 f"implausible count jump {last} -> {corrupted} (stuck counter bit {bit}?)"
             )
-        return corrupted, 2.0 * corrupted * fref, 1.0 / (4.0 * corrupted * fref)
-
-    def _mean_count(self, frequency: float, rng: np.random.Generator) -> float:
-        """Mean of ``reads_per_sample`` noisy counter reads at ``frequency``."""
-        reads = self.reads_per_sample
-        noise = self.counter.noise_counts
-        if noise > 0 and frequency > 0.0 and math.isfinite(frequency):
-            # Stream-identical inline form of ReadoutCounter.read_many; the
-            # clamp/overflow edges keep the instrument's exact arithmetic.
-            ideal = self.counter.ideal_count(frequency)
-            draws = rng.integers(-noise, noise + 1, size=reads)
-            if 0 <= ideal - noise and ideal + noise <= self.counter.max_count:
-                return (ideal * reads + int(draws.sum())) / float(reads)
-            counts = ideal + draws
-            np.maximum(counts, 0, out=counts)
-            self.counter._check_overflow(int(counts.max()))
-            return int(counts.sum()) / float(reads)
-        return float(np.mean(self.counter.read_many(frequency, reads, rng=rng)))
+        return corrupted, self.counter.frequency(corrupted), self.counter.delay(corrupted)
 
 
 # ---------------------------------------------------------------------- #

@@ -62,11 +62,6 @@ class VirtualTestbench:
         self.supply = self._bench.supply
         self.clock = self._bench.clock
 
-    @property
-    def rng_state(self):
-        """The bench RNG's bit-generator state (for determinism hashing)."""
-        return self._bench.rngs[self._index].bit_generator.state
-
     def _raise_dropout(self) -> None:
         error = self._bench.dropped.pop(self._index, None)
         if error is not None:

@@ -39,10 +39,10 @@ class _ChipHasher:
             payload = tuple(getattr(record, f.name) for f in fields(record))
             self._rolling.update(repr(payload).encode())
 
-    def snapshot(self, bench) -> str:
+    def snapshot(self, chip, rng_state) -> str:
         """Point-in-time digest: rolling history + trap + RNG state."""
         digest = self._rolling.copy()
-        state = bench.chip.export_state()
+        state = chip.export_state()
         for key in sorted(state):
             value = state[key]
             digest.update(key.encode())
@@ -51,7 +51,7 @@ class _ChipHasher:
             else:
                 digest.update(repr(float(value)).encode())
         digest.update(
-            json.dumps(bench.rng_state, sort_keys=True, default=repr).encode()
+            json.dumps(rng_state, sort_keys=True, default=repr).encode()
         )
         return digest.hexdigest()[:16]
 
@@ -65,16 +65,18 @@ class DeterminismSanitizer:
         self.hashes: dict[str, str] = {}
         self._hashers: dict[str, _ChipHasher] = {}
 
-    def record_phase(self, tracer, bench, case_name, phase, log, start) -> str:
+    def record_phase(self, tracer, chip, rng_state, case_name, phase, log, start) -> str:
         """Hash one finished phase and emit its ``state_hash`` span.
 
-        ``start`` is ``len(log)`` before the phase ran; the slice from
-        there is exactly the records this phase appended.
+        ``chip`` is the chip (a fleet view) and ``rng_state`` its bench
+        generator's bit-generator state.  ``start`` is ``len(log)``
+        before the phase ran; the slice from there is exactly the
+        records this phase appended.
         """
-        chip_id = bench.chip.chip_id
+        chip_id = chip.chip_id
         hasher = self._hashers.setdefault(chip_id, _ChipHasher(chip_id))
         hasher.feed_records(islice(log, start, None))
-        state = hasher.snapshot(bench)
+        state = hasher.snapshot(chip, rng_state)
         seq = hasher.seq
         hasher.seq += 1
         self.hashes[f"{chip_id}/{seq:03d}"] = state
@@ -97,7 +99,7 @@ class _NullSanitizer:
     #: Always empty — record_phase never writes.
     hashes: dict[str, str] = {}
 
-    def record_phase(self, tracer, bench, case_name, phase, log, start) -> str:
+    def record_phase(self, tracer, chip, rng_state, case_name, phase, log, start) -> str:
         """No-op; returns an empty digest."""
         return ""
 

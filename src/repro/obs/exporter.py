@@ -88,12 +88,3 @@ def load_trace(path: str | Path) -> list[dict]:
                 ) from error
     return records
 
-
-def span_tree(records: list[dict]) -> dict[int | None, list[dict]]:
-    """Group span records by ``parent_id`` for tree walking in tests."""
-    children: dict[int | None, list[dict]] = {}
-    for record in records:
-        if record.get("type") != "span":
-            continue
-        children.setdefault(record.get("parent_id"), []).append(record)
-    return children

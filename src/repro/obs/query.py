@@ -2,21 +2,25 @@
 
 :class:`TraceModel` loads the records :class:`~repro.obs.exporter.JsonlExporter`
 streamed (or takes a live :class:`~repro.obs.tracer.Tracer`) and builds an
-indexed span tree, so tooling can answer the questions hand-grepping JSONL
-cannot:
+indexed span tree.  It is the one reader of finished traces; every
+``repro trace`` subcommand and the timing table of ``repro stats`` render
+from it:
 
 * **tree** — reconstruct the ``campaign -> case -> phase -> measurement``
   hierarchy with durations and attributes (:meth:`TraceModel.tree_render`);
 * **top** — top-N span groups by *self* time (duration minus children) or
   cumulative time (:meth:`TraceModel.top`);
+* **profile** — per-phase self time (:meth:`TraceModel.phase_table`),
+  flamegraph collapsed stacks (:meth:`TraceModel.collapsed`) and per-case
+  throughput read from the ``samples`` and ``trap_updates`` deltas each
+  ``case`` span carries (:meth:`TraceModel.throughput_table`);
 * **rollups** — counter/gauge families from the metric records
   (:meth:`TraceModel.metric_family_table`) and numeric span attributes
   summed by chip or by span path (:meth:`TraceModel.rollup`);
 * **diff** — compare two runs of the same workload
-  (:func:`diff_traces`): exact rows (span counts, counter values,
-  histogram counts) flag any difference, timing rows flag only changes
-  beyond both a relative and an absolute threshold, and rate gauges are
-  informational.
+  (:func:`diff_traces`): exact rows (span counts, counter values) flag
+  any difference, timing rows flag only changes beyond both a relative
+  and an absolute threshold, and rate gauges are informational.
 
 Everything here is read-only over finished traces; nothing imports the
 simulation stack, so the query engine also loads traces produced by
@@ -35,6 +39,12 @@ from repro.obs.exporter import load_trace
 #: Metric name suffixes that accumulate wall-clock seconds (timing, not
 #: logical counts — exact diffing would flag every run).
 _TIMING_SUFFIXES = ("_seconds", ".seconds")
+
+#: Throughput-table rows: per-case measurement samples and trap updates
+#: per wall second, and the fraction of rate lookups the memo served.
+MEAS_PER_S = "profile.case.meas_per_s"
+TRAP_UPDATES_PER_S = "profile.case.trap_updates_per_s"
+CACHE_HIT_RATE = "bti.rate_cache.hit_rate"
 
 
 @dataclass
@@ -159,15 +169,7 @@ class TraceModel:
             )
             for span in tracer.finished
         ]
-        metrics: dict[str, dict] = {}
-        for name, value in tracer.metrics.snapshot().items():
-            metric = tracer.metrics.get(name)
-            record = {"type": "metric", "name": name, "kind": metric.kind,
-                      "value": value}
-            if hasattr(metric, "payload"):
-                record.update(metric.payload())
-            metrics[name] = record
-        return cls(spans, metrics)
+        return cls(spans, {record["name"]: record for record in tracer.metrics.records()})
 
     # ------------------------------------------------------------------ #
     # structure
@@ -221,8 +223,14 @@ class TraceModel:
             entry.add(span)
         return groups
 
-    def top(self, n: int = 10, by: str = "self", group: str = "name") -> Table:
-        """Top-``n`` span groups by self or cumulative (total) time."""
+    def top(
+        self,
+        n: int | None = 10,
+        by: str = "self",
+        group: str = "name",
+        title: str | None = None,
+    ) -> Table:
+        """Top-``n`` span groups (all of them for ``n=None``) by self or total time."""
         if by not in ("self", "total"):
             raise MeasurementError(f"unknown top ordering {by!r}")
         groups = sorted(
@@ -230,12 +238,13 @@ class TraceModel:
             key=lambda g: (-(g.self_time if by == "self" else g.total), g.key),
         )
         total_self = sum(g.self_time for g in groups) or 1.0
+        groups = groups[:n]
         table = Table(
-            f"Top {min(n, len(groups))} span groups by {by} time",
+            title or f"Top {len(groups)} span groups by {by} time",
             [group, "count", "self s", "total s", "self %", "sim s"],
             fmt="{:,.3f}",
         )
-        for entry in groups[:n]:
+        for entry in groups:
             table.add_row(
                 entry.key,
                 f"{entry.count}",
@@ -289,6 +298,89 @@ class TraceModel:
         for chip in sorted(rows):
             count, self_s, sim_s, meas = rows[chip]
             table.add_row(chip, f"{int(count)}", self_s, sim_s, f"{int(meas)}")
+        return table
+
+    def phase_table(self) -> Table:
+        """Self time of each schedule phase label, busiest first.
+
+        Groups the ``phase`` spans by their phase label and kind — the
+        view that says which part of the Table-1 schedule burns the wall
+        clock — with sim-throughput so a perf regression in one phase
+        family stands out.
+        """
+        rows: dict[tuple[str, str], list[float]] = {}
+        for span in self.spans_named("phase"):
+            key = (
+                str(span.attrs.get("phase", "?")),
+                str(span.attrs.get("kind", "?")),
+            )
+            entry = rows.setdefault(key, [0.0, 0.0, 0.0])
+            entry[0] += 1.0
+            entry[1] += span.self_time
+            entry[2] += span.sim_advanced
+        table = Table(
+            "Per-phase self time",
+            ["phase", "kind", "count", "self s", "sim s", "sim s/wall s"],
+            fmt="{:,.3f}",
+        )
+        for (label, kind), (count, self_s, sim_s) in sorted(
+            rows.items(), key=lambda item: (-item[1][1], item[0])
+        ):
+            table.add_row(
+                label, kind, f"{int(count)}", self_s, sim_s,
+                sim_s / self_s if self_s > 0.0 else 0.0,
+            )
+        return table
+
+    def collapsed(self) -> list[str]:
+        """Flamegraph collapsed stacks: ``frame;frame;frame <usec>``.
+
+        One line per distinct root-to-frame path, sorted by path, values
+        in integer microseconds of self time — feed straight into any
+        flamegraph renderer.  Every path in the span tree is emitted
+        (zero-weight frames included) so two seeded runs always produce
+        the same stack structure; only the values differ.
+        """
+        return [
+            f"{path} {int(round(1e6 * entry.self_time))}"
+            for path, entry in sorted(self.aggregate("path").items())
+        ]
+
+    def throughput_table(self) -> Table:
+        """Per-case throughput from the case spans, and the memo hit rate.
+
+        A ``case`` span runs ``fleet`` chips in lock step and carries the
+        ``samples`` and ``trap_updates`` counter deltas of its run, so it
+        counts as ``fleet`` chip-cases, each at ``delta / (fleet x
+        duration)`` per wall second.  Spans without the deltas (older
+        traces) or without a duration are skipped.  The hit rate is
+        hits / (hits + misses) of the ``bti.rate_cache`` counters.
+        """
+        table = Table(
+            "Derived throughput (per case)",
+            ["metric", "cases", "mean", "min", "max"],
+            fmt="{:,.1f}",
+        )
+        cases = [
+            span for span in self.spans_named("case")
+            if span.duration > 0.0 and "samples" in span.attrs
+        ]
+        for name, attr in ((MEAS_PER_S, "samples"), (TRAP_UPDATES_PER_S, "trap_updates")):
+            count, total, rates = 0, 0.0, []
+            for span in cases:
+                fleet = int(span.attrs.get("fleet", 1))
+                rate = float(span.attrs[attr]) / (fleet * span.duration)
+                count += fleet
+                total += fleet * rate
+                rates.append(rate)
+            table.add_row(
+                name, f"{count}", total / count if count else 0.0,
+                min(rates, default=0.0), max(rates, default=0.0),
+            )
+        hits = self.metric_value("bti.rate_cache.hits")
+        lookups = hits + self.metric_value("bti.rate_cache.misses")
+        hit_rate = hits / lookups if lookups else 0.0
+        table.add_row(CACHE_HIT_RATE, "-", 100.0 * hit_rate, "-", "-")
         return table
 
     #: Families the campaign-health rollup pins: absent families still
@@ -431,7 +523,7 @@ class TraceDiff:
     def significant(self) -> list[DiffRow]:
         """Rows that represent a real difference between the runs.
 
-        Exact rows (span counts, counter values, histogram counts) are
+        Exact rows (span counts, counter values) are
         significant on any difference; timing rows only when they moved
         by more than ``time_rel`` relatively *and* ``time_abs`` seconds
         absolutely; rate rows never (wall-clock noise).
@@ -539,11 +631,11 @@ def _hash_rows(a: TraceModel, b: TraceModel) -> list[HashRow]:
 
 def _metric_category(name: str, kind: str) -> str:
     """How a metric should be compared between runs."""
-    if kind in ("gauge", "derived"):
+    if kind == "gauge":
         return "rate"
-    if kind == "counter" and name.endswith(_TIMING_SUFFIXES):
+    if name.endswith(_TIMING_SUFFIXES):
         return "timing"
-    # counters and histogram observation counts are logical quantities
+    # counters are logical quantities
     return "exact"
 
 

@@ -16,24 +16,8 @@ nothing else.  Tracers are not thread-safe; use one per worker.
 from __future__ import annotations
 
 import time
-from typing import Iterator
 
-from repro.analysis.tables import Table
-from repro.obs.metrics import (
-    Counter,
-    DerivedGauge,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_COUNTER,
-    NULL_DERIVED_GAUGE,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NullCounter,
-    NullDerivedGauge,
-    NullGauge,
-    NullHistogram,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry, NULL_METRIC, NullMetric
 
 
 class Span:
@@ -145,8 +129,9 @@ class Tracer:
         spans stream to it as they close; metrics are written on
         :meth:`close`.
     keep_spans:
-        Keep finished spans in memory for querying (tests, summary
-        tables).  Disable for very long runs that only need the JSONL.
+        Keep finished spans in memory for querying (tests,
+        :meth:`TraceModel.from_tracer <repro.obs.query.TraceModel.from_tracer>`).
+        Disable for very long runs that only need the JSONL.
     """
 
     enabled = True
@@ -249,14 +234,6 @@ class Tracer:
             return list(self.finished)
         return [span for span in self.finished if span.name == name]
 
-    def children(self, span: Span) -> list[Span]:
-        """Finished spans whose parent is ``span``."""
-        return [s for s in self.finished if s.parent_id == span.span_id]
-
-    def walk(self) -> Iterator[Span]:
-        """Finished spans in completion order."""
-        return iter(self.finished)
-
     # ------------------------------------------------------------------ #
     # metrics
     # ------------------------------------------------------------------ #
@@ -269,71 +246,10 @@ class Tracer:
         """Get-or-create a gauge on this tracer's registry."""
         return self.metrics.gauge(name, description)
 
-    def histogram(self, name: str, description: str = "",
-                  bounds=None) -> Histogram:
-        """Get-or-create a histogram on this tracer's registry."""
-        return self.metrics.histogram(name, description, bounds=bounds)
-
-    def derived_gauge(self, name: str, description: str,
-                      numerator: str, denominators) -> DerivedGauge:
-        """Get-or-create a derived gauge on this tracer's registry."""
-        return self.metrics.derived_gauge(name, description, numerator,
-                                          denominators)
-
-    # ------------------------------------------------------------------ #
-    # reporting
-    # ------------------------------------------------------------------ #
-
-    def summary_table(self, title: str = "Span timing summary") -> Table:
-        """Aggregate finished spans by name: count, wall time, sim time.
-
-        ``sim s/wall s`` is the simulated-seconds-per-wall-second
-        throughput of each span family — the number a perf PR moves.
-        """
-        order: list[str] = []
-        agg: dict[str, list[float]] = {}
-        for span in self.finished:
-            if span.name not in agg:
-                agg[span.name] = [0.0, 0.0, 0.0]
-                order.append(span.name)
-            entry = agg[span.name]
-            entry[0] += 1.0
-            entry[1] += span.duration
-            entry[2] += span.sim_advanced
-        table = Table(
-            title,
-            ["span", "count", "wall s", "mean ms", "sim s", "sim s/wall s"],
-            fmt="{:,.3f}",
-        )
-        for name in order:
-            count, wall, sim = agg[name]
-            table.add_row(
-                name,
-                f"{int(count)}",
-                wall,
-                1e3 * wall / count,
-                sim,
-                sim / wall if wall > 0.0 else 0.0,
-            )
-        return table
-
-    def metrics_table(self, title: str = "Run metrics") -> Table:
-        """The metrics registry rendered as a table."""
-        return self.metrics.table(title)
-
     def close(self) -> None:
         """Flush metrics to the exporter (if any) and close it."""
         if self.exporter is not None:
-            for name, value in sorted(self.metrics.snapshot().items()):
-                metric = self.metrics.get(name)
-                record = {
-                    "type": "metric",
-                    "name": name,
-                    "kind": metric.kind,
-                    "value": value,
-                }
-                if hasattr(metric, "payload"):
-                    record.update(metric.payload())
+            for record in self.metrics.records():
                 self.exporter.metric(record)
             self.exporter.close()
             self.exporter = None
@@ -356,40 +272,17 @@ class NullTracer:
         """The shared no-op span."""
         return _NULL_SPAN
 
-    def counter(self, name: str, description: str = "") -> NullCounter:
-        """The shared no-op counter."""
-        return NULL_COUNTER
+    def counter(self, name: str, description: str = "") -> NullMetric:
+        """The shared no-op metric."""
+        return NULL_METRIC
 
-    def gauge(self, name: str, description: str = "") -> NullGauge:
-        """The shared no-op gauge."""
-        return NULL_GAUGE
-
-    def histogram(self, name: str, description: str = "",
-                  bounds=None) -> NullHistogram:
-        """The shared no-op histogram."""
-        return NULL_HISTOGRAM
-
-    def derived_gauge(self, name: str, description: str,
-                      numerator: str, denominators) -> NullDerivedGauge:
-        """The shared no-op derived gauge."""
-        return NULL_DERIVED_GAUGE
+    def gauge(self, name: str, description: str = "") -> NullMetric:
+        """The shared no-op metric."""
+        return NULL_METRIC
 
     def spans(self, name: str | None = None) -> list[Span]:
         """Always empty."""
         return []
-
-    def children(self, span) -> list[Span]:
-        """Always empty."""
-        return []
-
-    def summary_table(self, title: str = "Span timing summary") -> Table:
-        """An empty summary table."""
-        return Table(title, ["span", "count", "wall s", "mean ms", "sim s",
-                             "sim s/wall s"])
-
-    def metrics_table(self, title: str = "Run metrics") -> Table:
-        """An empty metrics table."""
-        return Table(title, ["metric", "kind", "value", "description"])
 
     def close(self) -> None:
         """Nothing to flush."""
@@ -417,7 +310,7 @@ class use_tracer:
 
         with use_tracer(Tracer()) as tracer:
             run_table1_campaign()
-        tracer.summary_table().print()
+        TraceModel.from_tracer(tracer).top().print()
     """
 
     def __init__(self, tracer: Tracer | NullTracer) -> None:

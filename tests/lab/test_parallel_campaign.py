@@ -129,30 +129,3 @@ class TestValidation:
         assert times.size > 0
         assert np.all(np.isfinite(shifts))
 
-
-class TestMergedHistogramsAndDerived:
-    """Per-case histograms and derived gauges are order-independent too."""
-
-    def test_histogram_payloads_match_sequential(self):
-        composed_tracer, runner_tracer = Tracer(), Tracer()
-        composed_campaign(seed=7, n_chips=2, tracer=composed_tracer)
-        run_table1_campaign(seed=7, n_chips=2, tracer=runner_tracer)
-        for name in ("profile.case.meas_per_s", "profile.case.trap_updates_per_s"):
-            composed_hist = composed_tracer.metrics.get(name)
-            runner_hist = runner_tracer.metrics.get(name)
-            # observation counts and bucket shape are deterministic;
-            # the observed rates themselves are wall-clock quantities
-            assert runner_hist.count == composed_hist.count
-            assert len(runner_hist.bucket_counts) == len(composed_hist.bucket_counts)
-            assert runner_hist.count == sum(runner_hist.bucket_counts)
-
-    def test_derived_gauge_reads_merged_counters(self):
-        tracer = Tracer()
-        run_table1_campaign(seed=7, n_chips=2, tracer=tracer)
-        registry = tracer.metrics
-        hits = registry.value("bti.rate_cache.hits")
-        lookups = hits + registry.value("bti.rate_cache.misses")
-        expected = hits / lookups if lookups else 0.0
-        assert registry.value("bti.rate_cache.hit_rate") == expected
-        # the memo is reused across the campaign despite temperature jitter
-        assert registry.value("bti.rate_cache.hit_rate") > 0.3

@@ -54,7 +54,7 @@ class TestPhaseHashes:
     def test_null_sanitizer_is_inert(self):
         assert NULL_SANITIZER.enabled is False
         assert NULL_SANITIZER.hashes == {}
-        assert NULL_SANITIZER.record_phase(None, None, "c", "p", [], 0) == ""
+        assert NULL_SANITIZER.record_phase(None, None, None, "c", "p", [], 0) == ""
         assert NULL_SANITIZER.hashes == {}
 
     def test_hashes_depend_on_seed(self, sanitized_run):

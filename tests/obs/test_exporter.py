@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import MeasurementError
-from repro.obs import JsonlExporter, Tracer, load_trace, span_tree
+from repro.obs import JsonlExporter, Tracer, load_trace
+from repro.obs.query import TraceModel
 
 
 class TestJsonlExporter:
@@ -79,7 +80,6 @@ class TestSpanTree:
             with tracer.span("child"):
                 pass
         tracer.close()
-        tree = span_tree(load_trace(path))
-        root = tree[None][0]
-        assert root["name"] == "root"
-        assert [c["name"] for c in tree[root["span_id"]]] == ["child", "child"]
+        (root,) = TraceModel.from_records(load_trace(path)).roots
+        assert root.name == "root"
+        assert [child.name for child in root.children] == ["child", "child"]

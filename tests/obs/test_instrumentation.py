@@ -16,7 +16,8 @@ from repro.multicore import (
     InstrumentedScheduler,
     MulticoreSystem,
 )
-from repro.obs import JsonlExporter, ProgressReporter, Tracer, load_trace, span_tree
+from repro.obs import JsonlExporter, ProgressReporter, Tracer, load_trace
+from repro.obs.query import TraceModel
 from repro.units import hours
 
 
@@ -33,14 +34,13 @@ def traced_campaign(tmp_path_factory):
 class TestCampaignSpans:
     def test_span_hierarchy_campaign_case_phase_measurement(self, traced_campaign):
         tracer, __, __ = traced_campaign
-        campaign_spans = tracer.spans("campaign")
-        assert len(campaign_spans) == 1
-        campaign = campaign_spans[0]
-        cases = tracer.children(campaign)
+        (campaign,) = TraceModel.from_tracer(tracer).roots
+        assert campaign.name == "campaign"
+        cases = campaign.children
         assert cases and all(span.name == "case" for span in cases)
-        phases = tracer.children(cases[-1])
+        phases = cases[-1].children
         assert phases and all(span.name == "phase" for span in phases)
-        measurements = tracer.children(phases[0])
+        measurements = phases[0].children
         assert measurements
         assert all(span.name == "measurement" for span in measurements)
 
@@ -92,8 +92,8 @@ class TestCampaignSpans:
         metrics = {r["name"]: r["value"] for r in records if r["type"] == "metric"}
         assert len(spans) == len(tracer.finished)
         assert metrics == tracer.metrics.snapshot()
-        tree = span_tree(records)
-        assert [root["name"] for root in tree[None]] == ["campaign"]
+        model = TraceModel.from_records(records)
+        assert [root.name for root in model.roots] == ["campaign"]
 
     def test_progress_lines_emitted(self):
         import io

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-)
+from repro.obs import Counter, Gauge, MetricsRegistry, NULL_METRIC
 
 
 class TestCounter:
@@ -35,12 +29,12 @@ class TestGauge:
 
 class TestNullMetrics:
     def test_null_counter_discards(self):
-        NULL_COUNTER.inc(100.0)
-        assert NULL_COUNTER.value == 0.0
+        NULL_METRIC.inc(100.0)
+        assert NULL_METRIC.value == 0.0
 
     def test_null_gauge_discards(self):
-        NULL_GAUGE.set(42.0)
-        assert NULL_GAUGE.value == 0.0
+        NULL_METRIC.set(42.0)
+        assert NULL_METRIC.value == 0.0
 
 
 class TestMetricsRegistry:
@@ -92,120 +86,28 @@ class TestMetricsRegistry:
         assert "depth" in rendered
 
 
-class TestHistogram:
-    def test_observes_and_summarises(self):
-        from repro.obs import Histogram
-
-        hist = Histogram("lat", bounds=(1.0, 10.0))
-        for value in (0.5, 5.0, 50.0):
-            hist.observe(value)
-        assert hist.count == 3
-        assert hist.sum == 55.5
-        assert hist.min == 0.5
-        assert hist.max == 50.0
-        assert hist.mean == 18.5
-        assert hist.bucket_counts == [1, 1, 1]
-
-    def test_value_is_observation_count(self):
-        from repro.obs import Histogram
-
-        hist = Histogram("lat")
-        hist.observe(3.0)
-        hist.observe(4.0)
-        # snapshot value must be deterministic across machines, so it is
-        # the count, never a wall-clock-dependent statistic
-        assert hist.value == 2.0
-        assert hist.kind == "histogram"
-
-    def test_merge_requires_matching_bounds(self):
-        from repro.obs import Histogram
-
-        a = Histogram("lat", bounds=(1.0,))
-        b = Histogram("lat", bounds=(2.0,))
-        with pytest.raises(ConfigurationError):
-            a.merge_from(b)
-
-    def test_merge_folds_exactly(self):
-        from repro.obs import Histogram
-
-        a = Histogram("lat", bounds=(1.0, 10.0))
-        b = Histogram("lat", bounds=(1.0, 10.0))
-        a.observe(0.5)
-        b.observe(20.0)
-        b.observe(2.0)
-        a.merge_from(b)
-        assert a.count == 3
-        assert a.sum == 22.5
-        assert (a.min, a.max) == (0.5, 20.0)
-        assert a.bucket_counts == [1, 1, 1]
-
-    def test_empty_payload_has_null_extremes(self):
-        from repro.obs import Histogram
-
-        payload = Histogram("lat").payload()
-        assert payload["count"] == 0
-        assert payload["min"] is None
-        assert payload["max"] is None
-
-
-class TestDerivedGauge:
-    def test_reads_ratio_of_operands(self):
-        registry = MetricsRegistry()
-        registry.counter("cache.hits").inc(3.0)
-        registry.counter("cache.misses").inc(1.0)
-        ratio = registry.derived_gauge(
-            "cache.hit_rate", "hit fraction", "cache.hits",
-            ("cache.hits", "cache.misses"),
-        )
-        assert ratio.value == 0.75
-        registry.counter("cache.misses").inc(2.0)
-        assert ratio.value == 0.5
-
-    def test_zero_denominator_reads_zero(self):
-        registry = MetricsRegistry()
-        ratio = registry.derived_gauge(
-            "cache.hit_rate", "", "cache.hits", ("cache.hits", "cache.misses")
-        )
-        assert ratio.value == 0.0
-
-    def test_conflicting_redefinition_raises(self):
-        registry = MetricsRegistry()
-        registry.derived_gauge("r", "", "a", ("a", "b"))
-        with pytest.raises(ConfigurationError):
-            registry.derived_gauge("r", "", "a", ("a", "c"))
-
-
 class TestRegistryMergeNewKinds:
-    def test_histograms_merge_exactly(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.histogram("lat", bounds=(1.0, 10.0)).observe(0.5)
-        b.histogram("lat", bounds=(1.0, 10.0)).observe(5.0)
-        a.merge(b)
-        merged = a.get("lat")
-        assert merged.count == 2
-        assert merged.sum == 5.5
-
-    def test_derived_gauge_reads_merged_operands(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.counter("c.hits").inc(1.0)
-        b.counter("c.hits").inc(1.0)
-        b.counter("c.misses").inc(2.0)
-        b.derived_gauge("c.rate", "", "c.hits", ("c.hits", "c.misses"))
-        a.merge(b)
-        assert a.value("c.rate") == 0.5
-
     def test_merge_is_order_deterministic(self):
-        def build(observations):
+        def build(increments, latest):
             registry = MetricsRegistry()
-            hist = registry.histogram("lat", bounds=(1.0, 10.0))
-            for value in observations:
-                hist.observe(value)
+            for value in increments:
+                registry.counter("lat").inc(value)
+            registry.gauge("depth").set(latest)
             return registry
 
-        sequential = build([0.5, 5.0, 50.0, 2.0])
-        merged = build([0.5, 5.0])
-        merged.merge(build([50.0, 2.0]))
-        assert merged.get("lat").payload() == sequential.get("lat").payload()
+        sequential = build([0.5, 5.0, 50.0, 2.0], 4.0)
+        merged = build([0.5, 5.0], 3.0)
+        merged.merge(build([50.0, 2.0], 4.0))
+        assert merged.records() == sequential.records()
         assert merged.snapshot() == sequential.snapshot()
+
+
+class TestRecords:
+    def test_records_are_sorted_trace_lines(self):
+        registry = MetricsRegistry()
+        registry.gauge("b.depth").set(2.0)
+        registry.counter("a.events").inc(3.0)
+        assert registry.records() == [
+            {"type": "metric", "name": "a.events", "kind": "counter", "value": 3.0},
+            {"type": "metric", "name": "b.depth", "kind": "gauge", "value": 2.0},
+        ]

@@ -88,15 +88,16 @@ class TestTraceModelStructure:
         path = tmp_path / "trace.jsonl"
         tracer = Tracer(exporter=JsonlExporter(path))
         with tracer.span("campaign"):
-            tracer.histogram("profile.case.meas_per_s").observe(5.0)
+            tracer.counter("lab.samples").inc(5.0)
+            tracer.gauge("campaign.sim_seconds_per_wall_second").set(2.5)
         live = TraceModel.from_tracer(tracer)
         tracer.close()
         loaded = TraceModel.load(path)
-        assert live.metrics.keys() == loaded.metrics.keys()
-        live_rec = live.metrics["profile.case.meas_per_s"]
-        loaded_rec = loaded.metrics["profile.case.meas_per_s"]
-        assert live_rec["count"] == loaded_rec["count"] == 1
-        assert live_rec["mean"] == loaded_rec["mean"] == 5.0
+        # one record builder serves the live model and the exported file
+        assert live.metrics == loaded.metrics
+        assert live.metrics["lab.samples"] == {
+            "type": "metric", "name": "lab.samples", "kind": "counter", "value": 5.0
+        }
 
 
 class TestAggregation:

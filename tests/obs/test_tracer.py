@@ -10,6 +10,7 @@ from repro.obs import (
     set_tracer,
     use_tracer,
 )
+from repro.obs.query import TraceModel
 
 
 class TestSpans:
@@ -33,7 +34,9 @@ class TestSpans:
         assert inner.parent_id == outer.span_id
         assert inner.depth == 1
         assert second.parent_id == outer.span_id
-        assert tracer.children(outer) == [inner, second]
+        assert [s for s in tracer.finished if s.parent_id == outer.span_id] == [
+            inner, second
+        ]
         assert tracer.current is None
 
     def test_finished_in_completion_order(self):
@@ -41,7 +44,7 @@ class TestSpans:
         with tracer.span("outer"):
             with tracer.span("inner"):
                 pass
-        assert [s.name for s in tracer.walk()] == ["inner", "outer"]
+        assert [s.name for s in tracer.finished] == ["inner", "outer"]
 
     def test_span_ids_unique_and_increasing(self):
         tracer = Tracer()
@@ -80,15 +83,12 @@ class TestSummaryTable:
         for _ in range(3):
             with tracer.span("phase") as span:
                 span.set("sim_advanced", 10.0)
-        rendered = tracer.summary_table().render()
+        table = TraceModel.from_tracer(tracer).top(n=None, by="total", title="timing")
+        rendered = table.render()
+        assert rendered.startswith("timing\n")
         assert "phase" in rendered
         assert "3" in rendered  # count column
         assert "30.000" in rendered  # total sim seconds
-
-    def test_metrics_table_delegates_to_registry(self):
-        tracer = Tracer()
-        tracer.counter("x").inc(5.0)
-        assert "x" in tracer.metrics_table().render()
 
 
 class TestNullTracer:
@@ -108,8 +108,8 @@ class TestNullTracer:
         assert len(NULL_TRACER.metrics) == 0
 
     def test_empty_tables_render(self):
-        assert "span" in NULL_TRACER.summary_table().render()
-        assert "metric" in NULL_TRACER.metrics_table().render()
+        assert "count" in TraceModel.from_tracer(NULL_TRACER).top().render()
+        assert "metric" in NULL_TRACER.metrics.table().render()
 
     def test_close_is_noop(self):
         NULL_TRACER.close()
@@ -163,18 +163,16 @@ class TestAbsorb:
         assert phase.depth == case.depth + 1 == root.depth + 2
         assert child.finished == []
 
-    def test_absorb_merges_new_kinds_into_parent(self):
+    def test_absorb_merges_counters_and_gauges(self):
         parent, child = Tracer(), Tracer()
-        parent.histogram("profile.case.meas_per_s").observe(10.0)
-        child.histogram("profile.case.meas_per_s").observe(30.0)
+        parent.counter("bti.rate_cache.hits").inc(1.0)
+        parent.gauge("campaign.sim_seconds_per_wall_second").set(10.0)
         child.counter("bti.rate_cache.hits").inc(3.0)
         child.counter("bti.rate_cache.misses").inc(1.0)
-        child.derived_gauge(
-            "bti.rate_cache.hit_rate", "", "bti.rate_cache.hits",
-            ("bti.rate_cache.hits", "bti.rate_cache.misses"),
-        )
+        child.gauge("campaign.sim_seconds_per_wall_second").set(30.0)
         parent.absorb(child)
-        hist = parent.metrics.get("profile.case.meas_per_s")
-        assert hist.count == 2
-        assert hist.sum == 40.0
-        assert parent.metrics.value("bti.rate_cache.hit_rate") == 0.75
+        assert parent.metrics.snapshot() == {
+            "bti.rate_cache.hits": 4.0,
+            "bti.rate_cache.misses": 1.0,
+            "campaign.sim_seconds_per_wall_second": 30.0,
+        }

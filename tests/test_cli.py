@@ -4,7 +4,8 @@ import pytest
 
 from repro.cli import main
 from repro.lab.datalog import DataLog
-from repro.obs import load_trace, span_tree
+from repro.obs import load_trace
+from repro.obs.query import TraceModel
 
 
 class TestCli:
@@ -74,13 +75,12 @@ class TestCampaignCli:
         assert main(["campaign", "--chips", "1", "--quiet", "--trace", str(path)]) == 0
         assert "trace written to" in capsys.readouterr().out
         records = load_trace(path)
-        tree = span_tree(records)
-        campaign = tree[None][0]
-        assert campaign["name"] == "campaign"
-        cases = tree[campaign["span_id"]]
-        assert {c["name"] for c in cases} == {"case"}
-        phases = tree[cases[-1]["span_id"]]
-        assert {p["name"] for p in phases} == {"phase"}
+        (campaign,) = TraceModel.from_records(records).roots
+        assert campaign.name == "campaign"
+        cases = campaign.children
+        assert {c.name for c in cases} == {"case"}
+        phases = cases[-1].children
+        assert {p.name for p in phases} == {"phase"}
         assert any(r["type"] == "metric" for r in records)
 
     def test_campaign_progress_lines_on_stderr(self, capsys):
