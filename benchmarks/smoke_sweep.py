@@ -7,6 +7,8 @@ Drives the full ``repro.dependability`` stack the way CI exercises it:
   that would otherwise pass;
 * the sweep must **complete on the survivors** — the crashed cell and the
   guard-off upset cells are recorded as degraded, never raised;
+* with two or more usable CPUs, cells run side by side: at least two
+  ``sweep_cell`` spans overlap in time (and none do on one CPU);
 * one surviving cell's record is then deleted and the sweep **resumed**:
   only that cell re-runs, and its deterministic stats digest must be
   bit-identical to the first pass.
@@ -24,6 +26,8 @@ from repro.dependability import (
     SweepSpec,
     analyze_sweep,
 )
+from repro.lab.resilience import usable_cpus
+from repro.obs import Tracer
 from repro.report import build_dependability_report
 
 SEED = 7
@@ -53,6 +57,7 @@ def test_smoke_sweep(tmp_path):
     directory = tmp_path / "sweep"
 
     start = time.perf_counter()
+    tracer = Tracer()
     runner = SweepRunner(
         spec,
         directory,
@@ -60,9 +65,20 @@ def test_smoke_sweep(tmp_path):
         timeout_s=300.0,
         cell_retries=1,
         inject={CRASHED_CELL: "crash"},
+        tracer=tracer,
     )
     result = runner.run()
     wall_s = time.perf_counter() - start
+
+    # One cell per usable CPU in flight: spans overlap exactly when two
+    # or more CPUs are usable.
+    cells = sorted(tracer.spans("sweep_cell"), key=lambda span: span.start)
+    assert len(cells) == spec.n_cells
+    overlaps = sum(
+        later.start < earlier.start + earlier.duration
+        for earlier, later in zip(cells, cells[1:])
+    )
+    assert (overlaps > 0) == (usable_cpus() >= 2), (overlaps, usable_cpus())
 
     # Graceful degradation: the sweep completed with every cell recorded.
     assert len(result.outcomes) == spec.n_cells == 8
@@ -105,6 +121,7 @@ def test_smoke_sweep(tmp_path):
     print(
         f"smoke sweep: {len(survivors)}/{len(result.outcomes)} cells completed "
         f"({len(result.outcomes) - len(survivors)} degraded, incl. injected "
-        f"crash) in {wall_s:.2f} s; resume of {victim.cell_id} bit-identical; "
+        f"crash) in {wall_s:.2f} s, {runner.cells_at_once(spec.n_cells)} at a time; "
+        f"resume of {victim.cell_id} bit-identical; "
         f"{len(frontier)} frontier point(s)"
     )

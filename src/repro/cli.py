@@ -484,11 +484,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result = SweepRunner.resume(args.dir, **runner_kwargs)
     else:
         spec = _load_sweep_spec(args.spec)
+        runner = SweepRunner(spec, args.dir, **runner_kwargs)
+        at_once = runner.cells_at_once(spec.n_cells)
         print(
             f"running sweep {spec.name!r}: {spec.n_cells} cells "
-            f"({spec.engine} engine, {args.isolation} isolation)..."
+            f"({spec.engine} engine, {args.isolation} isolation, "
+            f"{at_once} cell{'s' if at_once > 1 else ''} at a time)..."
         )
-        runner = SweepRunner(spec, args.dir, **runner_kwargs)
         result = runner.run()
     _print_sweep_summary(result)
     if args.report:
@@ -848,8 +850,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--isolation",
             choices=["process", "inline"],
             default="process",
-            help="'process' forks a crash/timeout-proof worker per cell, "
-            "'inline' runs in-process (default: process)",
+            help="'process' forks a crash/timeout-proof worker per cell, one per "
+            "usable CPU at a time; 'inline' runs one cell at a time in-process "
+            "(default: process)",
         )
         parser.add_argument(
             "--report",

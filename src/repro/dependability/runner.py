@@ -1,26 +1,31 @@
 """Resilient batch execution of a sweep grid.
 
-The runner walks the cell grid in index order and executes each cell's
-campaign with three layers of protection:
+The runner executes the pending cells of the grid, starting them in
+index order, with three layers of protection:
 
 * **process isolation** (default): each attempt runs in a forked child
-  (:func:`~repro.lab.resilience.run_isolated`) that sends its stats (and,
-  in a traced sweep, its campaign spans, as an inline attempt keeps them)
-  back over a pipe, so a hard crash (segfault, OOM kill, an injected
-  SIGKILL) loses one cell, not the sweep;
-* **wall-clock timeout**: a hung cell is killed and recorded as
-  ``timeout`` after ``timeout_s`` seconds;
+  (:class:`~repro.lab.resilience.IsolatedJobs`) that sends its stats
+  (and, in a traced sweep, its campaign spans, as an inline attempt
+  keeps them) back over a pipe, so a hard crash (segfault, OOM kill, an
+  injected SIGKILL) loses one cell, not the sweep.  Up to one attempt
+  per usable CPU is in flight, and the next pending attempt starts as
+  soon as a child finishes; inline isolation runs one at a time;
+* **wall-clock timeout**: a hung attempt is killed and recorded as
+  ``timeout`` once ``timeout_s`` seconds have passed since its own start;
 * **bounded per-cell retries**: transient crashes get ``cell_retries``
-  attempts before the cell is declared failed.
+  attempts before the cell is declared failed; a failed attempt goes
+  back to the head of the queue as that cell's next attempt.
 
 The graceful-degradation contract (DESIGN.md): a failing cell is
 *recorded* — status, error, attempts, seed — never raised, and the sweep
 always completes on the surviving cells.  Every finished cell persists
-through :class:`~repro.dependability.store.SweepStore` before the next
-cell starts, so a SIGKILL of the *runner* costs at most the cell in
-flight, and ``resume`` re-runs only unfinished cells.  Cell results are
-deterministic (wall-clock fields are excluded from the digest), so a
-resumed sweep is bit-identical on every cell that already ran.
+through :class:`~repro.dependability.store.SweepStore` as soon as its
+final outcome is known, so a SIGKILL of the *runner* costs at most the
+cells in flight (one per usable CPU), and ``resume`` re-runs only
+unfinished cells.  Cell results are deterministic (wall-clock fields are
+excluded from the digest), so running cells side by side moves no bit,
+and a resumed sweep is bit-identical on every cell that already ran.
+Outcomes and the trace keep cell order whatever order cells finish in.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import multiprocessing
 import os
 import signal
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -39,7 +45,7 @@ from repro.dependability.cell import campaign_stats
 from repro.dependability.spec import SweepCell, SweepSpec
 from repro.dependability.store import SweepStore
 from repro.errors import ConfigurationError
-from repro.lab.resilience import run_isolated
+from repro.lab.resilience import IsolatedJobs, JobOutcome, usable_cpus
 from repro.obs import NULL_PROGRESS, NULL_TRACER
 from repro.units import hours
 
@@ -142,13 +148,15 @@ class SweepRunner:
     directory:
         Progress ledger location; pass the same directory to resume.
     timeout_s:
-        Wall-clock budget per cell attempt (process isolation only).
+        Wall-clock budget per cell attempt, counted from the attempt's own
+        start (process isolation only).
     cell_retries:
         Attempts per cell before recording it as failed.
     isolation:
-        ``"process"`` forks a child per cell attempt (crash/timeout-proof);
-        ``"inline"`` runs the same protocol in-process (faster for tiny
-        demo sweeps, but a hard crash takes the runner with it).
+        ``"process"`` forks a child per cell attempt (crash/timeout-proof),
+        one per usable CPU at a time; ``"inline"`` runs the same protocol
+        in-process, one attempt at a time (no fork, but no timeout either,
+        and a hard crash takes the runner with it).
     inject:
         Optional ``cell_id -> mode`` failure injection (see
         :data:`INJECT_MODES`) for tests and smoke benchmarks.
@@ -189,53 +197,107 @@ class SweepRunner:
         self.progress = progress if progress is not None else NULL_PROGRESS
         self.inject = dict(inject or {})
 
-    def _run_cell(self, cell: SweepCell) -> CellOutcome:
-        """All attempts at one cell, folding to a single outcome."""
+    def cells_at_once(self, pending: int) -> int:
+        """Cell attempts in flight at once while ``pending`` cells remain.
+
+        One per usable CPU under process isolation (never more than the
+        pending cells); inline isolation runs one attempt at a time.
+        """
+        if self.isolation == "inline":
+            return 1
+        return max(1, min(usable_cpus(), pending))
+
+    def _job(self, cell: SweepCell, attempt: int):
+        """Attempt number ``attempt`` at one cell, as an isolated job."""
+        inject = self.inject.get(cell.cell_id)
+        if inject == "crash-once" and attempt > 1:
+            inject = None
+        return partial(_execute_cell, cell, self.spec.retries, self.spec.retry_backoff_s, inject)
+
+    def _fold(self, cell: SweepCell, attempts: list[JobOutcome]) -> CellOutcome:
+        """A cell's attempts, the last one final, as one outcome."""
+        last = attempts[-1]
+        wall_s = last.finished - attempts[0].started
+        if last.kind == "ok":
+            return CellOutcome(
+                cell_id=cell.cell_id,
+                status="ok",
+                attempts=len(attempts),
+                wall_s=wall_s,
+                stats=last.value,
+                digest=_stats_digest(last.value),
+            )
+        error = {
+            "error": f"{type(last.value).__name__}: {last.value}",
+            "died": f"cell worker died without reporting (exit code {last.value})",
+            "timeout": f"cell exceeded the {self.timeout_s:g} s wall-clock budget",
+        }[last.kind]
+        return CellOutcome(
+            cell_id=cell.cell_id,
+            status="timeout" if last.kind == "timeout" else "failed",
+            attempts=len(attempts),
+            error=error,
+            wall_s=wall_s,
+        )
+
+    def _run_pending(
+        self, pending: list[SweepCell], store: SweepStore, outcomes: dict, cells_run
+    ) -> None:
+        """Run every attempt the pending cells need, up to :meth:`cells_at_once` at a time.
+
+        A failed attempt goes back to the head of the queue as the cell's
+        next attempt.  Each final outcome is stored and reported as soon
+        as it is known; the trace gets every attempt in cell order, each
+        under a ``sweep_cell`` span covering its own run.
+        """
         counter = self.tracer.counter
         failures = counter("sweep.cell_failures", "sweep cells that exhausted their attempts")
         timeouts = counter("sweep.cell_timeouts", "sweep cell attempts killed on timeout")
         retries = counter("sweep.cell_retries", "extra attempts after a failed cell attempt")
-        started = time.monotonic()
-        last_error, last_status = "", "failed"
-        for attempt in range(1, self.cell_retries + 1):
-            inject = self.inject.get(cell.cell_id)
-            if inject == "crash-once" and attempt > 1:
-                inject = None
-            if attempt > 1:
-                retries.inc()
-            job = partial(_execute_cell, cell, self.spec.retries, self.spec.retry_backoff_s, inject)
-            with self.tracer.span(
-                "sweep_cell", cell=cell.cell_id, attempt=attempt, engine=cell.engine
-            ):
-                ((kind, payload),) = run_isolated(
-                    [job], self.tracer, fork=self.isolation == "process",
-                    timeout_s=self.timeout_s,
+        queue = deque((cell, 1) for cell in pending)
+        attempts: dict[str, list[JobOutcome]] = {cell.cell_id: [] for cell in pending}
+        finished = traced = 0
+        with IsolatedJobs(
+            self.tracer,
+            limit=self.cells_at_once(len(pending)),
+            fork=self.isolation == "process",
+            timeout_s=self.timeout_s,
+        ) as jobs:
+            while queue or jobs.busy:
+                while queue and jobs.free:
+                    cell, attempt = queue.popleft()
+                    if attempt > 1:
+                        retries.inc()
+                    jobs.start((cell, attempt), self._job(cell, attempt))
+                done = jobs.wait()
+                cell, attempt = done.key
+                attempts[cell.cell_id].append(done)
+                if done.kind == "timeout":
+                    timeouts.inc()
+                if done.kind != "ok" and attempt < self.cell_retries:
+                    queue.appendleft((cell, attempt + 1))
+                    continue
+                outcome = self._fold(cell, attempts[cell.cell_id])
+                if not outcome.ok:
+                    failures.inc()
+                store.write_cell(cell.cell_id, outcome.to_dict())
+                outcomes[cell.cell_id] = outcome
+                cells_run.inc()
+                finished += 1
+                self.progress.line(
+                    f"{cell.cell_id:<10} {outcome.status:<8} "
+                    f"({finished}/{len(pending)} pending cells"
+                    + (f", error: {outcome.error}" if outcome.error else "")
+                    + ")"
                 )
-            if kind == "ok":
-                return CellOutcome(
-                    cell_id=cell.cell_id,
-                    status="ok",
-                    attempts=attempt,
-                    wall_s=time.monotonic() - started,
-                    stats=payload,
-                    digest=_stats_digest(payload),
-                )
-            last_status = "timeout" if kind == "timeout" else "failed"
-            last_error = {
-                "error": f"{type(payload).__name__}: {payload}",
-                "died": f"cell worker died without reporting (exit code {payload})",
-                "timeout": f"cell exceeded the {self.timeout_s:g} s wall-clock budget",
-            }[kind]
-            if kind == "timeout":
-                timeouts.inc()
-        failures.inc()
-        return CellOutcome(
-            cell_id=cell.cell_id,
-            status=last_status,
-            attempts=self.cell_retries,
-            error=last_error,
-            wall_s=time.monotonic() - started,
-        )
+                while traced < len(pending) and pending[traced].cell_id in outcomes:
+                    cell = pending[traced]
+                    for run in attempts.pop(cell.cell_id):
+                        self.tracer.interval(
+                            "sweep_cell", run.started, run.finished, run.trace,
+                            cell=cell.cell_id, attempt=run.key[1], engine=cell.engine,
+                        )
+                    traced += 1
 
     # -- whole-sweep entry points -----------------------------------------
 
@@ -259,7 +321,7 @@ class SweepRunner:
             for cell_id, payload in finished.items()
         }
         pending = [cell for cell in cells if cell.cell_id not in outcomes]
-        cells_counter = self.tracer.counter("sweep.cells", "sweep cells executed")
+        cells_run = self.tracer.counter("sweep.cells", "sweep cells executed")
         with self.tracer.span(
             "sweep",
             sweep=self.spec.name,
@@ -267,17 +329,8 @@ class SweepRunner:
             pending=len(pending),
             resumed=len(outcomes),
         ):
-            for number, cell in enumerate(pending, start=1):
-                outcome = self._run_cell(cell)
-                store.write_cell(cell.cell_id, outcome.to_dict())
-                outcomes[cell.cell_id] = outcome
-                cells_counter.inc()
-                self.progress.line(
-                    f"{cell.cell_id:<10} {outcome.status:<8} "
-                    f"({number}/{len(pending)} pending cells"
-                    + (f", error: {outcome.error}" if outcome.error else "")
-                    + ")"
-                )
+            if pending:
+                self._run_pending(pending, store, outcomes, cells_run)
         return SweepResult(
             spec=self.spec,
             directory=str(self.directory),

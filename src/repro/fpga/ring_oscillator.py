@@ -73,12 +73,21 @@ def read_burst(
     noise is drawn in one vectorised call: stream- and bit-identical to
     ``np.mean(counter.read_many(frequency, n_reads, rng))``, without
     building the count array when every count stays inside the counter
-    range.  Noise can clamp a near-zero-``fosc`` count to 0; a mean
-    count that is not positive raises :class:`MeasurementError` naming
-    ``chip_id`` rather than dividing by zero in Eqs. 14-15.
+    range.  A dead oscillator (``frequency`` at or below 0 Hz, as
+    :func:`checked_frequency` clamps a violating one in ``clamp`` mode)
+    has no count to read, and noise can clamp a near-zero-``fosc`` count
+    to 0; either raises :class:`MeasurementError` naming ``chip_id``
+    rather than dividing by zero in Eqs. 14-15.  A non-finite frequency,
+    which only an unguarded run lets through, is refused by the counter
+    as a :class:`~repro.errors.ConfigurationError`.
     """
+    if frequency <= 0.0:
+        raise MeasurementError(
+            f"chip {chip_id}: oscillator frequency {frequency} Hz — RO stopped, "
+            "no count to read"
+        )
     noise = counter.noise_counts
-    if noise > 0 and frequency > 0.0 and math.isfinite(frequency):
+    if noise > 0 and math.isfinite(frequency):
         ideal = counter.ideal_count(frequency)
         draws = rng.integers(-noise, noise + 1, size=n_reads)
         if 0 <= ideal - noise and ideal + noise <= counter.max_count:

@@ -17,9 +17,11 @@ applies them chip by chip):
   own, so a checkpoint works at either fidelity and across shard
   workers, and a resume may use another shard count or batch size.
 
-Fleet shards and sweep cells run through :func:`run_isolated`: one
-forked child per job, its result (and, in a traced run, its trace) sent
-back over a pipe, and no child outliving the process that forked it.
+Fleet shards and sweep cells run through :class:`IsolatedJobs`: one
+forked child per job, at most a set number in flight, each with its own
+deadline, its result (and, in a traced run, its trace) sent back over a
+pipe, and no child outliving the process that forked it.  Fleet shards
+fork all their ranges at once through :func:`run_isolated`.
 
 With no faults installed a chip's bench consumes its RNG stream in
 exactly the same order as with an empty fault plan — resilient,
@@ -32,6 +34,7 @@ import json
 import multiprocessing
 import os
 import threading
+import time
 import traceback
 import warnings
 from dataclasses import asdict, dataclass
@@ -108,14 +111,41 @@ def atomic_write_json(path: str | Path, payload: dict) -> None:
         raise
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+@dataclass(frozen=True)
+class JobOutcome:
+    """How one isolated job ended, and when it ran.
+
+    ``kind`` is ``"ok"`` (``value`` is the result), ``"error"`` (the
+    exception), ``"died"`` (the exit code of a child that sent no
+    report) or ``"timeout"`` (``None``).  ``trace`` is the job's own
+    tracer, for an ``ok`` job of a traced run.  ``started`` and
+    ``finished`` are ``time.perf_counter()`` readings.
+    """
+
+    key: object
+    kind: str
+    value: object
+    trace: Tracer | None
+    started: float
+    finished: float
+
+
 def _outcome(job, tracer) -> tuple:
-    """``("ok", result, trace)`` or ``("error", exception)`` of one job; the
-    job records into a fresh ``trace`` only when ``tracer`` is enabled."""
+    """``(kind, value, trace)`` of one job run here; the job records into a
+    fresh ``trace`` only when ``tracer`` is enabled."""
     trace = Tracer(keep_spans=getattr(tracer, "keep_spans", True)) if tracer.enabled else None
     try:
         return "ok", job(trace or NULL_TRACER), trace
     except Exception as error:
-        return "error", error
+        return "error", error, None
 
 
 def _child_main(job, tracer, sender, lifeline: tuple[int, int]) -> None:
@@ -133,56 +163,147 @@ def _child_main(job, tracer, sender, lifeline: tuple[int, int]) -> None:
     sender.send(outcome)
 
 
-def run_isolated(jobs, tracer=NULL_TRACER, *, fork: bool = True, timeout_s: float | None = None):
-    """Run each ``job(tracer)`` in a forked child; one outcome per job, in job order.
+class IsolatedJobs:
+    """Jobs in forked children, at most ``limit`` in flight, each with its own deadline.
 
-    An outcome is ``("ok", result)``, ``("error", exception)``,
-    ``("died", exit_code)`` (no report) or ``("timeout", None)`` (no
-    report within ``timeout_s`` seconds of waiting for it).  Forked children
-    inherit every loaded module and may run any callable; only outcomes
-    cross the pipe.  A child exits as soon as this process dies, and one
-    still alive when the call ends is killed.  When ``tracer`` is
-    enabled each job records into a fresh tracer, absorbed into
-    ``tracer`` in job order under its open span.  ``fork=False`` runs
-    the jobs in this process under the same protocol, without a timeout.
+    :meth:`start` forks a child for ``job(tracer)``; :meth:`wait` blocks
+    until one child reports, dies or outlives ``timeout_s`` seconds from
+    its own start (it is then killed), and returns its
+    :class:`JobOutcome`.  Forked children inherit every loaded module
+    and may run any callable; only outcomes cross the pipe.  A child
+    exits as soon as this process dies, and one still alive when the
+    ``with`` block ends is killed.  ``fork=False`` runs each job in this
+    process as it starts, under the same protocol, without a timeout.
     """
-    outcomes = _forked(jobs, tracer, timeout_s) if fork else [_outcome(j, tracer) for j in jobs]
-    for outcome in outcomes:
-        if outcome[0] == "ok" and outcome[2] is not None:
-            tracer.absorb(outcome[2])
-    return [outcome[:2] for outcome in outcomes]
 
+    def __init__(
+        self, tracer=NULL_TRACER, *, limit: int = 1, fork: bool = True,
+        timeout_s: float | None = None,
+    ) -> None:
+        self.tracer = tracer
+        self.limit = limit
+        self.fork = fork
+        self.timeout_s = timeout_s
+        self._context = multiprocessing.get_context("fork")
+        self._lifeline: tuple[int, int] | None = None
+        #: Forked children in start order: (key, process, receiver, started).
+        self._live: list[tuple] = []
+        #: Outcomes of inline jobs not yet returned by :meth:`wait`.
+        self._done: list[JobOutcome] = []
 
-def _forked(jobs, tracer, timeout_s: float | None) -> list[tuple]:
-    context = multiprocessing.get_context("fork")
-    lifeline = os.pipe()
-    workers = []
-    try:
-        for job in jobs:
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(target=_child_main, args=(job, tracer, sender, lifeline))
-            process.start()
-            sender.close()
-            workers.append((process, receiver))
-        outcomes = []
-        for process, receiver in workers:
-            if not receiver.poll(timeout_s):
-                outcomes.append(("timeout", None))
-                continue
-            try:
-                outcomes.append(receiver.recv())
-            except EOFError:
-                process.join()
-                outcomes.append(("died", process.exitcode))
-        return outcomes
-    finally:
-        for process, receiver in workers:
+    def __enter__(self) -> IsolatedJobs:
+        if self.fork:
+            self._lifeline = os.pipe()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for _, process, receiver, _ in self._live:
             receiver.close()
             if process.is_alive():
                 process.kill()
             process.join()
-        for end in lifeline:
-            os.close(end)
+        self._live = []
+        if self._lifeline is not None:
+            for end in self._lifeline:
+                os.close(end)
+            self._lifeline = None
+
+    @property
+    def busy(self) -> int:
+        """Jobs started whose outcome :meth:`wait` has not returned yet."""
+        return len(self._live) + len(self._done)
+
+    @property
+    def free(self) -> int:
+        """How many more jobs may start before the next :meth:`wait`."""
+        return self.limit - self.busy
+
+    def start(self, key, job) -> None:
+        """Start ``job(tracer)``; its outcome comes back under ``key``."""
+        if self.free < 1:
+            raise ConfigurationError(f"{self.limit} jobs already in flight")
+        started = time.perf_counter()
+        if not self.fork:
+            kind, value, trace = _outcome(job, self.tracer)
+            self._done.append(JobOutcome(key, kind, value, trace, started, time.perf_counter()))
+            return
+        receiver, sender = self._context.Pipe(duplex=False)
+        process = self._context.Process(
+            target=_child_main, args=(job, self.tracer, sender, self._lifeline)
+        )
+        process.start()
+        sender.close()
+        self._live.append((key, process, receiver, started))
+
+    def wait(self) -> JobOutcome:
+        """The outcome of the next job to finish (the earliest started on a tie)."""
+        if self._done:
+            return self._done.pop(0)
+        if not self._live:
+            raise ConfigurationError("no job in flight")
+        # Imported here, not at the top: a process that never forks (an
+        # unsharded campaign) does not load the connection machinery.
+        from multiprocessing.connection import wait as wait_for
+
+        while True:
+            timeout = None
+            if self.timeout_s is not None:
+                first_deadline = min(entry[3] for entry in self._live) + self.timeout_s
+                timeout = max(0.0, first_deadline - time.perf_counter())
+            ready = wait_for([entry[2] for entry in self._live], timeout)
+            for entry in self._live:
+                if entry[2] in ready:
+                    return self._collect(entry)
+            if self.timeout_s is None:
+                continue
+            now = time.perf_counter()
+            for entry in self._live:
+                if now - entry[3] >= self.timeout_s:
+                    return self._collect(entry, timed_out=True)
+
+    def _collect(self, entry: tuple, timed_out: bool = False) -> JobOutcome:
+        key, process, receiver, started = entry
+        self._live.remove(entry)
+        outcome = None
+        if timed_out:
+            process.kill()
+            outcome = ("timeout", None, None)
+        else:
+            try:
+                outcome = receiver.recv()
+            except EOFError:
+                pass
+        finished = time.perf_counter()
+        receiver.close()
+        process.join()
+        if outcome is None:
+            outcome = ("died", process.exitcode, None)
+        return JobOutcome(key, *outcome, started, finished)
+
+
+def run_isolated(jobs, tracer=NULL_TRACER, *, fork: bool = True, timeout_s: float | None = None):
+    """Run each ``job(tracer)`` in a forked child at once; one outcome per job, in job order.
+
+    An outcome is ``("ok", result)``, ``("error", exception)``,
+    ``("died", exit_code)`` (no report) or ``("timeout", None)`` (no
+    report within ``timeout_s`` seconds of that child's start); see
+    :class:`IsolatedJobs` for the protocol.  When ``tracer`` is enabled
+    each job records into a fresh tracer, absorbed into ``tracer`` in job
+    order under its open span.  ``fork=False`` runs the jobs in this
+    process, one after another, without a timeout.
+    """
+    jobs = list(jobs)
+    outcomes: list[JobOutcome | None] = [None] * len(jobs)
+    with IsolatedJobs(tracer, limit=max(1, len(jobs)), fork=fork, timeout_s=timeout_s) as pool:
+        for index, job in enumerate(jobs):
+            pool.start(index, job)
+        for _ in jobs:
+            outcome = pool.wait()
+            outcomes[outcome.key] = outcome
+    for outcome in outcomes:
+        if outcome.trace is not None:
+            tracer.absorb(outcome.trace)
+    return [(outcome.kind, outcome.value) for outcome in outcomes]
 
 
 def discard_orphan_tmp(directory: str | Path, pattern: str = "*.tmp") -> list[Path]:

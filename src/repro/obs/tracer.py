@@ -223,6 +223,25 @@ class Tracer:
         child.finished = []
         self.metrics.merge(child.metrics)
 
+    def interval(
+        self, name: str, started: float, finished: float, child: "Tracer | None" = None,
+        **attributes,
+    ) -> None:
+        """Record a span over work already done, nested under the open span.
+
+        ``started`` and ``finished`` are ``time.perf_counter()`` readings;
+        a finished ``child`` tracer, if given, is absorbed beneath the new
+        span.  This folds in work timed elsewhere (a forked worker) in
+        whatever order the caller chooses, with the ids and nesting the
+        work would have got inside ``with tracer.span(name):``.
+        """
+        span = self.span(name, **attributes)
+        if child is not None:
+            self.absorb(child)
+        span.start = started - self.epoch
+        span.duration = finished - started
+        self._finish(span)
+
     @property
     def current(self) -> Span | None:
         """The innermost open span, or ``None`` outside any span."""
@@ -271,6 +290,11 @@ class NullTracer:
     def span(self, name: str, **attributes) -> _NullSpan:
         """The shared no-op span."""
         return _NULL_SPAN
+
+    def interval(
+        self, name: str, started: float, finished: float, child=None, **attributes
+    ) -> None:
+        """Record nothing."""
 
     def counter(self, name: str, description: str = "") -> NullMetric:
         """The shared no-op metric."""

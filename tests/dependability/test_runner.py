@@ -2,7 +2,8 @@
 
 The fast tests here run tiny grids inline with lifetime projection off;
 the process-isolation crash/timeout paths use one-cell grids so forks
-stay cheap.  The 24-cell acceptance drill lives in
+stay cheap, and the overlapping-cell tests run two cells at a time
+whatever the host's CPU count.  The 24-cell acceptance drill lives in
 ``tests/integration/test_sweep_dependability.py``.
 """
 
@@ -15,6 +16,7 @@ from repro.dependability import (
     SweepRunner,
     SweepSpec,
     SweepStore,
+    runner,
 )
 from repro.errors import ConfigurationError, SweepError
 from repro.obs import Tracer
@@ -31,6 +33,21 @@ def tiny_spec(**overrides) -> SweepSpec:
     )
     defaults.update(overrides)
     return SweepSpec(**defaults)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Run process-isolated cells two at a time on any host."""
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+
+
+def overlapping(spans) -> bool:
+    """True when some two spans' wall-clock intervals overlap."""
+    spans = sorted(spans, key=lambda span: span.start)
+    return any(
+        later.start < earlier.start + earlier.duration
+        for earlier, later in zip(spans, spans[1:])
+    )
 
 
 class TestRunnerConfig:
@@ -137,6 +154,12 @@ class TestProcessIsolation:
         assert "wall-clock budget" in outcome.error
         assert tracer.metrics.value("sweep.cell_timeouts") == 1.0
 
+    def test_cells_at_once(self, tmp_path, two_cpus):
+        spec = tiny_spec()
+        assert SweepRunner(spec, tmp_path).cells_at_once(12) == 2
+        assert SweepRunner(spec, tmp_path).cells_at_once(1) == 1
+        assert SweepRunner(spec, tmp_path, isolation="inline").cells_at_once(12) == 1
+
     def test_process_digests_match_inline(self, tmp_path):
         spec = tiny_spec(alphas=(1.0,))
         inline = SweepRunner(spec, tmp_path / "i", isolation="inline").run()
@@ -144,6 +167,52 @@ class TestProcessIsolation:
         assert [o.digest for o in inline.outcomes] == [
             o.digest for o in forked.outcomes
         ]
+
+
+class TestOverlappingCells:
+    def test_overlapping_cells_match_inline(self, tmp_path, two_cpus):
+        spec = tiny_spec(alphas=(1.0, 2.0, 4.0), seeds=(3, 5))
+        inject = {"cell-0001": "crash-once", "cell-0003": "crash"}
+        runs = {
+            isolation: SweepRunner(
+                spec, tmp_path / isolation, isolation=isolation, inject=inject
+            ).run()
+            for isolation in ("inline", "process")
+        }
+        assert len(runs["process"].outcomes) == 6
+        for isolation, result in runs.items():
+            assert [o.cell_id for o in result.outcomes] == [c.cell_id for c in result.cells]
+            by_id = {o.cell_id: o for o in result.outcomes}
+            assert by_id["cell-0001"].ok and by_id["cell-0001"].attempts == 2, isolation
+            assert by_id["cell-0003"].status == "failed", isolation
+        assert [(o.status, o.attempts, o.digest) for o in runs["process"].outcomes] == [
+            (o.status, o.attempts, o.digest) for o in runs["inline"].outcomes
+        ]
+
+    def test_cells_finish_while_a_hung_cell_is_in_flight(self, tmp_path, two_cpus):
+        cells = tmp_path / "cells"
+        lines = []
+
+        class Stored:
+            """Progress sink noting which cells were stored at each line."""
+
+            def line(self, text):
+                lines.append((text.split()[0], {p.stem for p in cells.glob("*.json")}))
+
+        result = SweepRunner(
+            tiny_spec(alphas=(1.0, 2.0, 4.0)),
+            tmp_path,
+            isolation="process",
+            timeout_s=2.0,
+            cell_retries=1,
+            inject={"cell-0000": "hang"},
+            progress=Stored(),
+        ).run()
+        assert [o.status for o in result.outcomes] == ["timeout", "ok", "ok"]
+        assert result.outcomes[0].wall_s >= 2.0
+        assert [cell for cell, _ in lines] == ["cell-0001", "cell-0002", "cell-0000"]
+        for cell, stored in lines[:2]:
+            assert cell in stored and "cell-0000" not in stored
 
 
 class TestResume:
@@ -208,16 +277,22 @@ class TestStoreRobustness:
 
 
 class TestTraceParity:
-    def test_traced_sweep_keeps_every_cell_campaign_inline_and_forked(self, tmp_path):
+    def test_traced_sweep_keeps_every_cell_campaign_inline_and_forked(
+        self, tmp_path, two_cpus
+    ):
+        spec = tiny_spec(seeds=(3, 5))
         models = {}
         for isolation in ("inline", "process"):
             tracer = Tracer()
-            SweepRunner(tiny_spec(), tmp_path / isolation, isolation=isolation,
+            SweepRunner(spec, tmp_path / isolation, isolation=isolation,
                         tracer=tracer).run()
             model = models[isolation] = TraceModel.from_tracer(tracer)
             cells = model.spans_named("sweep_cell")
-            assert len(cells) == 2, isolation
+            assert [cell.attrs["cell"] for cell in cells] == [
+                f"cell-000{index}" for index in range(4)
+            ], isolation
             for cell in cells:
                 assert [child.name for child in cell.children] == ["campaign"], isolation
+            assert overlapping(tracer.spans("sweep_cell")) == (isolation == "process")
         diff = diff_traces(models["inline"], models["process"])
         assert [row.key for row in diff.rows if row.category == "exact" and row.delta] == []

@@ -22,9 +22,11 @@ import hashlib
 import json
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from repro.dependability import LifetimeSettings, SweepRunner, SweepSpec
+from repro.fpga.fleet import FleetChip
 from repro.guard import GuardConfig
 from repro.lab.campaign import run_table1_campaign, table1_horizon
 from repro.lab.faults import FaultEvent, FaultKind, FaultPlan
@@ -277,6 +279,55 @@ SWEEP_PINS = {
 def test_sweep_cells_meet_pin(sweep, engine, isolation, tmp_path):
     outcome = swept(sweep, engine, isolation, str(tmp_path / "cells"))
     assert outcome == SWEEP_PINS[sweep]
+
+
+# ---------------------------------------------------------------------- #
+# a dead oscillator
+# ---------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def dead_chip_2(monkeypatch):
+    """From mid-schedule on, chip-2's oscillator reads NaN Hz on every path.
+
+    The patch is in place before any shard forks, so shard children
+    inherit it.
+    """
+    frequencies = FleetChip.frequencies
+    dies_at = table1_horizon(2) / 2.0
+
+    def dying(self, chips=slice(None)):
+        values = frequencies(self, chips)
+        dead = np.array([chip_id == "chip-2" for chip_id in self.chip_ids[chips]])
+        return np.where(dead & (self.elapsed[chips] > dies_at), np.nan, values)
+
+    monkeypatch.setattr(FleetChip, "frequencies", dying)
+
+
+def _dead_chip_outcome(path: str, retry: bool) -> dict:
+    kwargs = dict(
+        seed=0, n_chips=2, guard=GuardConfig(mode="clamp", dump_dir=None), sanitize=True,
+        # An empty plan arms the retry policy without injecting a fault.
+        faults=FaultPlan(()) if retry else None,
+    )
+    if path == "table1":
+        return _outcome(lambda tracer: run_table1_campaign(tracer=tracer, **kwargs))
+    return _outcome(
+        lambda tracer: run_fleet_campaign(fidelity="exact", shards=2, tracer=tracer, **kwargs)
+    )
+
+
+def test_dead_oscillator_is_a_measurement_failure_on_every_path(dead_chip_2):
+    # Clamp mode turns the NaN into a dead oscillator (0 Hz): its burst is
+    # a MeasurementError, retried, exhausted and quarantined under a retry
+    # policy, and surfaced as that typed error without one.
+    retried = {path: _dead_chip_outcome(path, retry=True) for path in ("table1", "fleet-2")}
+    assert retried["table1"] == retried["fleet-2"]
+    assert list(retried["table1"]["quarantine"]) == ["chip-2"]
+    assert retried["table1"]["counters"]["guard.violations.fpga.frequency"] > 0
+    assert retried["table1"]["counters"]["lab.sample_retries"] > 0
+    raised = {path: _dead_chip_outcome(path, retry=False) for path in ("table1", "fleet-2")}
+    assert raised["table1"] == raised["fleet-2"] == {"error": "MeasurementError", "contract": None}
 
 
 def test_paths_return_one_result_shape():

@@ -6,6 +6,8 @@ other chip bit-identical to a fault-free run; a resumed campaign produces
 the same DataLog as an uninterrupted one.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.errors import (
     CheckpointError,
     ChipDropoutError,
     ConfigurationError,
+    MeasurementError,
     RetryExhaustedError,
 )
 from repro.guard import GuardConfig
@@ -21,7 +24,13 @@ from repro.lab.datalog import DataLog
 from repro.lab.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.lab.fleet import FleetBench
 from repro.lab.measurement import VirtualTestbench
-from repro.lab.resilience import CheckpointStore, ChipProgress, RetryPolicy
+from repro.lab.resilience import (
+    CheckpointStore,
+    ChipProgress,
+    IsolatedJobs,
+    RetryPolicy,
+    run_isolated,
+)
 from repro.lab.schedule import PhaseKind, TestPhase
 from repro.units import hours, minutes
 
@@ -370,3 +379,44 @@ class TestHorizon:
 
     def test_horizon_shrinks_with_fewer_chips(self):
         assert table1_horizon(1) == pytest.approx(hours(26.0))
+
+
+def _sleep_an_hour(tracer):
+    time.sleep(hours(1.0))
+
+
+class TestIsolatedJobs:
+    def test_timeout_counts_from_each_childs_start(self):
+        started = time.monotonic()
+        outcomes = run_isolated([_sleep_an_hour, _sleep_an_hour], timeout_s=1.0)
+        assert outcomes == [("timeout", None), ("timeout", None)]
+        assert time.monotonic() - started < 1.5
+
+    def test_outcomes_in_job_order(self):
+        def fails(tracer):
+            raise MeasurementError("no count")
+
+        outcomes = run_isolated([lambda tracer: 1, fails, lambda tracer: 3])
+        assert [kind for kind, _ in outcomes] == ["ok", "error", "ok"]
+        assert outcomes[0][1] == 1 and outcomes[2][1] == 3
+        assert isinstance(outcomes[1][1], MeasurementError)
+
+    def test_limit_bounds_children_in_flight(self):
+        with IsolatedJobs(limit=2) as jobs:
+            jobs.start("a", _sleep_an_hour)
+            jobs.start("b", lambda tracer: "b")
+            assert jobs.free == 0
+            with pytest.raises(ConfigurationError, match="in flight"):
+                jobs.start("c", lambda tracer: "c")
+            done = jobs.wait()
+            assert (done.key, done.kind, done.value) == ("b", "ok", "b")
+            assert done.started <= done.finished
+            assert jobs.free == 1
+        # Leaving the block killed the sleeping child.
+
+    def test_inline_jobs_run_as_they_start(self):
+        ran = []
+        with IsolatedJobs(limit=1, fork=False) as jobs:
+            jobs.start("a", lambda tracer: ran.append("a") or "a")
+            assert ran == ["a"] and jobs.busy == 1
+            assert jobs.wait().value == "a"

@@ -433,6 +433,7 @@ class TestSweepCli:
 
         assert main(["sweep", "run", spec, *run_args]) == 0
         out = capsys.readouterr().out
+        assert "inline isolation, 1 cell at a time" in out
         assert "2/2 cells completed" in out
         assert len(list((tmp_path / "sweep" / "cells").glob("*.json"))) == 2
 
