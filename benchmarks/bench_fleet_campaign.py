@@ -3,12 +3,16 @@
 Two legs:
 
 * **bit-identity** — ``run_fleet_campaign`` over 5 exact-fidelity chips
-  must reproduce the ``run_table1_campaign`` record stream bit-for-bit
-  (the Table-1 entry point is that same exact lot);
+  in one process must reproduce the ``run_table1_campaign`` record
+  stream bit-for-bit (the Table-1 entry point is that same exact lot, on
+  one shard per usable CPU);
 * **throughput** — a 200-chip binned-fidelity lot must clear 20x the
   measurements/s of the seed-0 five-chip Table-1 campaign, both timed
   in this process in alternating pairs, so the ratio does not depend on
-  how fast the host is.
+  how fast the host is.  Both legs run in one process (``shards=1``):
+  the Table-1 leg is the exact 5-chip lot the bit-identity leg proves
+  equal to ``run_table1_campaign``, which would otherwise take one
+  shard per usable CPU and make the ratio depend on the host's CPUs.
 
 Run directly for a smoke check (CI does)::
 
@@ -39,7 +43,7 @@ def test_bench_fleet_bit_identity(once):
     def measure():
         sequential = run_table1_campaign(seed=0)
         fleet = run_fleet_campaign(seed=0, n_chips=5, fidelity="exact",
-                                   sanitize=True)
+                                   sanitize=True, shards=1)
         return sequential, fleet
 
     sequential, fleet = once(measure)
@@ -56,13 +60,13 @@ def test_bench_fleet_campaign(once):
         sequential_rates, fleet_rates = [], []
         for _ in range(PAIRS):
             start = time.perf_counter()
-            sequential = run_table1_campaign(seed=0)
+            sequential = run_fleet_campaign(seed=0, n_chips=5, fidelity="exact", shards=1)
             sequential_rates.append(len(sequential.log) / (time.perf_counter() - start))
             tracer = Tracer()
             start = time.perf_counter()
             result = run_fleet_campaign(seed=0, n_chips=N_CHIPS,
                                         fidelity="binned", collect="summary",
-                                        tracer=tracer)
+                                        shards=1, tracer=tracer)
             wall_s = time.perf_counter() - start
             fleet_rates.append(result.total_measurements / wall_s)
         return sequential_rates, fleet_rates, result, tracer.spans("campaign")[0]

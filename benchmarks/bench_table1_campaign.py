@@ -2,6 +2,7 @@
 
 from repro.experiments import table1
 from repro.lab.campaign import run_table1_campaign
+from repro.lab.fleet import run_fleet_campaign
 from repro.obs import Tracer
 
 
@@ -40,12 +41,16 @@ def test_bench_table1_rate_memo_footprint(once):
     Supply and chamber jitter make every DC-stress and negative-rail
     chunk a pattern that never returns; each chip's memo admits a
     pattern on its second miss, so each chip and polarity keeps at most
-    the readout burst and the power-gated recovery.  ``result.chips``
-    holds views of the campaign's one fleet, which keeps every memo
-    alive, so a memo that stored one-off patterns would show here.
+    the readout burst and the power-gated recovery.  The Table-1 lot
+    runs in one process (``shards=1``), so ``result.chips`` holds views
+    of its one live fleet, which keeps every memo alive, and a memo that
+    stored one-off patterns would show here; a sharded run's views are
+    rebuilt from exported state, with empty memos.
     """
     tracer = Tracer()
-    result = once(run_table1_campaign, seed=0, tracer=tracer)
+    result = once(
+        run_fleet_campaign, seed=0, n_chips=5, fidelity="exact", shards=1, tracer=tracer
+    )
     (fleet,) = {id(chip._fleet): chip._fleet for chip in result.chips.values()}.values()
     entries = {
         (chip_id, polarity): len(getattr(fleet, f"_{polarity}")._memos[chip._index])

@@ -21,7 +21,7 @@ N_CHIPS = 200
 def test_fleet_shards_bit_identical():
     sequential = run_fleet_campaign(
         seed=SEED, n_chips=N_CHIPS, fidelity="binned", sanitize=True,
-        collect="summary",
+        collect="summary", shards=1,
     )
     sharded = run_fleet_campaign(
         seed=SEED, n_chips=N_CHIPS, fidelity="binned", sanitize=True,

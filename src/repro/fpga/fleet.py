@@ -135,36 +135,54 @@ def bias_pattern(
     An ``owners`` index returns only those owners' columns, bit for bit
     the same as selecting them from the full pattern.
     """
+    column = _supply_column(tech, stress, supplies, temperatures)
+    return _scaled(column, _bias_rows(netlist, stress, mode, chain_input, owners))
+
+
+def _supply_column(tech: TechnologyParameters, stress: bool, supplies, temperatures) -> np.ndarray:
+    """The validated ``(k, 1)`` supply column of one bias (see :func:`bias_pattern`)."""
     if supplies is None:
         supplies = tech.vdd_nominal if stress else 0.0
     supplies = np.atleast_1d(np.asarray(supplies, dtype=float))
+    # Vectorised range checks (count_nonzero is the cheap "any" on the
+    # few-chip arrays of a lock-step group); the first failing element,
+    # in order, raises through the scalar checks' messages.
     if stress:
-        if np.any(supplies <= 0.0):
+        if np.count_nonzero(supplies <= 0.0):
             raise ConfigurationError("stress requires a positive supply; use apply_recovery")
     else:
-        # Vectorised range checks; the first failing element, in order,
-        # raises through the scalar checks' messages.
         bad = (supplies > 0.0) | (supplies < tech.min_recovery_voltage)
-        if bad.any():
+        if np.count_nonzero(bad):
             supply = float(supplies[bad.argmax()])
             if supply > 0.0:
                 raise ConfigurationError("recovery needs a non-positive supply voltage")
             tech.check_recovery_voltage(supply)
     kelvin = np.atleast_1d(np.asarray(temperatures, dtype=float))
     hot = kelvin > tech.max_accelerated_temperature
-    if hot.any():
+    if np.count_nonzero(hot):
         tech.check_temperature(float(kelvin[hot.argmax()]))
-    column = supplies[:, None]
+    return supplies[:, None]
+
+
+def _bias_rows(
+    netlist: InverterChainNetlist, stress: bool, mode: StressMode, chain_input: int, owners
+) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """Per-owner ``(fractions, duty, relax fractions)`` of one bias at a 1 V rail."""
     select = slice(None) if owners is None else owners
     if not stress:
-        width = netlist.n_owners if owners is None else len(owners)
-        return np.repeat(column, width, axis=1), 1.0, None
+        return np.ones(netlist.n_owners if owners is None else len(owners)), 1.0, None
     if mode is StressMode.DC:
-        return column * netlist.dc_stress_fractions(chain_input)[select], 1.0, None
+        return netlist.dc_stress_fractions(chain_input)[select], 1.0, None
     if mode is StressMode.AC:
         pattern_a, pattern_b = netlist.ac_stress_fractions()
-        return column * pattern_a[select], 0.5, column * pattern_b[select]
+        return pattern_a[select], 0.5, pattern_b[select]
     raise ConfigurationError(f"unknown stress mode {mode!r}")
+
+
+def _scaled(column: np.ndarray, rows: tuple) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """A supply column times a bias's owner rows."""
+    fractions, duty, relax = rows
+    return column * fractions, duty, None if relax is None else column * relax
 
 
 class FleetChip:
@@ -352,6 +370,8 @@ class FleetChip:
             (self._pmos, slice(None, self._bias_split)),
             (self._nmos, slice(self._bias_split, None)),
         )
+        #: Bias owner rows by (stress, mode, chain input), built once.
+        self._bias_memo: dict[tuple, tuple] = {}
 
     def _owner_classes(self, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bias classes of one polarity's owners.
@@ -380,6 +400,18 @@ class FleetChip:
         if self.fidelity != "exact":
             raise ConfigurationError(f"{what} needs the exact fidelity")
 
+    def _bias(self, stress: bool, supplies, temperatures, mode=StressMode.DC, chain_input=1):
+        """:func:`bias_pattern` over the bias owners; each bias's owner rows
+        are built once per fleet, and every call validates and scales them."""
+        column = _supply_column(self.tech, stress, supplies, temperatures)
+        key = (stress, mode, chain_input) if stress else (stress,)
+        rows = self._bias_memo.get(key)
+        if rows is None:
+            rows = self._bias_memo[key] = _bias_rows(
+                self.netlist, stress, mode, chain_input, self._bias_owners
+            )
+        return _scaled(column, rows)
+
     # ------------------------------------------------------------------ #
     # bias application (lock-step spans)
     # ------------------------------------------------------------------ #
@@ -402,10 +434,7 @@ class FleetChip:
         bias pattern is shared: a span always runs one phase.
         """
         lo, hi = contiguous_chips(chips, self.n_chips)
-        pattern = bias_pattern(
-            self.netlist, self.tech, True, supplies, temperatures, mode, chain_input,
-            owners=self._bias_owners,
-        )
+        pattern = self._bias(True, supplies, temperatures, mode, chain_input)
         self._evolve_span(duration, temperatures, *pattern, lo, hi)
 
     def apply_recovery(
@@ -422,9 +451,7 @@ class FleetChip:
         recovery bias uniformly.
         """
         lo, hi = contiguous_chips(chips, self.n_chips)
-        pattern = bias_pattern(
-            self.netlist, self.tech, False, supplies, temperatures, owners=self._bias_owners
-        )
+        pattern = self._bias(False, supplies, temperatures)
         self._evolve_span(duration, temperatures, *pattern, lo, hi)
 
     def _evolve_span(
@@ -484,10 +511,9 @@ class FleetChip:
         _check_cycles(segments, n)
         legs: list[list[CyclePhase]] = [[] for _ in self._polarities]
         for segment in segments:
-            v_stress, duty, v_relax = bias_pattern(
-                self.netlist, self.tech, segment.stress, segment.supply_voltage,
-                segment.temperature, segment.mode, segment.chain_input,
-                owners=self._bias_owners,
+            v_stress, duty, v_relax = self._bias(
+                segment.stress, segment.supply_voltage, segment.temperature, segment.mode,
+                segment.chain_input,
             )
             v_relax = np.zeros_like(v_stress) if v_relax is None else v_relax
             for (_, columns), phases in zip(self._polarities, legs):

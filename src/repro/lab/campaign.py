@@ -57,9 +57,11 @@ def run_table1_campaign(
     Each chip runs its stress case then its recovery case; chip 5 also
     re-stresses for 48 h and recovers for 12 h (``AR110N12``).  The
     chips are one exact-fidelity lot of
-    :func:`~repro.lab.fleet.run_fleet_campaign`: the baseline burns every
-    chip in together, then each chip runs its sequence; the merged log
-    lists every baseline, then the case sequences, in chip order.
+    :func:`~repro.lab.fleet.run_fleet_campaign`, run over one shard per
+    usable CPU (one process on one CPU or inside an isolated job): the
+    baseline burns each shard's chips in together, then each chip runs
+    its sequence; the merged log lists every baseline, then the case
+    sequences, in chip order, whatever the shard count.
     ``tracer`` gets a ``campaign`` span (cases, phases and measurements
     nest under it) and the simulated-seconds-per-wall-second gauge;
     ``progress`` one line per completed case.
@@ -80,6 +82,6 @@ def run_table1_campaign(
     one seed, checkpointed or not, give identical digests.
     """
     return _run_campaign(
-        seed, n_chips, include_baseline, "exact", None, 1, sanitize, "records", 3.0,
+        seed, n_chips, include_baseline, "exact", None, None, sanitize, "records", 3.0,
         tracer, progress, faults, retry, checkpoint, resume, guard, case_progress=True,
     )

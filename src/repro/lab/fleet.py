@@ -16,11 +16,16 @@ faults, never on the chips it ran beside.
 Scale-out is layered on top: a lot larger than ``batch_size`` runs in
 consecutive memory-bounded chip windows, and ``shards`` forks one child
 per contiguous chip range through
-:func:`~repro.lab.resilience.run_isolated`.  Every shard re-derives the
-full per-chip stream table from the master seed, so the shard cut never
-moves a stream, and the parent merges per-chip results (and, in a traced
-run, each shard's trace) in chip order.  A shard that dies without
-reporting is a :class:`~repro.errors.SimulationError` naming its chips.
+:func:`~repro.lab.resilience.run_isolated` — by default one per usable
+CPU, never more than one per chip, so a campaign inside an isolated job
+(a sweep cell, a shard) runs in one process.  The cut balances the
+ranges' schedule weight (readouts per chip, :func:`shard_ranges`).
+Every shard re-derives the full per-chip stream table from the master
+seed, so the shard cut never moves a stream, and the parent merges
+per-chip results (and, in a traced run, each shard's trace) in chip
+order and replays each shard's progress lines.  A shard that dies
+without reporting is a :class:`~repro.errors.SimulationError` naming its
+chips.
 
 Schedule: fleet chip ``i`` (0-based) runs the Table 1 sequence of paper
 chip ``(i % 5) + 1`` — the five-row schedule tiled across the lot.  For
@@ -29,6 +34,7 @@ chip ``(i % 5) + 1`` — the five-row schedule tiled across the lot.  For
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -56,7 +62,7 @@ from repro.lab.datalog import DataLog, MeasurementRecord
 from repro.lab.faults import FaultInjector, FaultKind, FaultPlan
 from repro.lab.power_supply import DcPowerSupply
 from repro.lab.resilience import (
-    CheckpointStore, ChipProgress, QuarantineReport, RetryPolicy, run_isolated,
+    CheckpointStore, ChipProgress, QuarantineReport, RetryPolicy, run_isolated, usable_cpus,
 )
 from repro.lab.sanitizer import DeterminismSanitizer, NULL_SANITIZER
 from repro.lab.schedule import (
@@ -85,6 +91,43 @@ PLAUSIBILITY_COUNTS = 64
 def fleet_chip_no(index: int) -> int:
     """Paper chip number (1-5) simulated at fleet position ``index``."""
     return (index % 5) + 1
+
+
+def _readouts(phases) -> int:
+    """Readout samples a chip takes over ``phases``: one at each phase
+    start and one after every sampling interval."""
+    return sum(
+        1 + math.ceil((1.0 - 1e-9) * phase.duration / phase.sampling_interval)
+        for phase in phases
+    )
+
+
+def shard_ranges(n_chips: int, include_baseline: bool, shards: int) -> list[tuple[int, int]]:
+    """Contiguous ``[lo, hi)`` fleet ranges of about equal schedule weight.
+
+    A chip's weight is the readouts of its baseline and its Table 1
+    cases; cut ``j`` lands on the chip boundary nearest ``j / shards`` of
+    the lot's weight, and every range keeps at least one chip.  The five
+    paper chips weigh 80, 93, 93, 93 and 263 readouts, so two shards run
+    chips 1-3 and 4-5.
+    """
+    baseline = _readouts([baseline_phase()]) if include_baseline else 0
+    rows = {
+        row: baseline + sum(_readouts(standard_case(name, row).phases) for name in names)
+        for row, names in CHIP_SEQUENCES.items()
+    }
+    prefix = np.cumsum([rows[fleet_chip_no(index)] for index in range(n_chips)])
+    bounds = [0]
+    for cut in range(1, shards):
+        target = prefix[-1] * cut / shards
+        # prefix[i] is the weight of chips [0, i]: the boundary after chip
+        # i or the one before it, whichever lands nearer the target.
+        after = int(np.searchsorted(prefix, target))
+        before_weight = prefix[after - 1] if after > 0 else 0
+        bound = after + 1 if prefix[after] - target < target - before_weight else after
+        bounds.append(min(max(bound, bounds[-1] + 1), n_chips - (shards - cut)))
+    bounds.append(n_chips)
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 class FleetBench:
@@ -539,8 +582,8 @@ class CampaignResult:
 
     ``log`` holds every measurement (in ``collect="summary"`` mode only
     each phase's first and last record per chip); ``chips`` the final
-    :class:`~repro.fpga.chip.FpgaChip` views when the lot ran as one
-    in-process batch (a larger lot keeps no chip state alive);
+    :class:`~repro.fpga.chip.FpgaChip` views when the lot fits one batch,
+    at any shard count (a larger lot keeps no chip state alive);
     ``fresh_delays`` and ``final_delays`` each chip's model CUT delay
     fresh and at the end of its schedule; ``summaries`` a per-chip
     digest covering the full record stream.  ``quarantined`` flags chips
@@ -680,13 +723,22 @@ class _Chip:
     final_delay: float
     elapsed: float
     quarantine: QuarantineReport | None
+    #: Violations the chip's own guard counted against its budget.
+    guard_violations: int = 0
+    #: The live view (one shard), or a shard's exported chip state.
     view: object = None
+    state: dict | None = None
 
 
 class _Progress:
-    """Running campaign totals behind the per-case progress lines."""
+    """Running campaign totals behind the progress lines.
 
-    def __init__(self, reporter, options: _Options) -> None:
+    A shard records its events instead (``record=True``); the parent
+    replays each shard's events through its own totals, so every line
+    prints once, with campaign-wide counts.
+    """
+
+    def __init__(self, reporter, options: _Options, record: bool = False) -> None:
         # The Table-1 entry point reports every case, a lot every batch.
         self.reporter = reporter if options.case_progress else NULL_PROGRESS
         self.batches = NULL_PROGRESS if options.case_progress else reporter
@@ -695,28 +747,96 @@ class _Progress:
         )
         self.chips_total = options.n_chips
         self.cases_done = self.chips_done = self.quarantined = 0
-        #: Retries of finished batches, and the running batch's bench.
+        #: Retries of finished batches (and replayed shards), and the
+        #: running batch's bench.
         self.retries_done = 0
         self.bench: FleetBench | None = None
+        #: A shard's events, in order, for the parent to replay.
+        self.events: list[tuple] | None = [] if record else None
 
     def case_done(self, chip_id: str, case: str) -> None:
         """Report one finished Table-1 case."""
-        self.cases_done += 1
-        retries = self.retries_done + sum(self.bench.retries_taken)
-        self.reporter.case_done(
-            chip_id, case, self.cases_done, self.cases_total, self.chips_done,
-            self.chips_total, retries=retries, quarantined=self.quarantined,
-        )
+        self._report(("case", chip_id, case, self.retries_done + sum(self.bench.retries_taken)))
 
     def chip_finished(self, quarantine: QuarantineReport | None) -> None:
         """Count one chip off the bench, with its quarantine line."""
-        self.chips_done += 1
-        if quarantine is not None:
-            self.quarantined += 1
-            self.reporter.line(
-                f"{quarantine.chip_id:<8} QUARANTINED during {quarantine.case}: "
-                f"{quarantine.reason}"
+        self._report(("chip", quarantine))
+
+    def line(self, text: str) -> None:
+        """A per-case progress line."""
+        self._report(("line", text))
+
+    def batch_line(self, text: str) -> None:
+        """A per-batch progress line."""
+        self._report(("batch", text))
+
+    def replay(self, events: list[tuple], retries: int) -> None:
+        """Report a shard's recorded ``events``; ``retries`` is the shard's total."""
+        base = self.retries_done
+        for event in events:
+            self._report(event, base)
+        self.retries_done = base + retries
+
+    def _report(self, event: tuple, retries_base: int = 0) -> None:
+        if self.events is not None:
+            self.events.append(event)
+            return
+        kind = event[0]
+        if kind == "case":
+            _, chip_id, case, retries = event
+            self.cases_done += 1
+            self.reporter.case_done(
+                chip_id, case, self.cases_done, self.cases_total, self.chips_done,
+                self.chips_total, retries=retries_base + retries,
+                quarantined=self.quarantined,
             )
+        elif kind == "chip":
+            quarantine = event[1]
+            self.chips_done += 1
+            if quarantine is not None:
+                self.quarantined += 1
+                self.reporter.line(
+                    f"{quarantine.chip_id:<8} QUARANTINED during {quarantine.case}: "
+                    f"{quarantine.reason}"
+                )
+        elif kind == "line":
+            self.reporter.line(event[1])
+        else:
+            self.batches.line(event[1])
+
+
+def _chip_streams(seed, n_chips: int, lo: int, hi: int) -> dict:
+    """Fleet position -> ``(chip seed, bench stream)`` for positions ``[lo, hi)``.
+
+    The whole table is derived from the master seed, so a chip's streams
+    never depend on the range asked for.
+    """
+    master = np.random.default_rng(seed)
+    streams: dict[int, tuple[int, np.random.Generator]] = {}
+    for index in range(min(hi, n_chips)):
+        chip_stream, bench_stream = master.spawn(2)
+        if lo <= index:
+            streams[index] = (int(chip_stream.integers(2**31)), bench_stream)
+    return streams
+
+
+def _lot_fleet(options: _Options, order, streams, tracer) -> FleetChip:
+    """The fleet of positions ``order``, each chip built from its seed
+    under its own guard of the campaign's guard config."""
+    chip_ids = [f"chip-{index + 1}" for index in order]
+    guards = None
+    if options.guard is not None:
+        guards = [Guard(options.guard, tracer=tracer, owner=chip_id) for chip_id in chip_ids]
+    return FleetChip(
+        chip_ids, [streams[index][0] for index in order], fidelity=options.fidelity,
+        bins_per_decade=options.bins_per_decade, guard=guards, tracer=tracer,
+    )
+
+
+def _schedule_order(batch) -> list[int]:
+    """A batch's positions arranged by schedule row, so lock-step groups
+    are contiguous."""
+    return sorted(batch, key=lambda index: (fleet_chip_no(index), index))
 
 
 def _run_batch(options: _Options, batch, streams, tracer, progress, keep_chips):
@@ -724,18 +844,12 @@ def _run_batch(options: _Options, batch, streams, tracer, progress, keep_chips):
 
     Returns ``(index -> _Chip, sanitizer hashes)``.
     """
-    # Lock-step groups must be contiguous in fleet order: arrange the
-    # batch by schedule row.  Results only depend on per-chip streams and
-    # the final chip-order merge, never on group layout.
-    order = sorted(batch, key=lambda index: (fleet_chip_no(index), index))
-    chip_ids = [f"chip-{index + 1}" for index in order]
-    guards = None
-    if options.guard is not None:
-        guards = [Guard(options.guard, tracer=tracer, owner=chip_id) for chip_id in chip_ids]
-    fleet = FleetChip(
-        chip_ids, [streams[index][0] for index in order], fidelity=options.fidelity,
-        bins_per_decade=options.bins_per_decade, guard=guards, tracer=tracer,
-    )
+    # Results only depend on per-chip streams and the final chip-order
+    # merge, never on group layout.
+    order = _schedule_order(batch)
+    fleet = _lot_fleet(options, order, streams, tracer)
+    chip_ids = fleet.chip_ids
+    guards = fleet.guards if options.guard is not None else None
     rngs = [streams[index][1] for index in order]
     positions = range(len(order))
     baselines = {position: [] for position in positions}
@@ -821,7 +935,7 @@ def _run_batch(options: _Options, batch, streams, tracer, progress, keep_chips):
                 progress.chip_finished(quarantined[position])
                 continue
             if target is baselines:
-                progress.reporter.line(f"{chip_ids[position]:<8} baseline burn-in done")
+                progress.line(f"{chip_ids[position]:<8} baseline burn-in done")
             else:
                 progress.case_done(chip_ids[position], names[position])
             if len(completed[position]) == steps[position]:
@@ -837,6 +951,7 @@ def _run_batch(options: _Options, batch, streams, tracer, progress, keep_chips):
             case = standard_case(name, row)
             run_step(group, offset + step, dict.fromkeys(group, case.name), case.phases, logs)
     progress.retries_done += sum(bench.retries_taken)
+    progress.bench = None
     # Each chip's model delay at the end of its schedule, read under a
     # tracer-less, budget-less guard: the read adds no counts to the
     # trace, and a quarantined chip's leftover state cannot drop it twice.
@@ -854,6 +969,7 @@ def _run_batch(options: _Options, batch, streams, tracer, progress, keep_chips):
             float(finals[position]),
             float(fleet.elapsed[position]),
             quarantined.get(position),
+            guards[position].violations if guards is not None else 0,
             fleet.view(position) if keep_chips else None,
         )
         for position, index in enumerate(order)
@@ -872,12 +988,7 @@ def _run_fleet_range(options: _Options, chip_lo: int, chip_hi: int, tracer, prog
     chips' views out.
     """
     keep_chips = keep_chips and chip_hi - chip_lo <= options.batch_size
-    master = np.random.default_rng(options.seed)
-    streams: dict[int, tuple[int, np.random.Generator]] = {}
-    for index in range(options.n_chips):
-        chip_stream, bench_stream = master.spawn(2)
-        if chip_lo <= index < chip_hi:
-            streams[index] = (int(chip_stream.integers(2**31)), bench_stream)
+    streams = _chip_streams(options.seed, options.n_chips, chip_lo, chip_hi)
     chips: dict = {}
     hashes: dict = {}
     for batch_lo in range(chip_lo, chip_hi, options.batch_size):
@@ -887,11 +998,46 @@ def _run_fleet_range(options: _Options, chip_lo: int, chip_hi: int, tracer, prog
         )
         chips.update(batch_chips)
         hashes.update(batch_hashes)
-        progress.batches.line(
+        progress.batch_line(
             f"fleet chips {batch[0] + 1}-{batch[-1] + 1}/{options.n_chips} done "
             f"({options.fidelity})"
         )
     return chips, hashes
+
+
+def _run_shard(options: _Options, chip_lo: int, chip_hi: int, tracer) -> tuple:
+    """One forked shard of the lot: ``(index -> _Chip, sanitizer hashes,
+    progress events, retries taken)``.
+
+    A lot that fits one batch sends each chip's exported state back in
+    place of its view, for the parent to rebuild the view from.
+    """
+    progress = _Progress(NULL_PROGRESS, options, record=True)
+    chips, hashes = _run_fleet_range(
+        options, chip_lo, chip_hi, tracer, progress,
+        keep_chips=options.n_chips <= options.batch_size,
+    )
+    for chip in chips.values():
+        if chip.view is not None:
+            chip.state, chip.view = chip.view.export_state(), None
+    return chips, hashes, progress.events, progress.retries_done
+
+
+def _bind_views(options: _Options, chips: dict, tracer) -> None:
+    """Give each shard-run chip its view back: the chip rebuilt from its
+    seed, with the state and guard count its shard exported (the rebuild
+    a resume does)."""
+    order = _schedule_order(chips)
+    fleet = _lot_fleet(
+        options, order, _chip_streams(options.seed, options.n_chips, 0, options.n_chips),
+        tracer,
+    )
+    for position, index in enumerate(order):
+        chip = chips[index]
+        fleet.import_chip_state(position, chip.state)
+        if options.guard is not None:
+            fleet.guards[position].violations = chip.guard_violations
+        chip.view, chip.state = fleet.view(position), None
 
 
 def _run_campaign(
@@ -902,7 +1048,7 @@ def _run_campaign(
     """The one campaign driver behind both public entry points."""
     if n_chips <= 0:
         raise ScheduleError(f"n_chips must be positive, got {n_chips}")
-    if shards < 1:
+    if shards is not None and shards < 1:
         raise ScheduleError(f"shards must be at least 1, got {shards}")
     if collect not in ("records", "summary"):
         raise ConfigurationError(f"collect must be 'records' or 'summary', got {collect!r}")
@@ -912,7 +1058,7 @@ def _run_campaign(
         fidelity = "exact" if n_chips <= AUTO_EXACT_LIMIT else "binned"
     if fidelity not in ("exact", "binned"):
         raise ConfigurationError(f"unknown fleet fidelity {fidelity!r}")
-    shards = min(shards, n_chips)
+    shards = min(shards if shards is not None else usable_cpus(), n_chips)
     store = None
     if checkpoint is not None:
         store = CheckpointStore(checkpoint)
@@ -940,20 +1086,14 @@ def _run_campaign(
     if not case_progress:
         span_fields.update(fleet=True, fidelity=fidelity, shards=shards)
     with tracer.span("campaign", **span_fields) as span:
+        shown = _Progress(progress if progress is not None else NULL_PROGRESS, options)
         if shards == 1:
-            reporter = progress if progress is not None else NULL_PROGRESS
-            parts = [_run_fleet_range(
-                options, 0, n_chips, tracer, _Progress(reporter, options), keep_chips=True
-            )]
+            parts = [_run_fleet_range(options, 0, n_chips, tracer, shown, keep_chips=True)]
         else:
-            bounds = np.linspace(0, n_chips, shards + 1).astype(int).tolist()
-            ranges = list(zip(bounds[:-1], bounds[1:]))
-            shard_progress = _Progress(NULL_PROGRESS, options)
-            outcomes = run_isolated([
-                partial(_run_fleet_range, options, lo, hi, progress=shard_progress,
-                        keep_chips=False)
-                for lo, hi in ranges
-            ], tracer)
+            ranges = shard_ranges(n_chips, include_baseline, shards)
+            outcomes = run_isolated(
+                [partial(_run_shard, options, lo, hi) for lo, hi in ranges], tracer
+            )
             parts = []
             for (lo, hi), (kind, value) in zip(ranges, outcomes):
                 if kind == "error":
@@ -963,13 +1103,17 @@ def _run_campaign(
                         f"fleet shard chip-{lo + 1}..chip-{hi} died without reporting "
                         f"(exit code {value})"
                     )
-                parts.append(value)
-            (progress or NULL_PROGRESS).line(f"{len(ranges)} fleet shards merged")
+                part_chips, part_hashes, events, retries = value
+                shown.replay(events, retries)
+                parts.append((part_chips, part_hashes))
+            shown.batch_line(f"{len(ranges)} fleet shards merged")
         chips: dict[int, _Chip] = {}
         hashes: dict[str, str] = {}
         for part_chips, part_hashes in parts:
             chips.update(part_chips)
             hashes.update(part_hashes)
+        if any(chip.state is not None for chip in chips.values()):
+            _bind_views(options, chips, tracer)
         ordered = [(f"chip-{index + 1}", chips[index]) for index in sorted(chips)]
         sim_total = float(sum(chip.elapsed for _, chip in ordered))
         span.set("sim_advanced", sim_total)
@@ -1009,7 +1153,7 @@ def run_fleet_campaign(
     include_baseline: bool = True,
     fidelity: str = "auto",
     batch_size: int | None = None,
-    shards: int = 1,
+    shards: int | None = None,
     sanitize: bool = False,
     collect: str = "records",
     bins_per_decade: float = 3.0,
@@ -1027,7 +1171,8 @@ def run_fleet_campaign(
     :func:`~repro.lab.campaign.run_table1_campaign`) up to
     :data:`AUTO_EXACT_LIMIT` chips and ``"binned"`` above.  ``shards >
     1`` forks one child process per contiguous chip range, with the
-    same result and counters as one shard.  ``collect="summary"`` keeps
+    same result and counters as one shard; ``None`` (the default) is one
+    shard per usable CPU, never more than one per chip.  ``collect="summary"`` keeps
     only phase-boundary records per chip; summaries and hashes always
     cover the full stream.  ``faults``, ``retry``, ``guard``,
     ``checkpoint`` / ``resume`` and ``sanitize`` work as for

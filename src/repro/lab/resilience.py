@@ -111,8 +111,19 @@ def atomic_write_json(path: str | Path, payload: dict) -> None:
         raise
 
 
+#: True while this process runs an isolated job, which holds one CPU.
+_in_job = False
+
+
 def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    """CPUs this process may run on: its affinity mask, else the machine's count.
+
+    A job of :class:`IsolatedJobs` holds exactly one CPU, forked or
+    inline, so inside one this is 1: work that fans out per CPU (fleet
+    shards, sweep cells) never forks again from within a job.
+    """
+    if _in_job:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
@@ -139,13 +150,17 @@ class JobOutcome:
 
 
 def _outcome(job, tracer) -> tuple:
-    """``(kind, value, trace)`` of one job run here; the job records into a
-    fresh ``trace`` only when ``tracer`` is enabled."""
+    """``(kind, value, trace)`` of one job run here, on one CPU; the job
+    records into a fresh ``trace`` only when ``tracer`` is enabled."""
+    global _in_job
     trace = Tracer(keep_spans=getattr(tracer, "keep_spans", True)) if tracer.enabled else None
+    outer, _in_job = _in_job, True
     try:
         return "ok", job(trace or NULL_TRACER), trace
     except Exception as error:
         return "error", error, None
+    finally:
+        _in_job = outer
 
 
 def _child_main(job, tracer, sender, lifeline: tuple[int, int]) -> None:
@@ -174,6 +189,7 @@ class IsolatedJobs:
     exits as soon as this process dies, and one still alive when the
     ``with`` block ends is killed.  ``fork=False`` runs each job in this
     process as it starts, under the same protocol, without a timeout.
+    Either way a job holds one CPU: :func:`usable_cpus` is 1 inside it.
     """
 
     def __init__(

@@ -18,9 +18,10 @@ from it:
   (:meth:`TraceModel.metric_family_table`) and numeric span attributes
   summed by chip or by span path (:meth:`TraceModel.rollup`);
 * **diff** — compare two runs of the same workload
-  (:func:`diff_traces`): exact rows (span counts, counter values) flag
-  any difference, timing rows flag only changes beyond both a relative
-  and an absolute threshold, and rate gauges are informational.
+  (:func:`diff_traces`): exact rows (chip-weighted span counts, counter
+  values) flag any difference, timing rows flag only changes beyond both
+  a relative and an absolute threshold, and rate gauges are
+  informational.
 
 Everything here is read-only over finished traces; nothing imports the
 simulation stack, so the query engine also loads traces produced by
@@ -71,6 +72,12 @@ class SpanNode:
         return float(self.attrs.get("sim_advanced", 0.0))
 
     @property
+    def chips(self) -> int:
+        """Chips this span covers: ``fleet=k`` for a lock-step group of k, else 1."""
+        fleet = self.attrs.get("fleet", 1)
+        return 1 if isinstance(fleet, bool) else int(fleet)
+
+    @property
     def frame(self) -> str:
         """The flamegraph/grouping frame name for this span.
 
@@ -94,6 +101,8 @@ class SpanGroup:
 
     key: str
     count: int = 0
+    #: Chip-weighted count: a ``fleet=k`` span counts as k.
+    chips: int = 0
     total: float = 0.0
     self_time: float = 0.0
     sim_advanced: float = 0.0
@@ -101,6 +110,7 @@ class SpanGroup:
     def add(self, span: SpanNode) -> None:
         """Fold one span into the aggregate."""
         self.count += 1
+        self.chips += span.chips
         self.total += span.duration
         self.self_time += span.self_time
         self.sim_advanced += span.sim_advanced
@@ -177,6 +187,12 @@ class TraceModel:
 
     def __len__(self) -> int:
         return len(self.spans)
+
+    @property
+    def chip_spans(self) -> int:
+        """Chip-weighted span count (a ``fleet=k`` span counts as k), which
+        does not depend on how a lot was cut into shards or groups."""
+        return sum(span.chips for span in self.spans)
 
     def path(self, span: SpanNode) -> str:
         """Root-to-span frame path, e.g. ``campaign;case;phase:stress``."""
@@ -368,7 +384,7 @@ class TraceModel:
         for name, attr in ((MEAS_PER_S, "samples"), (TRAP_UPDATES_PER_S, "trap_updates")):
             count, total, rates = 0, 0.0, []
             for span in cases:
-                fleet = int(span.attrs.get("fleet", 1))
+                fleet = span.chips
                 rate = float(span.attrs[attr]) / (fleet * span.duration)
                 count += fleet
                 total += fleet * rate
@@ -650,7 +666,10 @@ def diff_traces(
     Two seeded runs of the same campaign produce identical exact rows
     (span counts, counter values) and near-identical timing rows, so the
     diff reports zero significant deltas; a structural change (more
-    spans, different counters) or a large slowdown is flagged.  Traces
+    spans, different counters) or a large slowdown is flagged.  Span
+    counts are chip-weighted — a span tagged ``fleet=k`` runs k chips in
+    lock step and counts as k — so one lot run on 1 or on 2 shards,
+    whose cuts split lock-step groups differently, compares equal.  Traces
     carrying sanitizer ``state_hash`` spans additionally get per-phase
     digest rows (:meth:`TraceDiff.first_divergence` pinpoints where two
     runs' chip state first disagreed).
@@ -662,8 +681,8 @@ def diff_traces(
         left = groups_a.get(key, SpanGroup(key))
         right = groups_b.get(key, SpanGroup(key))
         rows.append(
-            DiffRow(f"span:{key} count", "exact", float(left.count),
-                    float(right.count))
+            DiffRow(f"span:{key} count", "exact", float(left.chips),
+                    float(right.chips))
         )
         rows.append(
             DiffRow(f"span:{key} self_s", "timing", left.self_time,

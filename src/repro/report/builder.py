@@ -202,7 +202,7 @@ def build_campaign_report(
         "cases": [c for c in result.log.cases() if not c.startswith("BASELINE")],
         "sim_seconds": sim_end,
         "sim_seconds_per_wall_second": model.metric_value(_SIM_PER_WALL),
-        "trace_spans": len(model.spans),
+        "trace_spans": model.chip_spans,
     }
 
     guard_rows = [
@@ -280,7 +280,7 @@ def _sections(data: dict, result: CampaignResult) -> list[str]:
             ["simulated", f"{meta['sim_seconds'] / SECONDS_PER_HOUR:,.1f} h"],
             ["sim seconds per wall second",
              f"{meta['sim_seconds_per_wall_second']:,.0f}"],
-            ["trace spans", meta["trace_spans"]],
+            ["trace spans (chip-weighted)", meta["trace_spans"]],
             ["seed", meta["seed"] if meta["seed"] is not None else "-"],
         ]),
         H.heading("Chips"),

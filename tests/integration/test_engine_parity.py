@@ -13,6 +13,9 @@ Each path must give the pinned outcome: the log digest, the sanitizer
 hashes, the quarantine set, the resilience counters and the field set
 of the result — or the same typed error.  The pins are literal values
 recorded from the per-chip engine before the campaign engines merged.
+The direct paths must also hand back the same chip views, whose delays
+agree, at every shard count (``run_table1_campaign`` runs one shard per
+usable CPU).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro.lab.faults import FaultEvent, FaultKind, FaultPlan
 from repro.lab.fleet import run_fleet_campaign
 from repro.lab.resilience import RetryPolicy
 from repro.obs import Tracer
+from repro.obs.query import TraceModel, diff_traces
 
 CHIPS = ("chip-1", "chip-2")
 
@@ -55,6 +59,9 @@ GUARDS = {
 
 LOADS = ("none", "faults", "dropout")
 
+#: The direct-call paths: the Table-1 entry point and the lot at 1 and 2 shards.
+DIRECT_PATHS = ("table1", "fleet-1", "fleet-2")
+
 
 def fault_plan(load: str) -> FaultPlan | None:
     """The faultload named ``load`` (``None`` for the fault-free run)."""
@@ -73,8 +80,17 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _view_delay(chip) -> str:
+    """A chip view's current delay, or the typed error reading it raises."""
+    try:
+        return repr(chip.path_delay())
+    except Exception as error:
+        return type(error).__name__
+
+
 def _outcome(run) -> dict:
-    """Run one path and fold what it produced (or raised) into a dict."""
+    """Run one path and fold what it produced (or raised) into a dict;
+    ``views`` maps each returned chip view to its delay."""
     tracer = Tracer()
     try:
         result = run(tracer)
@@ -92,7 +108,13 @@ def _outcome(run) -> dict:
         "quarantine": {chip: report.case for chip, report in result.quarantined.items()},
         "counters": {name: snapshot.get(name, 0.0) for name in COUNTERS},
         "final": _digest(repr(sorted(finals.items()))),
+        "views": {chip_id: _view_delay(chip) for chip_id, chip in result.chips.items()},
     }
+
+
+def _pinned(outcome: dict) -> dict:
+    """The part of an outcome the literal pins cover."""
+    return {key: value for key, value in outcome.items() if key != "views"}
 
 
 def _kwargs(load: str, guard: str) -> dict:
@@ -172,14 +194,60 @@ PINS = {
 @pytest.mark.parametrize("guard", sorted(GUARDS))
 @pytest.mark.parametrize("load", LOADS)
 def test_per_chip_engine_meets_pin(load, guard):
-    assert direct("table1", load, guard) == PINS[(load, guard)]
+    assert _pinned(direct("table1", load, guard)) == PINS[(load, guard)]
 
 
 @pytest.mark.parametrize("path", ["fleet-1", "fleet-2"])
 @pytest.mark.parametrize("guard", sorted(GUARDS))
 @pytest.mark.parametrize("load", LOADS)
 def test_fleet_paths_meet_pin(path, load, guard):
-    assert direct(path, load, guard) == PINS[(load, guard)]
+    assert _pinned(direct(path, load, guard)) == PINS[(load, guard)]
+
+
+@pytest.mark.parametrize("guard", sorted(GUARDS))
+@pytest.mark.parametrize("load", LOADS)
+def test_paths_return_the_same_chip_views(load, guard):
+    views = {path: direct(path, load, guard).get("views") for path in DIRECT_PATHS}
+    assert views["table1"] == views["fleet-1"] == views["fleet-2"]
+    if "error" not in PINS[(load, guard)]:
+        assert set(views["table1"]) == set(CHIPS)
+
+
+def _traced(run) -> TraceModel:
+    tracer = Tracer()
+    run(tracer)
+    return TraceModel.from_tracer(tracer)
+
+
+#: Two runs of one lot that cut it differently: 1 against 2 shards of a
+#: 6-chip binned lot, and the seed-0 Table-1 entry point (one shard per
+#: usable CPU) against its one-shard exact lot.
+CUTS = {
+    "binned-6": (
+        lambda tracer: run_fleet_campaign(
+            seed=0, n_chips=6, fidelity="binned", shards=1, tracer=tracer
+        ),
+        lambda tracer: run_fleet_campaign(
+            seed=0, n_chips=6, fidelity="binned", shards=2, tracer=tracer
+        ),
+    ),
+    "table1": (
+        lambda tracer: run_table1_campaign(seed=0, tracer=tracer),
+        lambda tracer: run_fleet_campaign(
+            seed=0, n_chips=5, fidelity="exact", shards=1, tracer=tracer
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("lot", sorted(CUTS))
+def test_trace_counts_do_not_depend_on_the_shard_cut(lot):
+    # A shard cut splits lock-step groups, so raw span counts move; the
+    # chip-weighted counts and the counters must not.
+    a, b = (_traced(run) for run in CUTS[lot])
+    diff = diff_traces(a, b)
+    assert [row for row in diff.significant() if row.category == "exact"] == []
+    assert a.chip_spans == b.chip_spans
 
 
 # ---------------------------------------------------------------------- #
@@ -304,30 +372,64 @@ def dead_chip_2(monkeypatch):
     monkeypatch.setattr(FleetChip, "frequencies", dying)
 
 
-def _dead_chip_outcome(path: str, retry: bool) -> dict:
+def _dead_chip_outcome(path: str, guard: str, retry: bool) -> dict:
     kwargs = dict(
-        seed=0, n_chips=2, guard=GuardConfig(mode="clamp", dump_dir=None), sanitize=True,
+        seed=0, n_chips=2, guard=GuardConfig(mode=guard, dump_dir=None), sanitize=True,
         # An empty plan arms the retry policy without injecting a fault.
         faults=FaultPlan(()) if retry else None,
     )
     if path == "table1":
         return _outcome(lambda tracer: run_table1_campaign(tracer=tracer, **kwargs))
+    shards = {"fleet-1": 1, "fleet-2": 2}[path]
     return _outcome(
-        lambda tracer: run_fleet_campaign(fidelity="exact", shards=2, tracer=tracer, **kwargs)
+        lambda tracer: run_fleet_campaign(
+            fidelity="exact", shards=shards, tracer=tracer, **kwargs
+        )
     )
 
 
-def test_dead_oscillator_is_a_measurement_failure_on_every_path(dead_chip_2):
+def _dead_chip_cells(isolation: str, directory) -> dict:
+    """Guard mode -> how a fault-free Table-1 sweep cell with the dead chip ended."""
+    spec = SweepSpec(
+        name="dead-oscillator",
+        engine="table1",
+        n_chips=2,
+        include_baseline=True,
+        # No budget: a clamped dead oscillator stays a measurement failure.
+        guard_budget=0,
+        guard_modes=("clamp", "raise"),
+        lifetime=LifetimeSettings(enabled=False),
+    )
+    result = SweepRunner(spec, directory, cell_retries=1, isolation=isolation).run()
+    modes = {cell.cell_id: cell.guard_mode for cell in result.cells}
+    return {
+        modes[outcome.cell_id]: (outcome.status, (outcome.error or "").split(":", 1)[0])
+        for outcome in result.outcomes
+    }
+
+
+def test_dead_oscillator_is_a_measurement_failure_on_every_path(dead_chip_2, tmp_path):
     # Clamp mode turns the NaN into a dead oscillator (0 Hz): its burst is
     # a MeasurementError, retried, exhausted and quarantined under a retry
-    # policy, and surfaced as that typed error without one.
-    retried = {path: _dead_chip_outcome(path, retry=True) for path in ("table1", "fleet-2")}
-    assert retried["table1"] == retried["fleet-2"]
+    # policy, and surfaced as that typed error without one.  Raise mode
+    # stops the campaign at the frequency contract instead.
+    retried = {path: _dead_chip_outcome(path, "clamp", retry=True) for path in DIRECT_PATHS}
+    assert retried["table1"] == retried["fleet-1"] == retried["fleet-2"]
     assert list(retried["table1"]["quarantine"]) == ["chip-2"]
     assert retried["table1"]["counters"]["guard.violations.fpga.frequency"] > 0
     assert retried["table1"]["counters"]["lab.sample_retries"] > 0
-    raised = {path: _dead_chip_outcome(path, retry=False) for path in ("table1", "fleet-2")}
-    assert raised["table1"] == raised["fleet-2"] == {"error": "MeasurementError", "contract": None}
+    expected = {
+        "clamp": {"error": "MeasurementError", "contract": None},
+        "raise": {"error": "PhysicsViolationError", "contract": "fpga.frequency"},
+    }
+    for guard, outcome in expected.items():
+        for path in DIRECT_PATHS:
+            assert _dead_chip_outcome(path, guard, retry=False) == outcome, (guard, path)
+    for isolation in ("inline", "process"):
+        cells = _dead_chip_cells(isolation, tmp_path / isolation)
+        assert cells == {
+            guard: ("failed", outcome["error"]) for guard, outcome in expected.items()
+        }, isolation
 
 
 def test_paths_return_one_result_shape():

@@ -14,12 +14,14 @@ smaller lots to stay fast.)
 import numpy as np
 import pytest
 
+import repro.lab.fleet as fleet_module
 from repro.errors import ConfigurationError, ScheduleError
 from repro.lab.campaign import run_table1_campaign
 from repro.lab.fleet import (
     AUTO_EXACT_LIMIT,
     fleet_chip_no,
     run_fleet_campaign,
+    shard_ranges,
 )
 
 
@@ -58,7 +60,7 @@ class TestExactBitIdentity:
 class TestSharding:
     def test_sharded_run_bit_identical_to_sequential_fleet(self):
         base = run_fleet_campaign(seed=2, n_chips=6, fidelity="binned",
-                                  sanitize=True)
+                                  sanitize=True, shards=1)
         sharded = run_fleet_campaign(seed=2, n_chips=6, fidelity="binned",
                                      sanitize=True, shards=3)
         assert list(base.log) == list(sharded.log)
@@ -70,6 +72,12 @@ class TestSharding:
             s.case_end_frequency for s in sharded.summaries
         ]
         assert sharded.shards == 3
+        # The lot fits one batch, so each shard's chips come back as views
+        # rebuilt from their exported state.
+        assert list(sharded.chips) == list(base.chips)
+        assert [chip.path_delay() for chip in sharded.chips.values()] == [
+            chip.path_delay() for chip in base.chips.values()
+        ]
 
     def test_more_shards_than_chips_is_fine(self):
         result = run_fleet_campaign(seed=0, n_chips=2, fidelity="binned",
@@ -129,3 +137,28 @@ class TestCollectionModes:
     def test_rejects_batch_size_below_one(self, batch_size):
         with pytest.raises(ConfigurationError, match="batch_size"):
             run_fleet_campaign(n_chips=2, batch_size=batch_size)
+
+
+class TestShardCut:
+    def test_table1_splits_before_chip_4_on_two_shards(self):
+        assert shard_ranges(5, True, 2) == [(0, 3), (3, 5)]
+
+    def test_ranges_are_contiguous_and_non_empty(self):
+        for n_chips in (1, 2, 5, 6, 11, 200):
+            for shards in range(1, min(n_chips, 8) + 1):
+                ranges = shard_ranges(n_chips, True, shards)
+                assert len(ranges) == shards
+                assert ranges[0][0] == 0 and ranges[-1][1] == n_chips
+                assert all(lo < hi for lo, hi in ranges)
+                assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+    def test_whole_schedule_rows_balance(self):
+        # Ten chips are two copies of the five-row schedule.
+        assert shard_ranges(10, True, 2) == [(0, 5), (5, 10)]
+        assert shard_ranges(10, False, 2) == [(0, 5), (5, 10)]
+
+    def test_default_is_one_shard_per_cpu_and_at_most_one_per_chip(self, monkeypatch):
+        monkeypatch.setattr(fleet_module, "usable_cpus", lambda: 4)
+        assert run_fleet_campaign(seed=0, n_chips=2, include_baseline=False).shards == 2
+        monkeypatch.setattr(fleet_module, "usable_cpus", lambda: 1)
+        assert run_fleet_campaign(seed=0, n_chips=2, include_baseline=False).shards == 1

@@ -18,6 +18,7 @@ from repro.lab.datalog import DataLog
 from repro.lab.fleet import FleetBench, CampaignResult
 from repro.lab.schedule import CHIP_SEQUENCES, baseline_phase, standard_case
 from repro.obs import Tracer
+from repro.obs.query import TraceModel
 
 #: Metrics only the runner records: a wall-clock gauge of the
 #: ``campaign`` span and the quarantine tally of its resilience path.
@@ -116,11 +117,15 @@ class TestInstrumentedParallelRun:
         composed_tracer, runner_tracer = Tracer(), Tracer()
         composed_campaign(seed=7, n_chips=2, tracer=composed_tracer)
         run_table1_campaign(seed=7, n_chips=2, tracer=runner_tracer)
-        # The lock-step baseline opens one case span, one phase span and
-        # one span per readout burst (7) for both chips together.
-        assert len(runner_tracer.spans("case")) == len(composed_tracer.spans("case")) - 1
+        composed = TraceModel.from_tracer(composed_tracer)
+        runner = TraceModel.from_tracer(runner_tracer)
+        # A lock-step baseline opens one case span, one phase span and one
+        # span per readout burst for the chips of its shard together; each
+        # such span carries fleet=k and counts as k chips, so the
+        # chip-weighted counts do not depend on how many shards ran.
+        assert runner.aggregate()["case"].chips == composed.aggregate()["case"].chips
         # One extra span: the runner's campaign root.
-        assert len(runner_tracer.finished) == len(composed_tracer.finished) + 1 - (1 + 1 + 7)
+        assert runner.chip_spans == composed.chip_spans + 1
 
 
 class TestValidation:

@@ -30,6 +30,7 @@ from repro.lab.resilience import (
     IsolatedJobs,
     RetryPolicy,
     run_isolated,
+    usable_cpus,
 )
 from repro.lab.schedule import PhaseKind, TestPhase
 from repro.units import hours, minutes
@@ -420,3 +421,17 @@ class TestIsolatedJobs:
             jobs.start("a", lambda tracer: ran.append("a") or "a")
             assert ran == ["a"] and jobs.busy == 1
             assert jobs.wait().value == "a"
+
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_a_job_holds_one_cpu(self, fork):
+        outside = usable_cpus()
+        with IsolatedJobs(limit=1, fork=fork) as jobs:
+            jobs.start("cpus", lambda tracer: usable_cpus())
+            assert jobs.wait().value == 1
+        assert usable_cpus() == outside
+
+    def test_a_campaign_inside_a_job_runs_in_one_process(self):
+        ((kind, shards),) = run_isolated(
+            [lambda tracer: run_table1_campaign(seed=0, n_chips=2, tracer=tracer).shards]
+        )
+        assert (kind, shards) == ("ok", 1)

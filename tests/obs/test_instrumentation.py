@@ -122,6 +122,34 @@ class TestCampaignSpans:
         assert "chip-2   QUARANTINED during " in out
         assert "stopped responding" in out
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_each_case_line_prints_once_at_any_shard_count(self, cpus, monkeypatch):
+        # On several CPUs the shards record their lines and the parent
+        # replays them: every case once, counted 1..N, with the run's
+        # retry total on the last line.
+        import io
+        import re
+
+        import repro.lab.fleet as fleet
+
+        monkeypatch.setattr(fleet, "usable_cpus", lambda: cpus)
+        plan = FaultPlan([FaultEvent(FaultKind.DROPPED_READOUT, "chip-3", start=hours(3.0))])
+        buffer = io.StringIO()
+        result = run_table1_campaign(
+            seed=32, n_chips=3, faults=plan, progress=ProgressReporter(stream=buffer)
+        )
+        assert result.shards == cpus
+        lines = [line.split("] ", 1)[1] for line in buffer.getvalue().splitlines()]
+        done = [re.match(r"(chip-\d) +(\S+) +done  \((\d+)/5 cases", line) for line in lines]
+        cases = [(match[1], match[2]) for match in done if match]
+        assert sorted(cases) == [
+            ("chip-1", "AS110AC24"), ("chip-2", "AS110DC24"), ("chip-2", "R20Z6"),
+            ("chip-3", "AR20N6"), ("chip-3", "AS110DC24"),
+        ]
+        assert [int(match[3]) for match in done if match] == [1, 2, 3, 4, 5]
+        assert sum("baseline burn-in done" in line for line in lines) == 3
+        assert lines[-1].endswith("done  (5/5 cases, 2/3 chips, 1 retries, 0 quarantined)")
+
 
 class TestMulticoreTelemetry:
     def test_run_span_and_counters(self):

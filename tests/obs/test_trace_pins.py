@@ -6,7 +6,8 @@ sanitizer hashes, a sample retry and a handful of metric records; B
 adds one measurement, slows a phase and forks one digest).  What
 ``repro trace summary|top|tree|flame|diff`` print for them, and the
 per-phase table of ``repro trace profile``, must match the files under
-``data/expected/`` byte for byte.
+``data/expected/`` byte for byte.  ``diff`` counts spans chip-weighted:
+the lock-step baseline's ``fleet=2`` spans count twice.
 
 The throughput table of ``repro trace profile`` counts one observation
 per chip-case.  The literals below are the counts the 2-chip seed-7

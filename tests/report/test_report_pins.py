@@ -45,14 +45,19 @@ PINS = {
     # moved onto the lock-step engine: only the "trace spans" row moved
     # (175, was 184), because the two chips' baseline burn-in now opens
     # one case, one phase and 7 measurement spans for both chips.
+    # Re-pinned when the Table-1 entry point began taking one shard per
+    # usable CPU: the row became "trace spans (chip-weighted)", 184, in
+    # which a fleet=k span counts as k, so it reads the same on 1 CPU
+    # (one lock-step baseline) and on 2 (one baseline per shard).
     "campaign": (
         _traced_campaign_report,
-        "86e17c6ef0d3bf70f3e37d99895d7a2a74ed0f5048190dfc34289aa26b7e3a87",
-        "1051ab589c6a08a92d04c48d7304638a23f0f1a81f51be07b1343957c61e35e7",
+        "5487b4e0a771c37b6cbed61cc8b1746a280f0a236a5dcb9f9dcda8b18659c6ce",
+        "4fa132ef922976f1029df6ccdc46fd4051f3c90f7d31cdb6d5a8a49011f83dcf",
     ),
+    # Re-pinned for the "trace spans (chip-weighted)" label alone.
     "quarantined-campaign": (
         lambda: build_campaign_report(quarantined_result()),
-        "e8c6fcfff51741ce0c31449ca6a8dcbe7db08aee2aec867c7298f5c359e439d6",
+        "509ea1646ae151eeffc63aee7e41d3a60391e36ff05cfcf634e56ed446604137",
         "50b170295db5c1ccc5dec9271907d214d7eb53b35910276aae6eca06a97520ca",
     ),
     "synthetic-fleet": (
@@ -60,8 +65,10 @@ PINS = {
         "7a07672d3aab2cd98ef5798c9d08e73cdeedf958f7006cd7b249e187cbbba141",
         "382b462e1c51da9171bac0b9ec01f82b4f19dc2c893b9f2adf21ceb8d92064a2",
     ),
+    # An explicit shard count: the report shows it, and the default is
+    # one shard per usable CPU.
     "small-fleet": (
-        lambda: build_fleet_report(run_fleet_campaign(seed=0, n_chips=5)),
+        lambda: build_fleet_report(run_fleet_campaign(seed=0, n_chips=5, shards=1)),
         "97279c7d435f346b2a85a77b6092142c422bb3d13be875e09a189cfd705992e4",
         "9f986ab3d245f192d11657ecbc03ac87759ac40dc3f65562391b72afceef908f",
     ),
