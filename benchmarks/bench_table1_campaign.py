@@ -1,5 +1,6 @@
 """TAB1 — regenerate the paper's Table 1 campaign (the full schedule)."""
 
+import repro.lab.fleet as fleet_module
 from repro.experiments import table1
 from repro.lab.campaign import run_table1_campaign
 from repro.lab.fleet import run_fleet_campaign
@@ -35,26 +36,31 @@ def test_bench_table1_rate_cache_reuse(once):
     assert reuse > 0.3
 
 
-def test_bench_table1_rate_memo_footprint(once):
+def test_bench_table1_rate_memo_footprint(once, monkeypatch):
     """Only reused bias patterns stay resident in the rate memos.
 
     Supply and chamber jitter make every DC-stress and negative-rail
     chunk a pattern that never returns; each chip's memo admits a
     pattern on its second miss, so each chip and polarity keeps at most
     the readout burst and the power-gated recovery.  The Table-1 lot
-    runs in one process (``shards=1``), so ``result.chips`` holds views
-    of its one live fleet, which keeps every memo alive, and a memo that
-    stored one-off patterns would show here; a sharded run's views are
-    rebuilt from exported state, with empty memos.
+    runs in one process (``shards=1``) as one fleet, captured as the
+    campaign builds it, so a memo that stored one-off patterns would
+    show here.
     """
+    built = []
+    lot_fleet = fleet_module._lot_fleet
+
+    def capture(*args):
+        built.append(lot_fleet(*args))
+        return built[-1]
+
+    monkeypatch.setattr(fleet_module, "_lot_fleet", capture)
     tracer = Tracer()
-    result = once(
-        run_fleet_campaign, seed=0, n_chips=5, fidelity="exact", shards=1, tracer=tracer
-    )
-    (fleet,) = {id(chip._fleet): chip._fleet for chip in result.chips.values()}.values()
+    once(run_fleet_campaign, seed=0, n_chips=5, fidelity="exact", shards=1, tracer=tracer)
+    (fleet,) = built
     entries = {
-        (chip_id, polarity): len(getattr(fleet, f"_{polarity}")._memos[chip._index])
-        for chip_id, chip in result.chips.items()
+        (chip_id, polarity): len(getattr(fleet, f"_{polarity}")._memos[position])
+        for position, chip_id in enumerate(fleet.chip_ids)
         for polarity in ("pmos", "nmos")
     }
     hits = tracer.metrics.value("bti.rate_cache.hits")

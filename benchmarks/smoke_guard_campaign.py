@@ -67,7 +67,7 @@ def test_clamp_mode_completes_with_violations_counted():
     assert violations > 0.0
     # The repaired state stayed physical: the clean chip and the struck
     # chip both finished their full schedules.
-    assert set(result.chips) == {"chip-1", "chip-2"}
+    assert set(result.final_delays) == {"chip-1", "chip-2"}
     print(f"clamp: campaign complete, {violations:g} occupancy violations repaired")
 
 

@@ -174,7 +174,7 @@ def _run_campaign(args: argparse.Namespace, tracer, note: str = ""):
     result = run_table1_campaign(seed=args.seed, n_chips=args.chips,
                                  tracer=tracer, progress=progress,
                                  **_resilience_kwargs(args))
-    print(f"done: {len(result.log)} measurements over {len(result.chips)} chips")
+    print(f"done: {len(result.log)} measurements over {len(result.final_delays)} chips")
     _print_quarantine(result)
     return result
 
@@ -199,17 +199,15 @@ def _run_lot(args: argparse.Namespace, tracer):
 
     kwargs = _resilience_kwargs(args, n_chips=args.fleet)
     kwargs.pop("sanitize", None)  # passed explicitly below
-    print(
-        f"running the Table 1 fleet campaign on {args.fleet} chips "
-        f"({args.fidelity} fidelity, {args.shard} shard(s))..."
-    )
+    fidelity = args.fidelity or "auto"
+    print(f"running the Table 1 fleet campaign on {args.fleet} chips ({fidelity} fidelity)...")
     result = run_fleet_campaign(
         seed=args.seed,
         n_chips=args.fleet,
-        fidelity=args.fidelity,
+        fidelity=fidelity,
         shards=args.shard,
         sanitize=args.sanitize,
-        collect=args.collect,
+        collect=args.collect or "records",
         tracer=tracer,
         progress=ProgressReporter(enabled=args.progress),
         **kwargs,
@@ -217,7 +215,8 @@ def _run_lot(args: argparse.Namespace, tracer):
     print(
         f"done: {result.total_measurements} measurements over "
         f"{len(result.summaries)} chips "
-        f"(fidelity {result.fidelity}, {len(result.log)} records kept)"
+        f"(fidelity {result.fidelity}, {result.shards} shard(s), "
+        f"{len(result.log)} records kept)"
     )
     _print_quarantine(result)
     return result
@@ -654,16 +653,14 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--shard",
         type=int,
-        default=1,
         metavar="K",
         help="fan the fleet out to K worker processes over contiguous "
         "chip ranges; the merged result is bit-identical to --shard 1 "
-        "(default: 1; only with --fleet)",
+        "(default: one per usable CPU, at most one per chip; only with --fleet)",
     )
     campaign.add_argument(
         "--fidelity",
         choices=["auto", "exact", "binned"],
-        default="auto",
         help="fleet physics fidelity: 'exact' keeps every trap (the plain "
         "campaign's physics), 'binned' pools traps on a (tau_c, tau_e) grid for "
         "population scale, 'auto' picks exact for small lots "
@@ -672,7 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--collect",
         choices=["records", "summary"],
-        default="records",
         help="'records' keeps the full measurement log, 'summary' keeps "
         "phase-boundary records only (memory-bounded 10k-chip runs; "
         "per-chip summaries always cover the full stream) "
@@ -912,6 +908,12 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "campaign" and args.fleet is None:
+        # The lot-only flags default to None, so one given without a lot
+        # is an error rather than silently ignored.
+        for name in ("shard", "fidelity", "collect"):
+            if getattr(args, name) is not None:
+                parser.error(f"campaign: --{name} only works with --fleet")
     try:
         code = args.func(args)
         # Flush inside the try: small outputs (`repro lint | head`) may

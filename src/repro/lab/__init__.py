@@ -1,12 +1,11 @@
 """Virtual measurement lab: instruments, schedules and campaign running.
 
 These classes replace the paper's physical test setup — thermal chamber
-(+/-0.3 degC), DC power supply with a negative rail, 500 Hz reference
-clock — and orchestrate the accelerated stress/recovery schedules of the
+(+/-0.3 degC), DC power supply with a negative rail, readout counter on
+a 500 Hz reference clock — and orchestrate the accelerated stress/recovery schedules of the
 paper's Table 1 on virtual :class:`~repro.fpga.chip.FpgaChip` instances.
 """
 
-from repro.lab.clock_generator import ClockGenerator
 from repro.lab.campaign import CampaignResult, run_table1_campaign, table1_horizon
 from repro.lab.datalog import DataLog, MeasurementRecord
 from repro.lab.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
@@ -31,7 +30,6 @@ from repro.lab.thermal_chamber import ThermalChamber
 __all__ = [
     "CampaignResult",
     "CheckpointStore",
-    "ClockGenerator",
     "DataLog",
     "DcPowerSupply",
     "FaultEvent",

@@ -57,7 +57,6 @@ from repro.fpga.counter import ReadoutCounter
 from repro.fpga.fleet import FleetChip
 from repro.fpga.ring_oscillator import StressMode, checked_frequency, read_burst
 from repro.guard import Guard
-from repro.lab.clock_generator import ClockGenerator
 from repro.lab.datalog import DataLog, MeasurementRecord
 from repro.lab.faults import FaultInjector, FaultKind, FaultPlan
 from repro.lab.power_supply import DcPowerSupply
@@ -86,6 +85,13 @@ AUTO_EXACT_LIMIT = 8
 
 #: Counts further than the last good sample that flag a corrupt readout.
 PLAUSIBILITY_COUNTS = 64
+
+#: Counter reads averaged into one readout sample.
+READS_PER_SAMPLE = 3
+
+#: Seconds each readout burst runs the RO (the paper's "data sampling
+#: overhead is less than 3 s").
+SAMPLING_OVERHEAD = 3.0
 
 
 def fleet_chip_no(index: int) -> int:
@@ -133,16 +139,17 @@ def shard_ranges(n_chips: int, include_baseline: bool, shards: int) -> list[tupl
 class FleetBench:
     """Lock-step instrument stack over one :class:`FleetChip` batch.
 
-    One chamber, supply and counter (chips in a lock-step group always
-    share setpoints — defaults reproduce the paper's setup); per fleet
-    chip a bench generator in ``rngs`` (``None`` where the bench never
-    drives), an optional :class:`~repro.lab.faults.FaultInjector` in
-    ``injectors``, and its retry state.  ``retry`` re-reads a readout
-    that failed with a transient instrument or measurement error
-    (``None`` lets the failure raise); ``reads_per_sample`` counter reads
-    are averaged per sample, and each readout burst runs the RO for
-    ``sampling_overhead`` seconds.  ``tracer`` gets the case, phase and
-    measurement spans and the sample counters.
+    One chamber, supply and counter against the paper's 500 Hz
+    reference (chips in a lock-step group always share setpoints; tests
+    may reconfigure the public instruments); per fleet chip a bench
+    generator in ``rngs`` (``None`` where the bench never drives), an
+    optional :class:`~repro.lab.faults.FaultInjector` in ``injectors``,
+    and its retry state.  ``retry`` re-reads a readout that failed with
+    a transient instrument or measurement error (``None`` lets the
+    failure raise).  Each sample averages :data:`READS_PER_SAMPLE`
+    counter reads, and each readout burst runs the RO for
+    :data:`SAMPLING_OVERHEAD` seconds.  ``tracer`` gets the case, phase
+    and measurement spans and the sample counters.
 
     A chip that drops out (its injector's dropout, exhausted retries or
     an exhausted guard budget) is recorded in :attr:`dropped` and leaves
@@ -154,33 +161,21 @@ class FleetBench:
         fleet: FleetChip,
         rngs,
         tracer=None,
-        reads_per_sample: int = 3,
-        sampling_overhead: float = 3.0,
         injectors=None,
         retry: RetryPolicy | None = None,
-        chamber: ThermalChamber | None = None,
-        supply: DcPowerSupply | None = None,
-        clock: ClockGenerator | None = None,
     ) -> None:
         if len(rngs) != fleet.n_chips:
             raise ConfigurationError("one bench RNG per fleet chip is required")
         if injectors is not None and len(injectors) != fleet.n_chips:
             raise ConfigurationError("one fault injector (or None) per fleet chip")
-        if reads_per_sample <= 0:
-            raise ConfigurationError("reads_per_sample must be positive")
-        if sampling_overhead < 0.0:
-            raise ConfigurationError("sampling_overhead must be non-negative")
         self.fleet = fleet
         self.rngs = list(rngs)
         self.injectors = list(injectors) if injectors is not None else [None] * fleet.n_chips
         self.retry = retry
         self.tracer = tracer if tracer is not None else get_tracer()
-        self.chamber = chamber or ThermalChamber()
-        self.supply = supply or DcPowerSupply()
-        self.clock = clock or ClockGenerator()
-        self.counter = ReadoutCounter(fref=self.clock.frequency)
-        self.reads_per_sample = reads_per_sample
-        self.sampling_overhead = sampling_overhead
+        self.chamber = ThermalChamber()
+        self.supply = DcPowerSupply()
+        self.counter = ReadoutCounter()
         #: Chips that left the bench: fleet index -> the error.
         self.dropped: dict[int, Exception] = {}
         #: Per chip, readout bursts retried so far.
@@ -422,9 +417,9 @@ class FleetBench:
         ``names[index]``; a burst that failed with a transient instrument
         or measurement error comes back in the ``index -> error`` map,
         and a chip that dropped out lands in :attr:`dropped`.  The burst
-        applies ``sampling_overhead`` seconds of AC activity at nominal
-        rail and chamber temperature — negligible aging, but modelled
-        because hardware cannot measure for free.
+        applies :data:`SAMPLING_OVERHEAD` seconds of AC activity at
+        nominal rail and chamber temperature — negligible aging, but
+        modelled because hardware cannot measure for free.
         """
         failures: dict = {}
         if not chips:
@@ -436,12 +431,8 @@ class FleetBench:
             phase=label,
             fleet=len(chips),
         ) as span:
-            alive = chips
-            if self.sampling_overhead > 0.0:
-                alive, temperatures, rails = self._deliver(chips, phase_bias=False)
-                alive = self._evolve(
-                    True, StressMode.AC, self.sampling_overhead, alive, temperatures, rails
-                )
+            alive, temperatures, rails = self._deliver(chips, phase_bias=False)
+            alive = self._evolve(True, StressMode.AC, SAMPLING_OVERHEAD, alive, temperatures, rails)
             readers, events = [], []
             for index in alive:
                 try:
@@ -457,7 +448,7 @@ class FleetBench:
                     failures[index] = self._located(index, names, label, dropped)
                 else:
                     failures[index] = InstrumentError("supply relay chatter during the readout burst")
-            self._evaluations.inc(self.reads_per_sample * len(readers))
+            self._evaluations.inc(READS_PER_SAMPLE * len(readers))
             frequencies = self._frequencies(readers)
             temperature_c = self.chamber.setpoint_celsius
             # A rail behind an open relay delivers 0 V no matter what the
@@ -493,7 +484,7 @@ class FleetBench:
                     )
                 )
                 self._records.inc()
-            span.set("sim_advanced", self.sampling_overhead)
+            span.set("sim_advanced", SAMPLING_OVERHEAD)
         return failures
 
     def _located(self, index: int, names, label: str, error: MeasurementError):
@@ -532,7 +523,7 @@ class FleetBench:
         chip_id = self.fleet.chip_ids[index]
         frequency = checked_frequency(self.fleet.guards[index], frequency, chip_id, elapsed)
         mean_count = read_burst(
-            self.counter, frequency, self.reads_per_sample, self.rngs[index], chip_id
+            self.counter, frequency, READS_PER_SAMPLE, self.rngs[index], chip_id
         )
         if event is None:
             count = self._last_good_count[index] = int(round(mean_count))
@@ -580,21 +571,20 @@ class FleetChipSummary:
 class CampaignResult:
     """Everything a campaign produced — one shape for every path.
 
-    ``log`` holds every measurement (in ``collect="summary"`` mode only
-    each phase's first and last record per chip); ``chips`` the final
-    :class:`~repro.fpga.chip.FpgaChip` views when the lot fits one batch,
-    at any shard count (a larger lot keeps no chip state alive);
-    ``fresh_delays`` and ``final_delays`` each chip's model CUT delay
-    fresh and at the end of its schedule; ``summaries`` a per-chip
-    digest covering the full record stream.  ``quarantined`` flags chips
-    pulled from the bench mid-campaign (dropout, retries or guard budget
-    exhausted) — their measurements up to the failure are kept, and the
-    campaign completes on the survivors.  ``state_hashes`` is populated
-    only under ``sanitize=True``: one digest per ``chip/seq`` phase end.
+    Plain data at every lot size and shard count: no chip state outlives
+    the campaign.  ``log`` holds every measurement (in
+    ``collect="summary"`` mode only each phase's first and last record
+    per chip); ``fresh_delays`` and ``final_delays`` each chip's model
+    CUT delay fresh and at the end of its schedule; ``summaries`` a
+    per-chip digest covering the full record stream.  ``quarantined``
+    flags chips pulled from the bench mid-campaign (dropout, retries or
+    guard budget exhausted) — their measurements up to the failure are
+    kept, and the campaign completes on the survivors.  ``state_hashes``
+    is populated only under ``sanitize=True``: one digest per
+    ``chip/seq`` phase end.
     """
 
     log: DataLog
-    chips: dict = field(default_factory=dict)
     fresh_delays: dict[str, float] = field(default_factory=dict)
     quarantined: dict[str, QuarantineReport] = field(default_factory=dict)
     state_hashes: dict[str, str] = field(default_factory=dict)
@@ -723,11 +713,6 @@ class _Chip:
     final_delay: float
     elapsed: float
     quarantine: QuarantineReport | None
-    #: Violations the chip's own guard counted against its budget.
-    guard_violations: int = 0
-    #: The live view (one shard), or a shard's exported chip state.
-    view: object = None
-    state: dict | None = None
 
 
 class _Progress:
@@ -833,20 +818,15 @@ def _lot_fleet(options: _Options, order, streams, tracer) -> FleetChip:
     )
 
 
-def _schedule_order(batch) -> list[int]:
-    """A batch's positions arranged by schedule row, so lock-step groups
-    are contiguous."""
-    return sorted(batch, key=lambda index: (fleet_chip_no(index), index))
-
-
-def _run_batch(options: _Options, batch, streams, tracer, progress, keep_chips):
+def _run_batch(options: _Options, batch, streams, tracer, progress):
     """Simulate one memory-bounded batch of fleet positions.
 
     Returns ``(index -> _Chip, sanitizer hashes)``.
     """
-    # Results only depend on per-chip streams and the final chip-order
-    # merge, never on group layout.
-    order = _schedule_order(batch)
+    # Positions arranged by schedule row, so lock-step groups are
+    # contiguous.  Results only depend on per-chip streams and the final
+    # chip-order merge, never on group layout.
+    order = sorted(batch, key=lambda index: (fleet_chip_no(index), index))
     fleet = _lot_fleet(options, order, streams, tracer)
     chip_ids = fleet.chip_ids
     guards = fleet.guards if options.guard is not None else None
@@ -969,33 +949,27 @@ def _run_batch(options: _Options, batch, streams, tracer, progress, keep_chips):
             float(finals[position]),
             float(fleet.elapsed[position]),
             quarantined.get(position),
-            guards[position].violations if guards is not None else 0,
-            fleet.view(position) if keep_chips else None,
         )
         for position, index in enumerate(order)
     }
     return chips, sanitizer.hashes
 
 
-def _run_fleet_range(options: _Options, chip_lo: int, chip_hi: int, tracer, progress,
-                     keep_chips: bool) -> tuple[dict, dict]:
+def _run_fleet_range(options: _Options, chip_lo: int, chip_hi: int, tracer,
+                     progress) -> tuple[dict, dict]:
     """Simulate fleet positions ``[chip_lo, chip_hi)`` of the lot.
 
     Every range re-derives the complete per-chip stream table from the
     master seed — streams never depend on the shard cut — then runs in
     memory-bounded batches.  Returns ``(index -> _Chip, sanitizer
-    hashes)``; with ``keep_chips`` a range that fits one batch hands its
-    chips' views out.
+    hashes)``.
     """
-    keep_chips = keep_chips and chip_hi - chip_lo <= options.batch_size
     streams = _chip_streams(options.seed, options.n_chips, chip_lo, chip_hi)
     chips: dict = {}
     hashes: dict = {}
     for batch_lo in range(chip_lo, chip_hi, options.batch_size):
         batch = range(batch_lo, min(batch_lo + options.batch_size, chip_hi))
-        batch_chips, batch_hashes = _run_batch(
-            options, batch, streams, tracer, progress, keep_chips
-        )
+        batch_chips, batch_hashes = _run_batch(options, batch, streams, tracer, progress)
         chips.update(batch_chips)
         hashes.update(batch_hashes)
         progress.batch_line(
@@ -1007,37 +981,10 @@ def _run_fleet_range(options: _Options, chip_lo: int, chip_hi: int, tracer, prog
 
 def _run_shard(options: _Options, chip_lo: int, chip_hi: int, tracer) -> tuple:
     """One forked shard of the lot: ``(index -> _Chip, sanitizer hashes,
-    progress events, retries taken)``.
-
-    A lot that fits one batch sends each chip's exported state back in
-    place of its view, for the parent to rebuild the view from.
-    """
+    progress events, retries taken)``."""
     progress = _Progress(NULL_PROGRESS, options, record=True)
-    chips, hashes = _run_fleet_range(
-        options, chip_lo, chip_hi, tracer, progress,
-        keep_chips=options.n_chips <= options.batch_size,
-    )
-    for chip in chips.values():
-        if chip.view is not None:
-            chip.state, chip.view = chip.view.export_state(), None
+    chips, hashes = _run_fleet_range(options, chip_lo, chip_hi, tracer, progress)
     return chips, hashes, progress.events, progress.retries_done
-
-
-def _bind_views(options: _Options, chips: dict, tracer) -> None:
-    """Give each shard-run chip its view back: the chip rebuilt from its
-    seed, with the state and guard count its shard exported (the rebuild
-    a resume does)."""
-    order = _schedule_order(chips)
-    fleet = _lot_fleet(
-        options, order, _chip_streams(options.seed, options.n_chips, 0, options.n_chips),
-        tracer,
-    )
-    for position, index in enumerate(order):
-        chip = chips[index]
-        fleet.import_chip_state(position, chip.state)
-        if options.guard is not None:
-            fleet.guards[position].violations = chip.guard_violations
-        chip.view, chip.state = fleet.view(position), None
 
 
 def _run_campaign(
@@ -1088,7 +1035,7 @@ def _run_campaign(
     with tracer.span("campaign", **span_fields) as span:
         shown = _Progress(progress if progress is not None else NULL_PROGRESS, options)
         if shards == 1:
-            parts = [_run_fleet_range(options, 0, n_chips, tracer, shown, keep_chips=True)]
+            parts = [_run_fleet_range(options, 0, n_chips, tracer, shown)]
         else:
             ranges = shard_ranges(n_chips, include_baseline, shards)
             outcomes = run_isolated(
@@ -1112,8 +1059,6 @@ def _run_campaign(
         for part_chips, part_hashes in parts:
             chips.update(part_chips)
             hashes.update(part_hashes)
-        if any(chip.state is not None for chip in chips.values()):
-            _bind_views(options, chips, tracer)
         ordered = [(f"chip-{index + 1}", chips[index]) for index in sorted(chips)]
         sim_total = float(sum(chip.elapsed for _, chip in ordered))
         span.set("sim_advanced", sim_total)
@@ -1122,7 +1067,6 @@ def _run_campaign(
             [_as_log(chip.baseline) for _, chip in ordered]
             + [_as_log(chip.cases) for _, chip in ordered]
         ),
-        chips={chip_id: chip.view for chip_id, chip in ordered if chip.view is not None},
         fresh_delays={chip_id: chip.summary.fresh_delay for chip_id, chip in ordered},
         quarantined={
             chip_id: chip.quarantine for chip_id, chip in ordered if chip.quarantine is not None

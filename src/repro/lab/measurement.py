@@ -13,12 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.lab.clock_generator import ClockGenerator
 from repro.lab.datalog import DataLog, MeasurementRecord
 from repro.lab.fleet import FleetBench
-from repro.lab.power_supply import DcPowerSupply
 from repro.lab.schedule import TestPhase
-from repro.lab.thermal_chamber import ThermalChamber
 
 
 class VirtualTestbench:
@@ -26,19 +23,14 @@ class VirtualTestbench:
     chamber, supply and readout chain.
 
     ``rng`` (a seed or generator) drives every noise source on the bench;
-    the instruments, ``reads_per_sample``, ``sampling_overhead`` and
-    ``tracer`` are :class:`~repro.lab.fleet.FleetBench`'s.  A chip that
-    drops out (an exhausted guard budget) raises its error.
+    ``tracer`` and the instruments (:attr:`chamber`, :attr:`supply`) are
+    :class:`~repro.lab.fleet.FleetBench`'s.  A chip that drops out (an
+    exhausted guard budget) raises its error.
     """
 
     def __init__(
         self,
         chip,
-        chamber: ThermalChamber | None = None,
-        supply: DcPowerSupply | None = None,
-        clock: ClockGenerator | None = None,
-        reads_per_sample: int = 3,
-        sampling_overhead: float = 3.0,
         rng: np.random.Generator | int | None = None,
         tracer=None,
     ) -> None:
@@ -47,20 +39,10 @@ class VirtualTestbench:
         fleet, self._index = chip._fleet, chip._index
         rngs = [None] * fleet.n_chips
         rngs[self._index] = rng
-        self._bench = FleetBench(
-            fleet,
-            rngs,
-            tracer=tracer,
-            reads_per_sample=reads_per_sample,
-            sampling_overhead=sampling_overhead,
-            chamber=chamber,
-            supply=supply,
-            clock=clock,
-        )
+        self._bench = FleetBench(fleet, rngs, tracer=tracer)
         self.chip = chip
         self.chamber = self._bench.chamber
         self.supply = self._bench.supply
-        self.clock = self._bench.clock
 
     def _raise_dropout(self) -> None:
         error = self._bench.dropped.pop(self._index, None)

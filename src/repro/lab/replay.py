@@ -45,10 +45,10 @@ def fresh_delays_from_log(log: DataLog) -> dict[str, float]:
 def result_from_log(log: DataLog) -> CampaignResult:
     """A :class:`CampaignResult` view over an archived log.
 
-    ``chips`` is empty (the silicon is gone); every series accessor that
-    only needs the log and the fresh anchors works as on a live result.
+    Every series accessor that only needs the log and the fresh anchors
+    works as on a fresh result; the model's final delays are not in a log.
     """
-    return CampaignResult(log=log, chips={}, fresh_delays=fresh_delays_from_log(log))
+    return CampaignResult(log=log, fresh_delays=fresh_delays_from_log(log))
 
 
 def result_from_csv(path) -> CampaignResult:

@@ -297,20 +297,18 @@ class IsolatedJobs:
         return JobOutcome(key, *outcome, started, finished)
 
 
-def run_isolated(jobs, tracer=NULL_TRACER, *, fork: bool = True, timeout_s: float | None = None):
+def run_isolated(jobs, tracer=NULL_TRACER):
     """Run each ``job(tracer)`` in a forked child at once; one outcome per job, in job order.
 
-    An outcome is ``("ok", result)``, ``("error", exception)``,
-    ``("died", exit_code)`` (no report) or ``("timeout", None)`` (no
-    report within ``timeout_s`` seconds of that child's start); see
-    :class:`IsolatedJobs` for the protocol.  When ``tracer`` is enabled
-    each job records into a fresh tracer, absorbed into ``tracer`` in job
-    order under its open span.  ``fork=False`` runs the jobs in this
-    process, one after another, without a timeout.
+    An outcome is ``("ok", result)``, ``("error", exception)`` or
+    ``("died", exit_code)`` (no report); see :class:`IsolatedJobs` for
+    the protocol.  When ``tracer`` is enabled each job records into a
+    fresh tracer, absorbed into ``tracer`` in job order under its open
+    span.
     """
     jobs = list(jobs)
     outcomes: list[JobOutcome | None] = [None] * len(jobs)
-    with IsolatedJobs(tracer, limit=max(1, len(jobs)), fork=fork, timeout_s=timeout_s) as pool:
+    with IsolatedJobs(tracer, limit=max(1, len(jobs))) as pool:
         for index, job in enumerate(jobs):
             pool.start(index, job)
         for _ in jobs:

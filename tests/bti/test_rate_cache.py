@@ -18,7 +18,6 @@ from repro.errors import ConfigurationError
 from repro.fpga.chip import FpgaChip
 from repro.lab.datalog import DataLog
 from repro.lab.measurement import VirtualTestbench
-from repro.lab.power_supply import DcPowerSupply
 from repro.lab.schedule import PhaseKind, TestPhase
 from repro.obs import Tracer
 from repro.units import celsius, hours
@@ -130,9 +129,8 @@ class TestRetention:
 
     def run_schedule(self, accuracy_volts: float) -> FpgaChip:
         chip = FpgaChip("chip-memo", seed=3)
-        bench = VirtualTestbench(
-            chip, supply=DcPowerSupply(accuracy_volts=accuracy_volts), rng=5
-        )
+        bench = VirtualTestbench(chip, rng=5)
+        bench.supply.accuracy_volts = accuracy_volts
         log = DataLog()
         for phase in self.PHASES:
             bench.run_phase(phase, "CASE", log)

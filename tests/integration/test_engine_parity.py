@@ -13,8 +13,8 @@ Each path must give the pinned outcome: the log digest, the sanitizer
 hashes, the quarantine set, the resilience counters and the field set
 of the result — or the same typed error.  The pins are literal values
 recorded from the per-chip engine before the campaign engines merged.
-The direct paths must also hand back the same chip views, whose delays
-agree, at every shard count (``run_table1_campaign`` runs one shard per
+A direct path's result must also be plain data, with no chip state in
+it, at every shard count (``run_table1_campaign`` runs one shard per
 usable CPU).
 """
 
@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
+import pickle
 from functools import lru_cache
 
 import numpy as np
@@ -80,41 +82,37 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _view_delay(chip) -> str:
-    """A chip view's current delay, or the typed error reading it raises."""
-    try:
-        return repr(chip.path_delay())
-    except Exception as error:
-        return type(error).__name__
+def _pickled_types(result) -> set[str]:
+    """The name of every type that pickling ``result`` reaches."""
+    names: set[str] = set()
+
+    class Recorder(pickle.Pickler):
+        def persistent_id(self, obj):
+            names.add(type(obj).__name__)
+            return None
+
+    Recorder(io.BytesIO()).dump(result)
+    return names
 
 
 def _outcome(run) -> dict:
-    """Run one path and fold what it produced (or raised) into a dict;
-    ``views`` maps each returned chip view to its delay."""
+    """Run one path and fold what it produced (or raised) into a dict."""
     tracer = Tracer()
     try:
         result = run(tracer)
     except Exception as error:  # a typed failure is an outcome too
         return {"error": type(error).__name__, "contract": getattr(error, "contract", None)}
+    # A result is plain data: no live chip (or its trap state) rides along.
+    assert "FleetChip" not in _pickled_types(result)
     snapshot = tracer.metrics.snapshot()
-    # Read after the snapshot, so the closing delay read adds no counts.
-    finals = getattr(result, "final_delays", None) or {
-        chip_id: chip.path_delay() for chip_id, chip in result.chips.items()
-    }
     return {
         "records": len(result.log),
         "log": _digest("".join(repr(record) for record in result.log)),
         "hashes": _digest(json.dumps(sorted(result.state_hashes.items()))),
         "quarantine": {chip: report.case for chip, report in result.quarantined.items()},
         "counters": {name: snapshot.get(name, 0.0) for name in COUNTERS},
-        "final": _digest(repr(sorted(finals.items()))),
-        "views": {chip_id: _view_delay(chip) for chip_id, chip in result.chips.items()},
+        "final": _digest(repr(sorted(result.final_delays.items()))),
     }
-
-
-def _pinned(outcome: dict) -> dict:
-    """The part of an outcome the literal pins cover."""
-    return {key: value for key, value in outcome.items() if key != "views"}
 
 
 def _kwargs(load: str, guard: str) -> dict:
@@ -194,23 +192,14 @@ PINS = {
 @pytest.mark.parametrize("guard", sorted(GUARDS))
 @pytest.mark.parametrize("load", LOADS)
 def test_per_chip_engine_meets_pin(load, guard):
-    assert _pinned(direct("table1", load, guard)) == PINS[(load, guard)]
+    assert direct("table1", load, guard) == PINS[(load, guard)]
 
 
 @pytest.mark.parametrize("path", ["fleet-1", "fleet-2"])
 @pytest.mark.parametrize("guard", sorted(GUARDS))
 @pytest.mark.parametrize("load", LOADS)
 def test_fleet_paths_meet_pin(path, load, guard):
-    assert _pinned(direct(path, load, guard)) == PINS[(load, guard)]
-
-
-@pytest.mark.parametrize("guard", sorted(GUARDS))
-@pytest.mark.parametrize("load", LOADS)
-def test_paths_return_the_same_chip_views(load, guard):
-    views = {path: direct(path, load, guard).get("views") for path in DIRECT_PATHS}
-    assert views["table1"] == views["fleet-1"] == views["fleet-2"]
-    if "error" not in PINS[(load, guard)]:
-        assert set(views["table1"]) == set(CHIPS)
+    assert direct(path, load, guard) == PINS[(load, guard)]
 
 
 def _traced(run) -> TraceModel:

@@ -11,7 +11,6 @@ exact.  (The full 5-chip identity run lives in
 smaller lots to stay fast.)
 """
 
-import numpy as np
 import pytest
 
 import repro.lab.fleet as fleet_module
@@ -32,9 +31,7 @@ class TestExactBitIdentity:
                                    sanitize=True)
         assert list(fleet.log) == list(sequential.log)
         assert fleet.fresh_delays == sequential.fresh_delays
-        assert fleet.final_delays == {
-            chip_id: chip.path_delay() for chip_id, chip in sequential.chips.items()
-        }
+        assert fleet.final_delays == sequential.final_delays
         assert fleet.state_hashes == sequential.state_hashes
         assert fleet.complete
         assert fleet.total_measurements == len(sequential.log)
@@ -72,12 +69,6 @@ class TestSharding:
             s.case_end_frequency for s in sharded.summaries
         ]
         assert sharded.shards == 3
-        # The lot fits one batch, so each shard's chips come back as views
-        # rebuilt from their exported state.
-        assert list(sharded.chips) == list(base.chips)
-        assert [chip.path_delay() for chip in sharded.chips.values()] == [
-            chip.path_delay() for chip in base.chips.values()
-        ]
 
     def test_more_shards_than_chips_is_fine(self):
         result = run_fleet_campaign(seed=0, n_chips=2, fidelity="binned",

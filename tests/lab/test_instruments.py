@@ -1,10 +1,10 @@
-"""Virtual instruments: chamber, supply, clock."""
+"""Virtual instruments: chamber, supply, reference clock."""
 
 import numpy as np
 import pytest
 
 from repro.errors import InstrumentError
-from repro.lab.clock_generator import ClockGenerator
+from repro.lab.fleet import FleetBench
 from repro.lab.power_supply import DcPowerSupply
 from repro.lab.thermal_chamber import ThermalChamber
 from repro.units import celsius
@@ -76,16 +76,7 @@ class TestDcPowerSupply:
 
 
 class TestClockGenerator:
-    def test_default_paper_reference(self):
-        assert ClockGenerator().frequency == 500.0
+    """The paper's 500 Hz reference clock is the bench counter's ``fref``."""
 
-    def test_accuracy_ppm(self, rng):
-        clock = ClockGenerator(frequency=500.0, accuracy_ppm=5.0)
-        freqs = [clock.actual_frequency(rng) for _ in range(200)]
-        assert max(abs(f - 500.0) for f in freqs) <= 500.0 * 5e-6 + 1e-9
-
-    def test_invalid_construction(self):
-        with pytest.raises(InstrumentError):
-            ClockGenerator(frequency=0.0)
-        with pytest.raises(InstrumentError):
-            ClockGenerator(accuracy_ppm=-1.0)
+    def test_default_paper_reference(self, small_chip):
+        assert FleetBench(small_chip._fleet, [None]).counter.fref == 500.0

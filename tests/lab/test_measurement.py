@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.lab.datalog import DataLog
 from repro.lab.measurement import VirtualTestbench
 from repro.lab.schedule import PhaseKind, TestPhase, parse_case_name
@@ -83,12 +82,6 @@ class TestVirtualTestbench:
         assert r.phase == "AS110DC24"
         assert r.temperature_c == 110.0
         assert r.chip_id == bench.chip.chip_id
-
-    def test_invalid_construction(self, small_chip):
-        with pytest.raises(ConfigurationError):
-            VirtualTestbench(small_chip, reads_per_sample=0)
-        with pytest.raises(ConfigurationError):
-            VirtualTestbench(small_chip, sampling_overhead=-1.0)
 
     def test_phase_duration_with_float_residue_takes_no_extra_sample(self, bench):
         # Ten 0.1 s chunks sum to 0.9999999999999999 in binary float; the

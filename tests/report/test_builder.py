@@ -153,7 +153,6 @@ def quarantined_result():
     ))
     return CampaignResult(
         log=log,
-        chips={},
         fresh_delays={"chip-1": 2.6e-9},
         quarantined={
             "chip-1": QuarantineReport(

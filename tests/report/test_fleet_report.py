@@ -3,7 +3,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from repro.lab.datalog import DataLog
 from repro.lab.fleet import CampaignResult, FleetChipSummary, run_fleet_campaign
@@ -33,7 +32,7 @@ def synthetic_result(n_chips=50, outlier_pct=9.0) -> CampaignResult:
             )
         )
     return CampaignResult(
-        chips={}, log=DataLog(),
+        log=DataLog(),
         fresh_delays={s.chip_id: s.fresh_delay for s in summaries},
         summaries=summaries, fidelity="binned", total_measurements=500,
     )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import main
 from repro.lab.datalog import DataLog
+from repro.lab.resilience import usable_cpus
 from repro.obs import load_trace
 from repro.obs.query import TraceModel
 
@@ -103,6 +104,25 @@ class TestCampaignCli:
         with pytest.raises(SystemExit):
             main(["campaign", "--chips", "1", "--guard-mode", "maybe"])
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_lot_only_flags_need_fleet(self, capsys):
+        for flag, value in (("--shard", "2"), ("--fidelity", "exact"),
+                            ("--collect", "summary")):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["campaign", "--chips", "1", "--quiet", flag, value])
+            assert excinfo.value.code == 2
+            assert f"{flag} only works with --fleet" in capsys.readouterr().err
+
+    def test_fleet_takes_one_shard_per_usable_cpu_by_default(self, capsys):
+        assert main(["campaign", "--fleet", "2", "--quiet"]) == 0
+        out = capsys.readouterr().out
+        assert f"fidelity exact, {min(usable_cpus(), 2)} shard(s)" in out
+
+    def test_fleet_honours_the_lot_flags(self, capsys):
+        assert main(["campaign", "--fleet", "2", "--quiet", "--shard", "1",
+                     "--fidelity", "binned", "--collect", "summary"]) == 0
+        out = capsys.readouterr().out
+        assert "fidelity binned, 1 shard(s)" in out
 
     def test_stats_prints_timing_and_metrics(self, capsys):
         assert main(["stats", "--chips", "1", "--quiet"]) == 0
