@@ -105,9 +105,9 @@ def _resilience_kwargs(args: argparse.Namespace, n_chips: int | None = None) -> 
             args.fault_seed,
             chip_ids,
             table1_horizon(count),
-            rate_per_day=args.fault_rate,
-            dropout_probability=args.dropout_prob,
-            upset_probability=args.upset_prob,
+            rate_per_day=args.fault_rate if args.fault_rate is not None else 1.0,
+            dropout_probability=args.dropout_prob if args.dropout_prob is not None else 0.0,
+            upset_probability=args.upset_prob if args.upset_prob is not None else 0.0,
         )
     if args.guard_mode is not None:
         from repro.guard import GuardConfig
@@ -553,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--fault-rate",
             type=float,
-            default=1.0,
             metavar="X",
             help="mean instrument faults per chip per simulated day "
             "(default: 1.0; only with --fault-seed)",
@@ -561,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--dropout-prob",
             type=float,
-            default=0.0,
             metavar="P",
             help="per-chip probability of a permanent mid-campaign dropout "
             "(default: 0.0; only with --fault-seed)",
@@ -582,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--upset-prob",
             type=float,
-            default=0.0,
             metavar="P",
             help="per-chip probability of a trap-state upset (NaN or "
             "out-of-domain occupancy) caught by the physics guards "
@@ -840,15 +837,17 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=2,
             metavar="N",
-            help="attempts per cell before recording it as failed (default: 2)",
+            help="attempts per cell before recording it as failed; a typed "
+            "model failure (e.g. PhysicsViolationError) is final at its first "
+            "attempt (default: 2)",
         )
         parser.add_argument(
             "--isolation",
             choices=["process", "inline"],
             default="process",
-            help="'process' forks a crash/timeout-proof worker per cell, one per "
-            "usable CPU at a time; 'inline' runs one cell at a time in-process "
-            "(default: process)",
+            help="'process' runs cells in forked workers, one per usable CPU, "
+            "each attempt crash/timeout-proof; 'inline' runs one cell at a time "
+            "in-process (default: process)",
         )
         parser.add_argument(
             "--report",
@@ -908,12 +907,19 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A flag that only works beside another one defaults to None, so one
+    # given alone is an error rather than silently ignored.
     if args.command == "campaign" and args.fleet is None:
-        # The lot-only flags default to None, so one given without a lot
-        # is an error rather than silently ignored.
         for name in ("shard", "fidelity", "collect"):
             if getattr(args, name) is not None:
                 parser.error(f"campaign: --{name} only works with --fleet")
+    if hasattr(args, "fault_seed") and args.fault_seed is None:
+        for name in ("fault_rate", "dropout_prob", "upset_prob"):
+            if getattr(args, name) is not None:
+                flag = name.replace("_", "-")
+                parser.error(f"{args.command}: --{flag} only works with --fault-seed")
+    if getattr(args, "guard_budget", None) is not None and args.guard_mode != "clamp":
+        parser.error(f"{args.command}: --guard-budget only works with --guard-mode clamp")
     try:
         code = args.func(args)
         # Flush inside the try: small outputs (`repro lint | head`) may

@@ -13,11 +13,12 @@ fault-injection campaign manager (DAVOS) sits on top of a simulator:
   per-cell result files (atomic writes, orphan-tmp tolerant), so a
   SIGKILLed sweep resumes cell-exactly;
 * :mod:`repro.dependability.runner` — a resilient batch runner with
-  per-cell process isolation, wall-clock timeouts and bounded retries;
+  per-attempt process isolation in one forked worker per usable CPU,
+  wall-clock timeouts and bounded retries;
   a failed or timed-out cell is *recorded*, never raised, and the sweep
   completes on the survivors;
 * :mod:`repro.dependability.cell` — one cell's campaign and lifetime
-  projection, with every module a forked cell attempt needs;
+  projection, with every module a cell's forked worker needs;
 * :mod:`repro.dependability.analyzer` — per-cell failure / quarantine /
   retry / guard-violation / lifetime statistics with bootstrap and
   Wilson confidence intervals, plus cross-cell sensitivity tables;

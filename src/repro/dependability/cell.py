@@ -2,7 +2,7 @@
 
 The imports below are every module a cell needs, and the only list of
 them.  :mod:`repro.dependability.runner` imports this module at its top,
-so every forked cell attempt inherits these modules instead of importing
+so every forked sweep worker inherits these modules instead of importing
 them itself.
 """
 

@@ -3,18 +3,25 @@
 The runner executes the pending cells of the grid, starting them in
 index order, with three layers of protection:
 
-* **process isolation** (default): each attempt runs in a forked child
-  (:class:`~repro.lab.resilience.IsolatedJobs`) that sends its stats
+* **process isolation** (default): attempts run in forked workers
+  (:class:`~repro.lab.resilience.IsolatedJobs`), one per usable CPU,
+  each running attempts back to back and sending each attempt's stats
   (and, in a traced sweep, its campaign spans, as an inline attempt
   keeps them) back over a pipe, so a hard crash (segfault, OOM kill, an
-  injected SIGKILL) loses one cell, not the sweep.  Up to one attempt
-  per usable CPU is in flight, and the next pending attempt starts as
-  soon as a child finishes; inline isolation runs one at a time;
-* **wall-clock timeout**: a hung attempt is killed and recorded as
-  ``timeout`` once ``timeout_s`` seconds have passed since its own start;
-* **bounded per-cell retries**: transient crashes get ``cell_retries``
-  attempts before the cell is declared failed; a failed attempt goes
-  back to the head of the queue as that cell's next attempt.
+  injected SIGKILL) loses one attempt, not the sweep, and the next
+  attempt starts in a fresh worker.  Up to one attempt per usable CPU
+  is in flight, and the next pending attempt starts as soon as a worker
+  is free; inline isolation runs one at a time;
+* **wall-clock timeout**: a hung attempt is recorded as ``timeout`` and
+  its worker killed once ``timeout_s`` seconds have passed since the
+  attempt was handed to it;
+* **bounded per-cell retries**: transient failures (a worker that died
+  or timed out, an exception that is not a
+  :class:`~repro.errors.ReproError`) get ``cell_retries`` attempts
+  before the cell is declared failed; a failed attempt goes back to the
+  head of the queue as that cell's next attempt.  A typed model failure
+  such as ``PhysicsViolationError`` is a pure function of the cell's
+  inputs, so it is final at its first attempt.
 
 The graceful-degradation contract (DESIGN.md): a failing cell is
 *recorded* — status, error, attempts, seed — never raised, and the sweep
@@ -23,8 +30,9 @@ through :class:`~repro.dependability.store.SweepStore` as soon as its
 final outcome is known, so a SIGKILL of the *runner* costs at most the
 cells in flight (one per usable CPU), and ``resume`` re-runs only
 unfinished cells.  Cell results are deterministic (wall-clock fields are
-excluded from the digest), so running cells side by side moves no bit,
-and a resumed sweep is bit-identical on every cell that already ran.
+excluded from the digest), so running cells side by side, or back to
+back in one worker, moves no bit, and a resumed sweep is bit-identical
+on every cell that already ran.
 Outcomes and the trace keep cell order whatever order cells finish in.
 """
 
@@ -44,7 +52,7 @@ from pathlib import Path
 from repro.dependability.cell import campaign_stats
 from repro.dependability.spec import SweepCell, SweepSpec
 from repro.dependability.store import SweepStore
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.lab.resilience import IsolatedJobs, JobOutcome, usable_cpus
 from repro.obs import NULL_PROGRESS, NULL_TRACER
 from repro.units import hours
@@ -138,6 +146,20 @@ def _execute_cell(
     return campaign_stats(cell, retries, backoff_s, tracer)
 
 
+def _final(attempt: JobOutcome) -> bool:
+    """True when no retry can change the attempt's outcome.
+
+    A cell is a pure function of its inputs, so one that completed or
+    raised a typed model failure (a :class:`~repro.errors.ReproError`,
+    such as ``PhysicsViolationError``) would do the same again.  A
+    worker that died or timed out, or any other exception, may be
+    transient.
+    """
+    return attempt.kind == "ok" or (
+        attempt.kind == "error" and isinstance(attempt.value, ReproError)
+    )
+
+
 class SweepRunner:
     """Executes a sweep grid with per-cell isolation, timeout and retry.
 
@@ -148,15 +170,17 @@ class SweepRunner:
     directory:
         Progress ledger location; pass the same directory to resume.
     timeout_s:
-        Wall-clock budget per cell attempt, counted from the attempt's own
-        start (process isolation only).
+        Wall-clock budget per cell attempt, counted from the attempt's
+        hand-off to its worker (process isolation only).
     cell_retries:
-        Attempts per cell before recording it as failed.
+        Attempts per cell before recording it as failed; a typed model
+        failure (:class:`~repro.errors.ReproError`) is final at once.
     isolation:
-        ``"process"`` forks a child per cell attempt (crash/timeout-proof),
-        one per usable CPU at a time; ``"inline"`` runs the same protocol
-        in-process, one attempt at a time (no fork, but no timeout either,
-        and a hard crash takes the runner with it).
+        ``"process"`` runs attempts in forked workers, one per usable CPU,
+        each attempt crash/timeout-proof (a dead or killed worker is
+        replaced); ``"inline"`` runs the same protocol in-process, one
+        attempt at a time (no fork, but no timeout either, and a hard
+        crash takes the runner with it).
     inject:
         Optional ``cell_id -> mode`` failure injection (see
         :data:`INJECT_MODES`) for tests and smoke benchmarks.
@@ -207,8 +231,9 @@ class SweepRunner:
             return 1
         return max(1, min(usable_cpus(), pending))
 
-    def _job(self, cell: SweepCell, attempt: int):
-        """Attempt number ``attempt`` at one cell, as an isolated job."""
+    def _job(self, key: tuple[SweepCell, int]):
+        """The isolated job of key ``(cell, attempt)``: that attempt at that cell."""
+        cell, attempt = key
         inject = self.inject.get(cell.cell_id)
         if inject == "crash-once" and attempt > 1:
             inject = None
@@ -258,6 +283,7 @@ class SweepRunner:
         attempts: dict[str, list[JobOutcome]] = {cell.cell_id: [] for cell in pending}
         finished = traced = 0
         with IsolatedJobs(
+            self._job,
             self.tracer,
             limit=self.cells_at_once(len(pending)),
             fork=self.isolation == "process",
@@ -268,13 +294,13 @@ class SweepRunner:
                     cell, attempt = queue.popleft()
                     if attempt > 1:
                         retries.inc()
-                    jobs.start((cell, attempt), self._job(cell, attempt))
+                    jobs.start((cell, attempt))
                 done = jobs.wait()
                 cell, attempt = done.key
                 attempts[cell.cell_id].append(done)
                 if done.kind == "timeout":
                     timeouts.inc()
-                if done.kind != "ok" and attempt < self.cell_retries:
+                if not _final(done) and attempt < self.cell_retries:
                     queue.appendleft((cell, attempt + 1))
                     continue
                 outcome = self._fold(cell, attempts[cell.cell_id])

@@ -17,11 +17,12 @@ applies them chip by chip):
   own, so a checkpoint works at either fidelity and across shard
   workers, and a resume may use another shard count or batch size.
 
-Fleet shards and sweep cells run through :class:`IsolatedJobs`: one
-forked child per job, at most a set number in flight, each with its own
-deadline, its result (and, in a traced run, its trace) sent back over a
-pipe, and no child outliving the process that forked it.  Fleet shards
-fork all their ranges at once through :func:`run_isolated`.
+Fleet shards and sweep cells run through :class:`IsolatedJobs`: forked
+workers, at most a set number alive, that run jobs back to back, each
+job with its own deadline, its result (and, in a traced run, its trace)
+sent back over a pipe, and no worker outliving the process that forked
+it.  Fleet shards fork one worker per range, all at once, through
+:func:`run_isolated`.
 
 With no faults installed a chip's bench consumes its RNG stream in
 exactly the same order as with an empty fault plan — resilient,
@@ -118,8 +119,8 @@ _in_job = False
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask, else the machine's count.
 
-    A job of :class:`IsolatedJobs` holds exactly one CPU, forked or
-    inline, so inside one this is 1: work that fans out per CPU (fleet
+    A job of :class:`IsolatedJobs` holds exactly one CPU, in a forked
+    worker or inline, so inside one this is 1: work that fans out per CPU (fleet
     shards, sweep cells) never forks again from within a job.
     """
     if _in_job:
@@ -135,7 +136,7 @@ class JobOutcome:
     """How one isolated job ended, and when it ran.
 
     ``kind`` is ``"ok"`` (``value`` is the result), ``"error"`` (the
-    exception), ``"died"`` (the exit code of a child that sent no
+    exception), ``"died"`` (the exit code of a worker that sent no
     report) or ``"timeout"`` (``None``).  ``trace`` is the job's own
     tracer, for an ``ok`` job of a traced run.  ``started`` and
     ``finished`` are ``time.perf_counter()`` readings.
@@ -163,47 +164,83 @@ def _outcome(job, tracer) -> tuple:
         _in_job = outer
 
 
-def _child_main(job, tracer, sender, lifeline: tuple[int, int]) -> None:
+class _Worker:
+    """A forked worker: its process, the pool's end of its pipe, and the
+    job it runs (``key``, handed over at ``started``; None while idle)."""
+
+    __slots__ = ("process", "conn", "key", "started")
+
+    def __init__(self, process, conn) -> None:
+        self.process = process
+        self.conn = conn
+        self.key = None
+        self.started: float | None = None
+
+
+def _worker_main(pool: IsolatedJobs, conn, key, job) -> None:
+    """Run the job this worker was forked for, then the job of every key sent to it.
+
+    The worker exits when the pool closes its end of the pipe, and at
+    once when the process that forked it dies.
+    """
+    lifeline = pool._lifeline
+
     def exit_with_parent() -> None:
         os.read(lifeline[0], 1)  # returns only at EOF: the parent is gone
         os._exit(1)
 
-    os.close(lifeline[1])  # the parent alone holds the write end open
+    # The parent alone holds the lifeline's write end and the pool's pipe
+    # ends (this worker's own included), so each pipe reaches EOF when
+    # the pool closes it.
+    os.close(lifeline[1])
+    for worker in pool._workers:
+        worker.conn.close()
     threading.Thread(target=exit_with_parent, daemon=True).start()
-    outcome = _outcome(job, tracer)
-    if outcome[0] == "error":  # a traceback does not pickle: send its text as a note
-        error = outcome[1]
-        text = "".join(traceback.format_exception(type(error), error, error.__traceback__))
-        error.__notes__ = [*getattr(error, "__notes__", []), text]
-    sender.send(outcome)
+    while True:
+        outcome = _outcome(job if job is not None else pool.job_for(key), pool.tracer)
+        if outcome[0] == "error":  # a traceback does not pickle: send its text as a note
+            error = outcome[1]
+            text = "".join(traceback.format_exception(type(error), error, error.__traceback__))
+            error.__notes__ = [*getattr(error, "__notes__", []), text]
+        conn.send(outcome)
+        del outcome  # hold no result while idle
+        try:
+            key, job = conn.recv(), None
+        except EOFError:
+            return
 
 
 class IsolatedJobs:
-    """Jobs in forked children, at most ``limit`` in flight, each with its own deadline.
+    """Jobs in long-lived forked workers, at most ``limit`` in flight, each with its own deadline.
 
-    :meth:`start` forks a child for ``job(tracer)``; :meth:`wait` blocks
-    until one child reports, dies or outlives ``timeout_s`` seconds from
-    its own start (it is then killed), and returns its
-    :class:`JobOutcome`.  Forked children inherit every loaded module
-    and may run any callable; only outcomes cross the pipe.  A child
-    exits as soon as this process dies, and one still alive when the
-    ``with`` block ends is killed.  ``fork=False`` runs each job in this
-    process as it starts, under the same protocol, without a timeout.
-    Either way a job holds one CPU: :func:`usable_cpus` is 1 inside it.
+    :meth:`start` hands ``job_for(key)(tracer)`` to an idle worker, or
+    forks one (at most ``limit`` are alive); :meth:`wait` blocks until
+    one job reports, its worker dies or it outlives ``timeout_s``
+    seconds from its hand-off (its worker is then killed), and returns
+    its :class:`JobOutcome`.  Workers inherit every loaded module and
+    ``job_for`` at fork, so only keys and outcomes cross the pipe and a
+    job need not pickle.  A worker that dies or times out costs only
+    its own job; the next start forks a replacement.  Workers exit as
+    soon as this process dies; when the ``with`` block ends, idle ones
+    are stopped and busy ones killed.  ``fork=False`` runs each job in
+    this process as it starts, under the same protocol, without a
+    timeout.  Either way a job holds one CPU: :func:`usable_cpus` is 1
+    inside it.
     """
 
     def __init__(
-        self, tracer=NULL_TRACER, *, limit: int = 1, fork: bool = True,
+        self, job_for=None, tracer=NULL_TRACER, *, limit: int = 1, fork: bool = True,
         timeout_s: float | None = None,
     ) -> None:
+        self.job_for = job_for
         self.tracer = tracer
         self.limit = limit
         self.fork = fork
         self.timeout_s = timeout_s
         self._context = multiprocessing.get_context("fork")
         self._lifeline: tuple[int, int] | None = None
-        #: Forked children in start order: (key, process, receiver, started).
-        self._live: list[tuple] = []
+        #: Live workers in fork order.
+        self._workers: list[_Worker] = []
         #: Outcomes of inline jobs not yet returned by :meth:`wait`.
         self._done: list[JobOutcome] = []
 
@@ -213,12 +250,13 @@ class IsolatedJobs:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        for _, process, receiver, _ in self._live:
-            receiver.close()
-            if process.is_alive():
-                process.kill()
-            process.join()
-        self._live = []
+        for worker in self._workers:
+            if worker.started is not None:
+                worker.process.kill()
+            worker.conn.close()  # an idle worker exits at EOF
+        for worker in self._workers:
+            worker.process.join()
+        self._workers = []
         if self._lifeline is not None:
             for end in self._lifeline:
                 os.close(end)
@@ -227,35 +265,67 @@ class IsolatedJobs:
     @property
     def busy(self) -> int:
         """Jobs started whose outcome :meth:`wait` has not returned yet."""
-        return len(self._live) + len(self._done)
+        running = sum(worker.started is not None for worker in self._workers)
+        return running + len(self._done)
 
     @property
     def free(self) -> int:
         """How many more jobs may start before the next :meth:`wait`."""
         return self.limit - self.busy
 
-    def start(self, key, job) -> None:
-        """Start ``job(tracer)``; its outcome comes back under ``key``."""
+    def start(self, key, job=None) -> None:
+        """Start ``job`` (default ``job_for(key)``); its outcome comes back under ``key``.
+
+        A job of ``job_for`` goes to an idle worker when there is one; a
+        job given here runs in a worker forked for it.
+        """
         if self.free < 1:
             raise ConfigurationError(f"{self.limit} jobs already in flight")
         started = time.perf_counter()
         if not self.fork:
+            job = job if job is not None else self.job_for(key)
             kind, value, trace = _outcome(job, self.tracer)
             self._done.append(JobOutcome(key, kind, value, trace, started, time.perf_counter()))
             return
-        receiver, sender = self._context.Pipe(duplex=False)
-        process = self._context.Process(
-            target=_child_main, args=(job, self.tracer, sender, self._lifeline)
-        )
+        idle = [worker for worker in self._workers if worker.started is None]
+        worker = idle.pop(0) if idle and job is None else None
+        if worker is not None:
+            try:
+                worker.conn.send(key)
+            except OSError:  # it died while idle
+                self._retire(worker)
+                worker = None
+        if worker is None:
+            if len(self._workers) >= self.limit:
+                self._retire(idle[0])
+            worker = self._fork(key, job)
+        worker.key, worker.started = key, started
+
+    def _fork(self, key, job) -> _Worker:
+        conn, child_end = self._context.Pipe()
+        process = self._context.Process(target=_worker_main, args=(self, child_end, key, job))
+        worker = _Worker(process, conn)
+        self._workers.append(worker)
         process.start()
-        sender.close()
-        self._live.append((key, process, receiver, started))
+        child_end.close()
+        return worker
+
+    def _retire(self, worker: _Worker, kill: bool = False) -> None:
+        self._workers.remove(worker)
+        if kill:
+            worker.process.kill()
+        worker.conn.close()
+        worker.process.join()
 
     def wait(self) -> JobOutcome:
         """The outcome of the next job to finish (the earliest started on a tie)."""
         if self._done:
             return self._done.pop(0)
-        if not self._live:
+        running = sorted(
+            (worker for worker in self._workers if worker.started is not None),
+            key=lambda worker: worker.started,
+        )
+        if not running:
             raise ConfigurationError("no job in flight")
         # Imported here, not at the top: a process that never forks (an
         # unsharded campaign) does not load the connection machinery.
@@ -264,53 +334,47 @@ class IsolatedJobs:
         while True:
             timeout = None
             if self.timeout_s is not None:
-                first_deadline = min(entry[3] for entry in self._live) + self.timeout_s
+                first_deadline = running[0].started + self.timeout_s
                 timeout = max(0.0, first_deadline - time.perf_counter())
-            ready = wait_for([entry[2] for entry in self._live], timeout)
-            for entry in self._live:
-                if entry[2] in ready:
-                    return self._collect(entry)
-            if self.timeout_s is None:
-                continue
-            now = time.perf_counter()
-            for entry in self._live:
-                if now - entry[3] >= self.timeout_s:
-                    return self._collect(entry, timed_out=True)
+            ready = wait_for([worker.conn for worker in running], timeout)
+            for worker in running:
+                if worker.conn in ready:
+                    return self._collect(worker)
+            if timeout is not None and time.perf_counter() >= first_deadline:
+                return self._collect(running[0], timed_out=True)
 
-    def _collect(self, entry: tuple, timed_out: bool = False) -> JobOutcome:
-        key, process, receiver, started = entry
-        self._live.remove(entry)
+    def _collect(self, worker: _Worker, timed_out: bool = False) -> JobOutcome:
+        key, started = worker.key, worker.started
+        worker.key = worker.started = None
         outcome = None
-        if timed_out:
-            process.kill()
-            outcome = ("timeout", None, None)
-        else:
+        if not timed_out:
             try:
-                outcome = receiver.recv()
+                outcome = worker.conn.recv()
             except EOFError:
                 pass
         finished = time.perf_counter()
-        receiver.close()
-        process.join()
         if outcome is None:
-            outcome = ("died", process.exitcode, None)
+            self._retire(worker, kill=timed_out)
+            outcome = ("timeout", None, None) if timed_out else (
+                "died", worker.process.exitcode, None
+            )
         return JobOutcome(key, *outcome, started, finished)
 
 
 def run_isolated(jobs, tracer=NULL_TRACER):
-    """Run each ``job(tracer)`` in a forked child at once; one outcome per job, in job order.
+    """Run every ``job(tracer)`` at once, each in its own forked worker; outcomes in job order.
 
     An outcome is ``("ok", result)``, ``("error", exception)`` or
     ``("died", exit_code)`` (no report); see :class:`IsolatedJobs` for
-    the protocol.  When ``tracer`` is enabled each job records into a
-    fresh tracer, absorbed into ``tracer`` in job order under its open
-    span.
+    the protocol.  The jobs reach the workers by fork, keyed by index.
+    When ``tracer`` is enabled each job records into a fresh tracer,
+    absorbed into ``tracer`` in job order under its open span.
     """
     jobs = list(jobs)
     outcomes: list[JobOutcome | None] = [None] * len(jobs)
-    with IsolatedJobs(tracer, limit=max(1, len(jobs))) as pool:
-        for index, job in enumerate(jobs):
-            pool.start(index, job)
+    with IsolatedJobs(jobs.__getitem__, tracer, limit=max(1, len(jobs))) as pool:
+        for index in range(len(jobs)):
+            pool.start(index)
         for _ in jobs:
             outcome = pool.wait()
             outcomes[outcome.key] = outcome

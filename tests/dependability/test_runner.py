@@ -19,6 +19,7 @@ from repro.dependability import (
     runner,
 )
 from repro.errors import ConfigurationError, SweepError
+from repro.lab.resilience import IsolatedJobs
 from repro.obs import Tracer
 from repro.obs.query import TraceModel, diff_traces
 
@@ -169,6 +170,29 @@ class TestProcessIsolation:
         ]
 
 
+class TestFinalFailures:
+    @pytest.mark.parametrize("isolation", ["inline", "process"])
+    def test_model_failure_is_final_at_its_first_attempt(self, tmp_path, isolation):
+        # Raise-mode cells under certain upsets fail with the same
+        # PhysicsViolationError on every attempt; cell-0001 first crashes.
+        spec = tiny_spec(fault_rates=(24.0,), upset_probs=(1.0,), guard_modes=("raise",))
+        tracer = Tracer()
+        result = SweepRunner(
+            spec,
+            tmp_path,
+            isolation=isolation,
+            cell_retries=3,
+            inject={"cell-0001": "crash-once"},
+            tracer=tracer,
+        ).run()
+        assert [(o.status, o.attempts) for o in result.outcomes] == [
+            ("failed", 1), ("failed", 2)
+        ]
+        for outcome in result.outcomes:
+            assert outcome.error.startswith("PhysicsViolationError"), outcome.error
+        assert tracer.metrics.value("sweep.cell_retries") == 1.0
+
+
 class TestOverlappingCells:
     def test_overlapping_cells_match_inline(self, tmp_path, two_cpus):
         spec = tiny_spec(alphas=(1.0, 2.0, 4.0), seeds=(3, 5))
@@ -188,6 +212,23 @@ class TestOverlappingCells:
         assert [(o.status, o.attempts, o.digest) for o in runs["process"].outcomes] == [
             (o.status, o.attempts, o.digest) for o in runs["inline"].outcomes
         ]
+
+    def test_one_worker_per_cpu_plus_one_per_dead_attempt(
+        self, tmp_path, two_cpus, monkeypatch
+    ):
+        forks = []
+        fork = IsolatedJobs._fork
+        monkeypatch.setattr(
+            IsolatedJobs, "_fork",
+            lambda jobs, key, job: forks.append(key) or fork(jobs, key, job),
+        )
+        result = SweepRunner(
+            tiny_spec(alphas=(1.0, 2.0, 4.0), seeds=(3, 5)),
+            tmp_path,
+            inject={"cell-0001": "crash-once"},
+        ).run()
+        assert result.complete
+        assert len(forks) == 3  # two workers, and one replacing the killed one
 
     def test_cells_finish_while_a_hung_cell_is_in_flight(self, tmp_path, two_cpus):
         cells = tmp_path / "cells"

@@ -6,6 +6,8 @@ other chip bit-identical to a fault-free run; a resumed campaign produces
 the same DataLog as an uninterrupted one.
 """
 
+import os
+import signal
 import time
 
 import numpy as np
@@ -383,6 +385,15 @@ def _sleep_an_hour(tracer):
     time.sleep(hours(1.0))
 
 
+def _job_named(key):
+    """The job of a test key: report the worker's PID, SIGKILL it, or hang."""
+    return {
+        "pid": lambda tracer: os.getpid(),
+        "kill": lambda tracer: os.kill(os.getpid(), signal.SIGKILL),
+        "hang": _sleep_an_hour,
+    }[key]
+
+
 class TestIsolatedJobs:
     def test_timeout_counts_from_each_childs_start(self):
         started = time.monotonic()
@@ -429,6 +440,50 @@ class TestIsolatedJobs:
             jobs.start("cpus", lambda tracer: usable_cpus())
             assert jobs.wait().value == 1
         assert usable_cpus() == outside
+
+    def test_workers_run_jobs_back_to_back(self):
+        outcomes = []
+        with IsolatedJobs(lambda key: _job_named("pid"), limit=2) as jobs:
+            for key in range(6):
+                if not jobs.free:
+                    outcomes.append(jobs.wait())
+                jobs.start(key)
+            while jobs.busy:
+                outcomes.append(jobs.wait())
+        assert sorted(done.key for done in outcomes) == list(range(6))
+        assert {done.kind for done in outcomes} == {"ok"}
+        pids = {done.value for done in outcomes}
+        assert len(pids) <= 2 and os.getpid() not in pids
+        for pid in pids:  # idle workers were stopped and reaped
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_a_killed_worker_costs_only_its_job(self):
+        outcomes = []
+        with IsolatedJobs(_job_named, limit=1) as jobs:
+            for key in ("pid", "kill", "pid", "pid"):
+                jobs.start(key)
+                outcomes.append(jobs.wait())
+        assert [done.kind for done in outcomes] == ["ok", "died", "ok", "ok"]
+        assert outcomes[1].value == -signal.SIGKILL
+        first, replacement, reused = (outcomes[i].value for i in (0, 2, 3))
+        assert replacement != first and reused == replacement
+
+    def test_a_hung_job_times_out_without_its_neighbour(self):
+        with IsolatedJobs(_job_named, limit=2, timeout_s=1.0) as jobs:
+            jobs.start("hang")
+            jobs.start("pid")
+            neighbour = jobs.wait()
+            jobs.start("pid")
+            again = jobs.wait()
+            hung = jobs.wait()
+            jobs.start("pid")
+            after = jobs.wait()
+        assert [done.kind for done in (neighbour, again, hung, after)] == [
+            "ok", "ok", "timeout", "ok"
+        ]
+        assert neighbour.value == again.value == after.value
+        assert hung.finished - hung.started >= 1.0
 
     def test_a_campaign_inside_a_job_runs_in_one_process(self):
         ((kind, shards),) = run_isolated(

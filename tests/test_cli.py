@@ -113,6 +113,30 @@ class TestCampaignCli:
             assert excinfo.value.code == 2
             assert f"{flag} only works with --fleet" in capsys.readouterr().err
 
+    def test_fault_flags_need_a_fault_seed(self, capsys):
+        for flag, value in (("--fault-rate", "2.0"), ("--dropout-prob", "1.0"),
+                            ("--upset-prob", "0.5")):
+            for command in ("campaign", "stats", "report"):
+                with pytest.raises(SystemExit) as excinfo:
+                    main([command, "--chips", "1", "--quiet", flag, value])
+                assert excinfo.value.code == 2
+                assert f"{flag} only works with --fault-seed" in capsys.readouterr().err
+
+    def test_guard_budget_needs_clamp_mode(self, capsys):
+        for extra in ([], ["--guard-mode", "raise"], ["--guard-mode", "off"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["campaign", "--chips", "1", "--quiet", "--guard-budget", "0", *extra])
+            assert excinfo.value.code == 2
+            assert "--guard-budget only works with --guard-mode clamp" in (
+                capsys.readouterr().err
+            )
+
+    def test_fault_flags_take_effect_beside_a_fault_seed(self, capsys):
+        assert main(["campaign", "--chips", "1", "--quiet", "--fault-seed", "5",
+                     "--dropout-prob", "1.0", "--guard-mode", "clamp",
+                     "--guard-budget", "0"]) == 0
+        assert "quarantined:" in capsys.readouterr().out
+
     def test_fleet_takes_one_shard_per_usable_cpu_by_default(self, capsys):
         assert main(["campaign", "--fleet", "2", "--quiet"]) == 0
         out = capsys.readouterr().out
